@@ -8,8 +8,8 @@
 // precision 8 mostly agrees on average but fluctuates per batch.
 //
 // Migrated onto the high-level API: the CNN (convs + ReLU/pool post-ops) is
-// one Model, each precision point is one Session whose RunSpec carries the
-// datapath, and run_batch over the image batch replaces the hand-wired
+// one GraphModel, each precision point is one Session whose RunSpec carries
+// the datapath, and run_batch over the image batch replaces the hand-wired
 // per-image forward loops.  Results are also written to BENCH_accuracy.json
 // through RunReport's JSON emitter (the repo's single JSON serializer).
 //
@@ -26,7 +26,7 @@
 namespace mpipu {
 namespace {
 
-Model make_cnn(Rng& rng) {
+GraphModel make_cnn(Rng& rng) {
   std::vector<ModelLayer> layers(4);
   ConvSpec pad1;
   pad1.pad = 1;
@@ -46,7 +46,7 @@ Model make_cnn(Rng& rng) {
                random_filters(rng, 10, 32, 1, 1, ValueDist::kNormal, 0.2)
                    .rounded_to_fp16(),
                ConvSpec{}, /*relu=*/false, PoolOp::kNone};
-  return Model::from_layers("small-cnn", std::move(layers));
+  return GraphModel::from_layers("small-cnn", std::move(layers));
 }
 
 int argmax(const Tensor& logits) {
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   if (smoke) std::printf("(smoke mode: reduced batch and precision sweep)\n");
 
   Rng rng(0xACC);
-  const Model model = make_cnn(rng);
+  const GraphModel model = make_cnn(rng);
   const int batch = smoke ? 8 : 48;
   std::vector<Tensor> images;
   for (int i = 0; i < batch; ++i) {

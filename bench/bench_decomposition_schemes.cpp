@@ -105,7 +105,7 @@ int main() {
   // that scheme (one RunSpec drives the whole cycle-sim path).
   bench::section("ResNet-18 forward, big tile, per scheme (Session::estimate)");
   {
-    const Model model = Model::from_network(resnet18_forward());
+    const Network net = resnet18_forward();
     bench::Table t({"scheme", "total tile cycles", "vs temporal"});
     double temporal_cycles = 0.0;
     for (auto scheme : {DecompositionScheme::kTemporal,
@@ -121,7 +121,7 @@ int main() {
       spec.datapath.skip_empty_bands = true;
       spec.tile = big_tile(16, 28);
       spec.sim.sampled_steps = 200;
-      const NetworkSimResult r = Session(spec).estimate(model);
+      const NetworkSimResult r = Session(spec).estimate(net);
       if (scheme == DecompositionScheme::kTemporal) temporal_cycles = r.total_cycles;
       t.add_row({scheme_name(scheme), bench::fmt_sci(r.total_cycles),
                  bench::fmt(r.total_cycles / temporal_cycles, 2) + "x"});

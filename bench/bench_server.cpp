@@ -65,7 +65,7 @@ double now_seconds() {
 using bench::tensors_identical;
 
 /// FC-style serving head (the weights-dominant shape of bench_serving).
-Model serving_head(Rng& rng, int c0, int c1, int c_out) {
+GraphModel serving_head(Rng& rng, int c0, int c1, int c_out) {
   std::vector<ModelLayer> layers(3);
   layers[0].name = "fc1";
   layers[0].filters = random_filters(rng, c1, c0, 1, 1, ValueDist::kNormal, 0.15);
@@ -75,7 +75,7 @@ Model serving_head(Rng& rng, int c0, int c1, int c_out) {
   layers[1].relu = true;
   layers[2].name = "logits";
   layers[2].filters = random_filters(rng, c_out, c1, 1, 1, ValueDist::kNormal, 0.1);
-  return Model::from_layers("server-head", std::move(layers));
+  return GraphModel::from_layers("server-head", std::move(layers));
 }
 
 struct LoadResult {
@@ -138,7 +138,8 @@ LoadResult run_closed_loop(const CompiledModel& compiled,
 /// `arrivals` empty the client submits as fast as it can (fully saturating
 /// open loop); otherwise submissions replay the arrival schedule.
 LoadResult run_batched(const RunSpec& spec, const serve::ServerConfig& cfg,
-                       const Model& model, const std::vector<Tensor>& catalog,
+                       const GraphModel& model,
+                       const std::vector<Tensor>& catalog,
                        const std::vector<int>& sequence, std::string label,
                        const std::vector<double>& arrivals = {}) {
   serve::ServingRuntime rt(spec, cfg);
@@ -214,7 +215,7 @@ Json to_json(const SoakResult& r) {
   return j;
 }
 
-SoakResult run_soak(const RunSpec& spec, const Model& model,
+SoakResult run_soak(const RunSpec& spec, const GraphModel& model,
                     const std::vector<Tensor>& catalog, double duration_s,
                     bool with_faults) {
   // The fault window fails nearly every execution attempt, so the breaker
@@ -362,7 +363,7 @@ int main(int argc, char** argv) {
   const int kRequests = smoke ? 48 : 320;
   const double kZipfS = 1.1;
 
-  const Model model = serving_head(rng, c0, c1, c_out);
+  const GraphModel model = serving_head(rng, c0, c1, c_out);
   std::vector<Tensor> catalog;
   for (int i = 0; i < kCatalog; ++i) {
     catalog.push_back(random_tensor(rng, c0, 1, 1, ValueDist::kHalfNormal, 1.0));

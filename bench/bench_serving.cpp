@@ -59,7 +59,7 @@ using bench::tensors_identical;
 /// FC-style serving head: chained 1x1 convs on a 1x1 map (per-request
 /// activations are tiny, weights are everything -- the shape a classifier
 /// head or recommender tower serves at).
-Model serving_head(Rng& rng, int c0, int c1, int c_out) {
+GraphModel serving_head(Rng& rng, int c0, int c1, int c_out) {
   std::vector<ModelLayer> layers(3);
   layers[0].name = "fc1";
   layers[0].filters = random_filters(rng, c1, c0, 1, 1, ValueDist::kNormal, 0.15);
@@ -69,7 +69,7 @@ Model serving_head(Rng& rng, int c0, int c1, int c_out) {
   layers[1].relu = true;
   layers[2].name = "logits";
   layers[2].filters = random_filters(rng, c_out, c1, 1, 1, ValueDist::kNormal, 0.1);
-  return Model::from_layers("serving-head", std::move(layers));
+  return GraphModel::from_layers("serving-head", std::move(layers));
 }
 
 struct SectionResult {
@@ -80,10 +80,8 @@ struct SectionResult {
 };
 
 /// Single-thread requests/sec: the recompile-every-run baseline vs one
-/// CompiledModel, over the same request stream.  Templated so chain Models
-/// and GraphModels (the branchy ResNet-block section) share one harness.
-template <typename ModelT>
-SectionResult run_section(const ModelT& model, const RunSpec& spec,
+/// CompiledModel, over the same request stream.
+SectionResult run_section(const GraphModel& model, const RunSpec& spec,
                           const std::vector<Tensor>& inputs, int requests) {
   RunOptions opts;
   opts.compare_reference = false;  // serving path: no FP32 shadow chain
@@ -206,7 +204,7 @@ int main(int argc, char** argv) {
   const int c1 = smoke ? 96 : 384;
   const int c_out = smoke ? 32 : 128;
   const int requests = smoke ? 4 : 12;
-  const Model model = serving_head(rng, c0, c1, c_out);
+  const GraphModel model = serving_head(rng, c0, c1, c_out);
   std::vector<Tensor> inputs;
   for (int i = 0; i < 3; ++i) {
     inputs.push_back(random_tensor(rng, c0, 1, 1, ValueDist::kHalfNormal, 1.0));

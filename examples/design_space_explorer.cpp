@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
 
   // Every design is scored through the high-level API: one Session per
   // candidate, whose RunSpec datapath + tile geometry come from the design,
-  // estimating the same shape-table Model.
-  const Model model = Model::from_network(resnet18_forward());
+  // estimating the same shape table.
+  const Network net = resnet18_forward();
   SimOptions opts;
   opts.sampled_steps = smoke ? 80 : 300;
 
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     spec.datapath = tile.datapath;
     spec.tile = tile;
     spec.sim = opts;
-    return Session(spec).estimate(model);
+    return Session(spec).estimate(net);
   };
   const auto base_run = estimate_design(baseline2());
 
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
       spec.tile = tile;
       spec.sim = opts;
       spec.partition.kind = kind;
-      const NetworkSimResult r = Session(spec).estimate(model);
+      const NetworkSimResult r = Session(spec).estimate(net);
 
       // Aggregate per-tile utilization across layers, cycle-weighted: tile
       // i's busy cycles over the network's critical-path cycles.

@@ -34,7 +34,8 @@ int main() {
                ConvSpec{.stride = 1, .pad = 1}, /*relu=*/true, PoolOp::kNone};
   layers[1] = {"head", random_filters(rng, 4, 8, 1, 1, ValueDist::kNormal, 0.2),
                ConvSpec{}, /*relu=*/false, PoolOp::kGlobalAvg};
-  const Model model = Model::from_layers("ft-demo", std::move(layers));
+  const GraphModel model =
+      GraphModel::from_layers("ft-demo", std::move(layers));
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
 
   // A chaos schedule that fails EVERY execution attempt until switched off.

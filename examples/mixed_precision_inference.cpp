@@ -3,9 +3,9 @@
 // robust middle layers, INT8 where quantization is harder, FP16 for the
 // sensitive first/last layers -- all running on the *same* IPU datapath.
 //
-// Migrated onto the high-level API: the layer list is a Model, the per-layer
-// choices are a PrecisionPolicy (the int8_except_first_last preset plus one
-// INT4 override), and a single Session::run produces the whole
+// Migrated onto the high-level API: the layer list is a GraphModel, the
+// per-layer choices are a PrecisionPolicy (the int8_except_first_last preset
+// plus one INT4 override), and a single Session::run produces the whole
 // accuracy/cycles table that used to be hand-wired ConvEngine calls.
 //
 //   ./examples/mixed_precision_inference
@@ -37,7 +37,8 @@ int main() {
   layers[3] = {"head (sensitive)",
                random_filters(rng, 10, 24, 1, 1, ValueDist::kNormal, 0.2),
                ConvSpec{}, /*relu=*/true, PoolOp::kNone};
-  const Model model = Model::from_layers("mixed-cnn", std::move(layers));
+  const GraphModel model =
+      GraphModel::from_layers("mixed-cnn", std::move(layers));
 
   // One RunSpec serves every layer; swap `scheme` to run the whole net on
   // the serial or spatial decomposition instead.  The policy preset keeps

@@ -1,6 +1,6 @@
 // Quickstart: the mixed-precision IPU in five minutes.
 //
-// The high-level API in three types: a Model (layers + real weights), a
+// The high-level API in three types: a GraphModel (layers + real weights), a
 // PrecisionPolicy (per-layer FP16/INT choice), and a Session whose one
 // RunSpec drives BOTH evaluation paths the paper uses -- the bit-accurate
 // numeric forward pass (Session::run) and the cycle-level tile simulation
@@ -29,7 +29,8 @@ int main() {
                ConvSpec{.stride = 1, .pad = 1}, /*relu=*/true, PoolOp::kMax2};
   layers[2] = {"head", random_filters(rng, 10, 24, 1, 1, ValueDist::kNormal, 0.2),
                ConvSpec{}, /*relu=*/false, PoolOp::kGlobalAvg};
-  const Model model = Model::from_layers("tiny-cnn", std::move(layers));
+  const GraphModel model =
+      GraphModel::from_layers("tiny-cnn", std::move(layers));
   const Tensor input = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
 
   // --- One RunSpec: datapath + tile + policy + threads ----------------------

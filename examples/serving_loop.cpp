@@ -25,7 +25,8 @@ int main() {
                ConvSpec{.stride = 1, .pad = 1}, /*relu=*/true, PoolOp::kMax2};
   layers[2] = {"head", random_filters(rng, 10, 24, 1, 1, ValueDist::kNormal, 0.2),
                ConvSpec{}, /*relu=*/false, PoolOp::kGlobalAvg};
-  const Model model = Model::from_layers("tiny-cnn", std::move(layers));
+  const GraphModel model =
+      GraphModel::from_layers("tiny-cnn", std::move(layers));
 
   RunSpec spec;
   spec.datapath.adder_tree_width = 16;              // MC-IPU(16)

@@ -16,30 +16,6 @@ namespace {
 /// streaming distinct inputs just rotates through without growing.
 constexpr size_t kMaxRefCacheEntries = 4;
 
-class Fnv1a {
- public:
-  void bytes(const void* p, size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 1099511628211ull;
-    }
-  }
-  void str(const std::string& s) {
-    const uint64_t n = s.size();
-    bytes(&n, sizeof(n));
-    bytes(s.data(), s.size());
-  }
-  template <typename T>
-  void pod(const T& v) {
-    bytes(&v, sizeof(v));
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 1469598103934665603ull;
-};
-
 void check_compile_dims(const CompileOptions& opts) {
   if (opts.input_h <= 0 || opts.input_w <= 0) {
     throw std::invalid_argument(
@@ -50,61 +26,35 @@ void check_compile_dims(const CompileOptions& opts) {
   }
 }
 
+/// Private dispatch of independent tasks (the host shards of one conv, the
+/// parallel branches of one wave) over `pool`: task i runs on a private
+/// inline (threadless) pool with its own fresh datapath, so its stats are
+/// deterministic for any pool size.  Tasks for which `needs_unit(i)` is
+/// false do no datapath work (joins) and get an empty unit list.
+template <typename NeedsUnit, typename Task>
+void dispatch_private(ThreadPool& pool, size_t count, const DatapathConfig& dp,
+                      const NeedsUnit& needs_unit, const Task& task) {
+  pool.parallel_for(
+      static_cast<int64_t>(count), [&](int64_t begin, int64_t end, int) {
+        for (int64_t i = begin; i < end; ++i) {
+          const auto t = static_cast<size_t>(i);
+          ThreadPool inline_pool(1);
+          std::vector<std::unique_ptr<Datapath>> unit;
+          if (needs_unit(t)) unit.push_back(make_datapath(dp));
+          task(t, inline_pool,
+               std::span<const std::unique_ptr<Datapath>>(unit));
+        }
+      });
+}
+
 }  // namespace
 
-uint64_t model_fingerprint(const Model& model) {
-  Fnv1a h;
-  h.str(model.name());
-  h.pod(static_cast<uint64_t>(model.layers().size()));
-  for (const ModelLayer& l : model.layers()) {
-    h.str(l.name);
-    h.pod(l.spec.stride);
-    h.pod(l.spec.pad);
-    h.pod(static_cast<int>(l.relu));
-    h.pod(static_cast<int>(l.pool));
-    h.pod(l.filters.cout);
-    h.pod(l.filters.cin);
-    h.pod(l.filters.kh);
-    h.pod(l.filters.kw);
-    h.bytes(l.filters.data.data(), l.filters.data.size() * sizeof(double));
-  }
-  return h.value();
-}
-
-bool CompiledModel::matches(const Model& model) const {
-  if (is_graph_) return false;
-  if (model.name() != name_) return false;
-  const std::vector<ModelLayer>& theirs = model.layers();
-  if (theirs.size() + 1 != nodes_.size()) return false;
-  for (size_t i = 0; i < theirs.size(); ++i) {
-    const GraphNode& a = nodes_[i + 1];  // chain layout: node 0 is the input
-    const ModelLayer& b = theirs[i];
-    if (a.name != b.name || a.spec.stride != b.spec.stride ||
-        a.spec.pad != b.spec.pad || a.relu != b.relu || a.pool != b.pool ||
-        a.filters.cout != b.filters.cout || a.filters.cin != b.filters.cin ||
-        a.filters.kh != b.filters.kh || a.filters.kw != b.filters.kw ||
-        a.filters.data != b.filters.data) {
-      return false;
-    }
-  }
-  // Two from_network models can share name, specs and (seeded) weights yet
-  // wrap different shape tables / tensor statistics -- which is exactly
-  // what estimate() consumes.  Compare the wrapped table (in place, no
-  // copy) against the one baked at compile time.  For from_layers models
-  // the table is derived from the layers just compared, so equality
-  // already holds and the comparison is skipped.
-  const Network* wrapped = model.wrapped_network();
-  if ((wrapped != nullptr) != table_backed_) return false;
-  return wrapped == nullptr || *wrapped == shape_net_;
-}
-
 bool CompiledModel::matches(const GraphModel& model) const {
-  if (!is_graph_) return false;
   if (model.name() != name_) return false;
   if (!model.has_weights()) return false;  // compiled graphs carry weights
   // Tensor statistics feed the shape table estimate() consumes: two graphs
   // with identical nodes but different stats must not share a plan.
-  if (!(model.tensor_stats() == graph_stats_)) return false;
+  if (!(model.tensor_stats() == tensor_stats_)) return false;
   return model.nodes() == nodes_;
 }
 
@@ -195,46 +145,6 @@ CompiledModel CompiledModel::compile_nodes(std::vector<GraphNode> nodes,
   return cm;
 }
 
-CompiledModel CompiledModel::compile(const Model& model, const RunSpec& spec,
-                                     const CompileOptions& opts) {
-  check_compile_dims(opts);
-  if (!model.has_weights()) {
-    throw std::invalid_argument(
-        "CompiledModel::compile: model '" + model.name() +
-        "' carries no weights -- shape-table models are estimate-only; build "
-        "with Model::from_layers or call materialize_weights()");
-  }
-
-  // A chain is the degenerate graph: one input node, every layer a conv
-  // node consuming the previous one.  The execution core only knows graphs.
-  std::vector<GraphNode> nodes;
-  nodes.reserve(model.layers().size() + 1);
-  GraphNode in;
-  in.op = GraphNode::Op::kInput;
-  in.name = "input";
-  nodes.push_back(std::move(in));
-  for (size_t i = 0; i < model.layers().size(); ++i) {
-    const ModelLayer& l = model.layers()[i];
-    GraphNode nd;
-    nd.op = GraphNode::Op::kConv;
-    nd.name = l.name;
-    nd.inputs = {static_cast<int>(i)};
-    nd.filters = l.filters;
-    nd.spec = l.spec;
-    nd.relu = l.relu;
-    nd.pool = l.pool;
-    nodes.push_back(std::move(nd));
-  }
-
-  CompiledModel cm = compile_nodes(std::move(nodes), spec, opts);
-  cm.is_graph_ = false;
-  cm.name_ = model.name();
-  cm.shape_net_ = model.shape_table(opts.input_h, opts.input_w);
-  cm.table_backed_ = model.is_shape_table_backed();
-  cm.fingerprint_ = model_fingerprint(model);
-  return cm;
-}
-
 CompiledModel CompiledModel::compile(const GraphModel& model,
                                      const RunSpec& spec,
                                      const CompileOptions& opts) {
@@ -246,11 +156,9 @@ CompiledModel CompiledModel::compile(const GraphModel& model,
         "materialize_weights() first");
   }
   CompiledModel cm = compile_nodes(model.nodes(), spec, opts);
-  cm.is_graph_ = true;
   cm.name_ = model.name();
-  cm.graph_stats_ = model.tensor_stats();
+  cm.tensor_stats_ = model.tensor_stats();
   cm.shape_net_ = model.shape_table(opts.input_h, opts.input_w);
-  cm.table_backed_ = false;
   cm.fingerprint_ = graph_fingerprint(model);
   return cm;
 }
@@ -341,29 +249,21 @@ void CompiledModel::exec_node(
       }
       std::vector<Tensor> parts(shards.size());
       std::vector<DatapathStats> part_stats(shards.size());
-      pool.parallel_for(
-          static_cast<int64_t>(shards.size()),
-          [&](int64_t begin, int64_t end, int) {
-            for (int64_t i = begin; i < end; ++i) {
-              const ShardRange& r = shards[static_cast<size_t>(i)];
-              // Same dispatch shape as multi-node waves: a private inline
-              // (threadless) pool and a fresh datapath per shard keep
-              // per-shard stats deterministic for any pool size.
-              ThreadPool inline_pool(1);
-              std::vector<std::unique_ptr<Datapath>> unit;
-              unit.push_back(make_datapath(spec_.datapath));
-              parts[static_cast<size_t>(i)] =
-                  fp16 ? execute_fp16_plan_shard(
-                             cl.fp16_plan, fp_planes, inline_pool, unit,
-                             spec_.datapath.n_inputs, cl.precision.accum,
-                             r.co_begin, r.co_end, r.row_begin, r.row_end)
-                       : execute_int_plan_shard(
-                             cl.int_plan, int_planes, inline_pool, unit,
-                             spec_.datapath.n_inputs, cl.precision.a_bits,
-                             cl.precision.w_bits, qa, cl.qw, r.co_begin,
-                             r.co_end, r.row_begin, r.row_end);
-              part_stats[static_cast<size_t>(i)] = unit[0]->stats();
-            }
+      dispatch_private(
+          pool, shards.size(), spec_.datapath, [](size_t) { return true; },
+          [&](size_t i, ThreadPool& inline_pool,
+              std::span<const std::unique_ptr<Datapath>> unit) {
+            const ShardRange& r = shards[i];
+            parts[i] = fp16 ? execute_fp16_plan_shard(
+                                  cl.fp16_plan, fp_planes, inline_pool, unit,
+                                  spec_.datapath.n_inputs, cl.precision.accum,
+                                  r.co_begin, r.co_end, r.row_begin, r.row_end)
+                            : execute_int_plan_shard(
+                                  cl.int_plan, int_planes, inline_pool, unit,
+                                  spec_.datapath.n_inputs, cl.precision.a_bits,
+                                  cl.precision.w_bits, qa, cl.qw, r.co_begin,
+                                  r.co_end, r.row_begin, r.row_end);
+            part_stats[i] = unit[0]->stats();
           });
       std::vector<const Tensor*> part_ptrs;
       part_ptrs.reserve(parts.size());
@@ -438,26 +338,20 @@ RunReport CompiledModel::run_with_units(
 
   for (const std::vector<int>& wave : topo_.waves) {
     if (wave.size() == 1) {
-      // The chain fast path: one node gets the whole pool, parallel over
-      // output pixels -- bit-identical to the pre-graph executor.
+      // One node gets the whole pool, parallel over output pixels.
       exec_node(wave[0], acts, node_stats, pool, units);
       continue;
     }
-    // Independent branches: one node per worker, each with a private
-    // inline (threadless) pool and its own fresh datapath so per-node
-    // stats stay deterministic for any pool size.
-    pool.parallel_for(
-        static_cast<int64_t>(wave.size()),
-        [&](int64_t begin, int64_t end, int) {
-          for (int64_t i = begin; i < end; ++i) {
-            const int id = wave[static_cast<size_t>(i)];
-            ThreadPool inline_pool(1);
-            std::vector<std::unique_ptr<Datapath>> unit;
-            if (nodes_[static_cast<size_t>(id)].op == GraphNode::Op::kConv) {
-              unit.push_back(make_datapath(spec_.datapath));
-            }
-            exec_node(id, acts, node_stats, inline_pool, unit);
-          }
+    // Independent branches: one node per worker.
+    dispatch_private(
+        pool, wave.size(), spec_.datapath,
+        [&](size_t i) {
+          return nodes_[static_cast<size_t>(wave[i])].op ==
+                 GraphNode::Op::kConv;
+        },
+        [&](size_t i, ThreadPool& inline_pool,
+            std::span<const std::unique_ptr<Datapath>> unit) {
+          exec_node(wave[i], acts, node_stats, inline_pool, unit);
         });
   }
 

@@ -1,11 +1,11 @@
 // CompiledModel: the compile-once / run-many half of the high-level API.
 //
 // The paper's deployment scenario is fixed-weight DNN inference: weights
-// are known at load time, requests arrive forever after.  Session::run
-// re-paid the whole weight pipeline -- FP16 rounding / INT quantization,
-// decode, nibble decomposition, per-(clip-class, output-channel) stream
-// packing -- on every call.  `Session::compile` (or the static
-// CompiledModel::compile) moves all of it to a single compile phase:
+// are known at load time, requests arrive forever after.  `Session::compile`
+// (or the static CompiledModel::compile) runs the whole weight pipeline --
+// FP16 rounding / INT quantization, decode, nibble decomposition,
+// per-(clip-class, output-channel) stream packing -- in a single compile
+// phase:
 //
 //   * the PrecisionPolicy is resolved per conv node ONCE; a CompiledModel
 //     never re-resolves it (mutating the policy object you compiled from
@@ -18,13 +18,13 @@
 //     output geometry, graph topology) happens at compile time, before
 //     anything executes.
 //
-// Since the graph extension (api/graph_model.h) the execution core is a
-// DAG: a chain Model compiles into the degenerate one-node-per-wave graph,
-// a GraphModel into its topological wave structure.  Waves holding several
+// The execution core is a DAG (api/graph_model.h): a GraphModel compiles
+// into its topological wave structure, and a layer chain
+// (GraphModel::from_layers) into one node per wave.  Waves holding several
 // independent nodes (parallel ResNet/Inception branches) are dispatched
 // concurrently over the caller's pool, one node per worker with a private
-// single-threaded scratch; single-node waves keep the chain path's
-// pixel-level parallelism.  Either way outputs AND per-node stats are
+// single-threaded scratch; single-node waves use pixel-level parallelism
+// over the whole pool.  Either way outputs AND per-node stats are
 // bit-identical for 1 and N pool threads (stats are sums over a fixed op
 // partition; every pixel is computed exactly once).
 //
@@ -37,8 +37,8 @@
 // ConvEngine (whose counters accumulate across calls -- see
 // ConvEngine::stats), stats here are per-call by construction.
 //
-// Session::run is reimplemented on top of this (compile-on-first-use with
-// an exact-match model cache), so existing callers keep working unchanged.
+// Session::run sits on top of this (compile-on-first-use with an
+// exact-match model cache).
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "api/graph_model.h"
-#include "api/model.h"
 #include "api/run_report.h"
 #include "api/run_spec.h"
 #include "common/annotated_mutex.h"
@@ -68,16 +67,12 @@ struct CompileOptions {
 class CompiledModel {
  public:
   /// Resolve, validate and bake `model` for `spec` at the given input
-  /// geometry.  Throws std::invalid_argument on a weightless model, a
+  /// geometry.  Validates the full topology (acyclicity, single
+  /// input/output, join shape agreement) via analyze_graph before anything
+  /// is baked.  Throws std::invalid_argument on a weightless model, a
   /// policy asking for INT on a datapath that does not support it, missing
-  /// input dims, or a layer chain whose output collapses to nothing.
-  [[nodiscard]] static CompiledModel compile(const Model& model,
-                                             const RunSpec& spec,
-                                             const CompileOptions& opts);
-
-  /// Graph counterpart: additionally validates the full topology
-  /// (acyclicity, single input/output, join shape agreement) via
-  /// analyze_graph before anything is baked.
+  /// input dims, a topology violation, or geometry that collapses to
+  /// nothing.
   [[nodiscard]] static CompiledModel compile(const GraphModel& model,
                                              const RunSpec& spec,
                                              const CompileOptions& opts);
@@ -103,9 +98,8 @@ class CompiledModel {
                            const RunOptions& opts, ThreadPool& pool) const;
 
   /// Cycle-sim estimate of the compiled shape table on spec().tile with
-  /// spec().datapath plugged in (what RunOptions.with_estimate attaches).
-  /// For graph models the table is the graph's conv rows in execution
-  /// order (GraphModel::shape_table).
+  /// spec().datapath plugged in (what RunOptions.with_estimate attaches):
+  /// the graph's conv rows in execution order (GraphModel::shape_table).
   NetworkSimResult estimate() const;
 
   const std::string& model_name() const { return name_; }
@@ -119,26 +113,22 @@ class CompiledModel {
   /// request is shed as a typed value before it can reach (and poison) a
   /// batch.
   [[nodiscard]] std::string input_geometry_mismatch(const Tensor& input) const;
-  /// Executable nodes: conv layers plus (for graphs) add/concat joins.
+  /// Executable nodes: conv layers plus add/concat joins.
   size_t layer_count() const { return topo_.order.size() - 1; }
-  /// True when compiled from a GraphModel (matches(Model) is then always
-  /// false, and vice versa).
-  bool is_graph() const { return is_graph_; }
   /// The compile-time-resolved precision of each conv node in execution
   /// order (frozen: no API re-resolves these after compile).
   const std::vector<LayerPrecision>& layer_precisions() const {
     return precisions_;
   }
   /// Content fingerprint of the model this plan was compiled from
-  /// (model_fingerprint / graph_fingerprint of name, topology, specs,
-  /// post-ops and weight bytes).
+  /// (graph_fingerprint of name, topology, specs, post-ops and weight
+  /// bytes).
   uint64_t fingerprint() const { return fingerprint_; }
-  /// Exact equality of `model` with the compiled weights/specs AND shape
-  /// table (what estimate() consumes) -- the sole lookup predicate of
-  /// Session's compile-on-first-use cache.  Field checks (name, dims,
-  /// specs) reject mismatches before any weight bytes are compared.
-  bool matches(const Model& model) const;
-  /// Same for graphs: exact node-list + tensor-statistics equality.
+  /// Exact node-list + tensor-statistics equality of `model` with the
+  /// compiled source (the statistics feed the shape table estimate()
+  /// consumes) -- the sole lookup predicate of Session's and
+  /// ServingRuntime's plan caches.  Field checks (name, dims, specs) reject
+  /// mismatches before any weight bytes are compared.
   bool matches(const GraphModel& model) const;
 
  private:
@@ -191,25 +181,15 @@ class CompiledModel {
   RunSpec spec_;
   std::string name_;
   int in_c_ = 0, in_h_ = 0, in_w_ = 0;
-  bool is_graph_ = false;
-  /// Source nodes (weights kept for the reference chain and matches());
-  /// chain models are stored as their degenerate graph.
+  /// Source nodes (weights kept for the reference chain and matches()).
   std::vector<GraphNode> nodes_;
   GraphTopology topo_;
   std::vector<LayerPrecision> precisions_;  ///< conv nodes, execution order
   std::vector<CompiledNode> compiled_;      ///< indexed by node id
-  LayerTensorStats graph_stats_;  ///< graph source: stats baked into shape_net_
+  LayerTensorStats tensor_stats_;  ///< source stats, baked into shape_net_
   Network shape_net_;  ///< shape table at the compiled input dims
-  bool table_backed_ = false;  ///< source model was from_network
   uint64_t fingerprint_ = 0;
   std::shared_ptr<RefCache> ref_cache_;
 };
-
-/// Order-sensitive content hash of a model's name, layer specs, post-ops
-/// and weight bytes -- a stable identity for logging / plan registries
-/// (what CompiledModel::fingerprint reports).  NOTE: it deliberately skips
-/// the wrapped shape table's tensor statistics; CompiledModel::matches is
-/// the exact-equality authority.
-uint64_t model_fingerprint(const Model& model);
 
 }  // namespace mpipu

@@ -13,7 +13,7 @@ std::string node_label(const GraphNode& n) {
   return std::string(graph_op_name(n.op)) + " node '" + n.name + "'";
 }
 
-/// Post-op geometry shared with Model::shape_table / CompiledModel.
+/// Post-op geometry of apply_post_ops' pooling.
 void apply_pool_dims(PoolOp pool, int& h, int& w) {
   switch (pool) {
     case PoolOp::kNone: break;
@@ -22,7 +22,29 @@ void apply_pool_dims(PoolOp pool, int& h, int& w) {
   }
 }
 
+Tensor global_avg_pool(const Tensor& t) {
+  Tensor out(t.c, 1, 1);
+  for (int c = 0; c < t.c; ++c) {
+    double s = 0.0;
+    for (int y = 0; y < t.h; ++y) {
+      for (int x = 0; x < t.w; ++x) s += t.at(c, y, x);
+    }
+    out.at(c, 0, 0) = s / (static_cast<double>(t.h) * t.w);
+  }
+  return out;
+}
+
 }  // namespace
+
+Tensor apply_post_ops(Tensor t, bool relu_first, PoolOp pool) {
+  if (relu_first) t = relu(t);
+  switch (pool) {
+    case PoolOp::kNone: break;
+    case PoolOp::kMax2: t = maxpool2(t); break;
+    case PoolOp::kGlobalAvg: t = global_avg_pool(t); break;
+  }
+  return t;
+}
 
 const char* graph_op_name(GraphNode::Op op) {
   switch (op) {
@@ -397,6 +419,41 @@ GraphModel GraphModel::from_nodes(std::string name,
   return m;
 }
 
+GraphModel GraphModel::from_layers(std::string name,
+                                   std::vector<ModelLayer> layers) {
+  if (layers.empty()) {
+    throw std::invalid_argument("GraphModel::from_layers: layer list is empty");
+  }
+  for (size_t i = 1; i < layers.size(); ++i) {
+    if (layers[i].filters.cin != layers[i - 1].filters.cout) {
+      throw std::invalid_argument(
+          "GraphModel::from_layers: layer '" + layers[i].name + "' expects " +
+          std::to_string(layers[i].filters.cin) + " input channels but '" +
+          layers[i - 1].name + "' produces " +
+          std::to_string(layers[i - 1].filters.cout));
+    }
+  }
+  std::vector<GraphNode> nodes;
+  nodes.reserve(layers.size() + 1);
+  GraphNode in;
+  in.op = GraphNode::Op::kInput;
+  in.name = "input";
+  nodes.push_back(std::move(in));
+  for (size_t i = 0; i < layers.size(); ++i) {
+    ModelLayer& l = layers[i];
+    GraphNode nd;
+    nd.op = GraphNode::Op::kConv;
+    nd.name = std::move(l.name);
+    nd.inputs = {static_cast<int>(i)};
+    nd.filters = std::move(l.filters);
+    nd.spec = l.spec;
+    nd.relu = l.relu;
+    nd.pool = l.pool;
+    nodes.push_back(std::move(nd));
+  }
+  return from_nodes(std::move(name), std::move(nodes));
+}
+
 size_t GraphModel::conv_count() const {
   size_t n = 0;
   for (const GraphNode& nd : nodes_) {
@@ -444,8 +501,8 @@ Network GraphModel::shape_table(int input_h, int input_w) const {
     l.kh = nd.filters.kh;
     l.kw = nd.filters.kw;
     l.stride = nd.spec.stride;
-    // Rows record the *conv* output (pre-pool), exactly like
-    // Model::shape_table and the hand-built tables in workload/networks.h.
+    // Rows record the *conv* output (pre-pool), exactly like the
+    // hand-built tables in workload/networks.h.
     l.hout = nd.spec.out_dim(topo.out_h[static_cast<size_t>(p)], nd.filters.kh);
     l.wout = nd.spec.out_dim(topo.out_w[static_cast<size_t>(p)], nd.filters.kw);
     net.layers.push_back(std::move(l));
@@ -485,8 +542,7 @@ std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
 }
 
 uint64_t graph_fingerprint(const GraphModel& model) {
-  // FNV-1a over the graph's full content (same scheme as
-  // model_fingerprint; lives here so the hash sees GraphNode internals).
+  // FNV-1a over the graph's full content.
   uint64_t h = 1469598103934665603ull;
   const auto bytes = [&h](const void* p, size_t n) {
     const auto* b = static_cast<const unsigned char*>(p);

@@ -4,8 +4,8 @@
 // InceptionV3 -- networks whose defining feature is that they are NOT layer
 // chains: ResNet merges a skip path into the trunk with an elementwise ADD,
 // Inception fans a tensor out over parallel branches and merges them with a
-// channel CONCAT.  `Model` (api/model.h) covers the chain case; GraphModel
-// covers the real shapes: a DAG whose nodes are
+// channel CONCAT.  GraphModel is the one model kind of the API: a DAG whose
+// nodes are
 //
 //   * kInput  -- the single graph input (exactly one per graph);
 //   * kConv   -- a convolution layer (FilterBank + ConvSpec + post-ops),
@@ -13,7 +13,8 @@
 //   * kAdd    -- elementwise residual add of >= 2 same-shape predecessors;
 //   * kConcat -- channel concatenation of >= 2 predecessors sharing (h, w);
 //
-// with optional ReLU-then-pool post-ops on every non-input node (ResNet's
+// A plain layer chain is the degenerate case (GraphModel::from_layers).
+// Every non-input node carries optional ReLU-then-pool post-ops (ResNet's
 // add-then-ReLU is `add` with relu = true).  Joins execute in exact host
 // double on BOTH the datapath path and the FP32 reference chain -- the
 // paper's approximation lives entirely in the conv inner products, so joins
@@ -37,12 +38,30 @@
 #include <string>
 #include <vector>
 
-#include "api/model.h"
 #include "nn/conv.h"
 #include "nn/tensor.h"
 #include "workload/networks.h"
 
 namespace mpipu {
+
+/// Pooling applied after the (optional) ReLU of a node.
+enum class PoolOp { kNone, kMax2, kGlobalAvg };
+
+/// One convolution layer of a chain (GraphModel::from_layers): weights plus
+/// the post-ops the forward pass applies to its output (ReLU first, then
+/// pooling).
+struct ModelLayer {
+  std::string name;
+  FilterBank filters;
+  ConvSpec spec;
+  bool relu = false;
+  PoolOp pool = PoolOp::kNone;
+};
+
+/// Post-ops applied to a node's output: ReLU first, then pooling.  The
+/// single definition every forward path shares (CompiledModel and the
+/// FP32 reference chain).
+Tensor apply_post_ops(Tensor t, bool relu, PoolOp pool);
 
 /// One node of a GraphModel.  `inputs` holds predecessor node ids (indices
 /// into the graph's node vector; any order -- compile topo-sorts).
@@ -91,7 +110,7 @@ class GraphModel {
   /// predecessors must already exist (acyclic by construction; compile
   /// re-validates everything regardless).  conv() takes real weights;
   /// conv_shape() records dimensions only -- the graph is then estimate-only
-  /// until materialize_weights() fills them (mirroring Model::from_network).
+  /// until materialize_weights() fills them.
   class Builder {
    public:
     explicit Builder(std::string model_name);
@@ -123,6 +142,12 @@ class GraphModel {
   /// Wrap an explicit node list carrying real weights.  Structural
   /// validation happens at compile time.
   static GraphModel from_nodes(std::string name, std::vector<GraphNode> nodes);
+  /// Build the chain graph of a layer list: node 0 is the kInput "input",
+  /// node i+1 is layer i as a kConv reading node i.  Throws
+  /// std::invalid_argument on an empty list or a break in the channel chain
+  /// (layer[i+1].cin != layer[i].cout).
+  static GraphModel from_layers(std::string name,
+                                std::vector<ModelLayer> layers);
 
   const std::string& name() const { return name_; }
   const std::vector<GraphNode>& nodes() const { return nodes_; }
@@ -170,9 +195,9 @@ std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
                                             const Tensor& input);
 
 /// Order-sensitive content hash of a graph's name, topology, specs,
-/// post-ops and weight bytes -- the graph counterpart of model_fingerprint
-/// (api/compiled_model.h).  NOTE: like model_fingerprint it deliberately
-/// skips the tensor statistics; CompiledModel::matches is the
+/// post-ops and weight bytes -- a stable identity for logging / plan
+/// registries (what CompiledModel::fingerprint reports).  NOTE: it
+/// deliberately skips the tensor statistics; CompiledModel::matches is the
 /// exact-equality authority (and does compare them).
 uint64_t graph_fingerprint(const GraphModel& model);
 

@@ -16,20 +16,13 @@ constexpr size_t kMaxCompiledCacheEntries = 8;
 
 Session::Session(RunSpec spec) : spec_(std::move(spec)), pool_(spec_.threads) {}
 
-CompiledModel Session::compile(const Model& model,
-                               const CompileOptions& opts) const {
-  return CompiledModel::compile(model, spec_, opts);
-}
-
 CompiledModel Session::compile(const GraphModel& model,
                                const CompileOptions& opts) const {
   return CompiledModel::compile(model, spec_, opts);
 }
 
-template <typename ModelT>
-std::shared_ptr<const CompiledModel> Session::compiled_for(const ModelT& model,
-                                                           int input_h,
-                                                           int input_w) {
+std::shared_ptr<const CompiledModel> Session::compiled_for(
+    const GraphModel& model, int input_h, int input_w) {
   // Exact-match lookup via matches(): its field comparisons (name, layer
   // shapes, specs) reject non-matching entries before any weight bytes are
   // touched, and a hit costs one memcmp-grade weight pass -- cheaper than
@@ -81,23 +74,6 @@ RunReport Session::run_compiled(const CompiledModel& compiled,
   return compiled.run(input, opts);
 }
 
-RunReport Session::run(const Model& model, const Tensor& input,
-                       const RunOptions& opts) {
-  if (!model.has_weights()) {
-    throw std::invalid_argument(
-        "Session::run: model '" + model.name() +
-        "' carries no weights -- shape-table models are estimate-only; build "
-        "with Model::from_layers or call materialize_weights()");
-  }
-  if (input.c != model.layers().front().filters.cin) {
-    throw std::invalid_argument(
-        "Session::run: input has " + std::to_string(input.c) +
-        " channels but layer '" + model.layers().front().name + "' expects " +
-        std::to_string(model.layers().front().filters.cin));
-  }
-  return run_compiled(*compiled_for(model, input.h, input.w), input, opts);
-}
-
 RunReport Session::run(const GraphModel& model, const Tensor& input,
                        const RunOptions& opts) {
   if (!model.has_weights()) {
@@ -109,20 +85,9 @@ RunReport Session::run(const GraphModel& model, const Tensor& input,
   return run_compiled(*compiled_for(model, input.h, input.w), input, opts);
 }
 
-Tensor Session::reference(const Model& model, const Tensor& input) {
-  if (!model.has_weights()) {
-    throw std::invalid_argument(
-        "Session::reference: model '" + model.name() + "' carries no weights");
-  }
-  Tensor ref = input;
-  for (const ModelLayer& l : model.layers()) ref = reference_layer(ref, l);
-  return ref;
-}
-
-template <typename ModelT>
-BatchRunReport Session::run_batch_impl(const ModelT& model,
-                                       const std::vector<Tensor>& inputs,
-                                       const RunOptions& opts) {
+BatchRunReport Session::run_batch(const GraphModel& model,
+                                  const std::vector<Tensor>& inputs,
+                                  const RunOptions& opts) {
   // The estimate depends only on (model, input dims, spec): compute it once
   // per distinct input shape instead of once per input.
   RunOptions per_run = opts;
@@ -164,18 +129,6 @@ Tensor Session::reference(const GraphModel& model, const Tensor& input) {
   return std::move(refs[static_cast<size_t>(topo.output_node)]);
 }
 
-BatchRunReport Session::run_batch(const Model& model,
-                                  const std::vector<Tensor>& inputs,
-                                  const RunOptions& opts) {
-  return run_batch_impl(model, inputs, opts);
-}
-
-BatchRunReport Session::run_batch(const GraphModel& model,
-                                  const std::vector<Tensor>& inputs,
-                                  const RunOptions& opts) {
-  return run_batch_impl(model, inputs, opts);
-}
-
 NetworkSimResult Session::estimate(const GraphModel& model, int input_h,
                                    int input_w) const {
   return estimate(model.shape_table(input_h, input_w));
@@ -183,18 +136,6 @@ NetworkSimResult Session::estimate(const GraphModel& model, int input_h,
 
 NetworkSimResult Session::estimate(const Network& net) const {
   return simulate_network(net, composed_tile_for(spec_, spec_.tile), spec_.sim,
-                          spec_.partition);
-}
-
-NetworkSimResult Session::estimate(const Model& model, int input_h,
-                                   int input_w) const {
-  return estimate(model.shape_table(input_h, input_w));
-}
-
-NetworkSimResult Session::estimate(const Model& model, const TileConfig& tile,
-                                   int input_h, int input_w) const {
-  return simulate_network(model.shape_table(input_h, input_w),
-                          composed_tile_for(spec_, tile), spec_.sim,
                           spec_.partition);
 }
 

@@ -2,22 +2,20 @@
 // {datapath, tile, policy, threads} drives BOTH evaluation paths the paper
 // uses at network granularity:
 //
-//   * the numeric path -- Session::run / run_batch execute a Model layer by
-//     layer on the bit-accurate datapath (activation tensors threaded
-//     between layers, FP32 reference chain computed alongside), producing a
-//     RunReport that unifies per-layer DatapathStats, error metrics and (on
-//     request) simulated cycles;
-//   * the analytical path -- Session::estimate costs the Model's shape
-//     table on the cycle simulator with the same datapath config plugged
-//     into the tile.
+//   * the numeric path -- Session::run / run_batch execute a GraphModel
+//     node by node on the bit-accurate datapath (activation tensors
+//     threaded between nodes, FP32 reference chain computed alongside),
+//     producing a RunReport that unifies per-node DatapathStats, error
+//     metrics and (on request) simulated cycles;
+//   * the analytical path -- Session::estimate costs the model's shape
+//     table (or an explicit `Network`) on the cycle simulator with the same
+//     datapath config plugged into the tile.
 //
-// Since the compile/run split (api/compiled_model.h), Session::run is
-// compile-on-first-use sugar: the model is compiled into an immutable
-// CompiledModel on the first run (cached by exact model content --
-// CompiledModel::matches -- and input geometry, so re-runs, sweeps and
-// batches never re-pay the weight pipeline) and executed on the Session's
-// shared ThreadPool.
-// Outputs, stats and cycles are byte-identical to pre-split Session runs.
+// Session::run is compile-on-first-use sugar over api/compiled_model.h: the
+// model is compiled into an immutable CompiledModel on the first run
+// (cached by exact model content -- CompiledModel::matches -- and input
+// geometry, so re-runs, sweeps and batches never re-pay the weight
+// pipeline) and executed on the Session's shared ThreadPool.
 //
 // run()/run_batch() are thread-safe: the compile cache is guarded by a
 // mutex (a shared_ptr pins each plan across LRU eviction), and concurrent
@@ -35,7 +33,7 @@
 #include <vector>
 
 #include "api/compiled_model.h"
-#include "api/model.h"
+#include "api/graph_model.h"
 #include "api/run_report.h"
 #include "api/run_spec.h"
 #include "common/annotated_mutex.h"
@@ -52,91 +50,61 @@ class Session {
   const RunSpec& spec() const { return spec_; }
   int threads() const { return pool_.size(); }
 
-  /// Compile `model` against this session's spec: resolve the policy,
-  /// validate everything, bake the packed filter planes.  The returned
-  /// CompiledModel is self-contained (shares nothing with this Session) and
-  /// safe for concurrent callers.  Throws std::invalid_argument on a
-  /// weightless model, an unsupported INT layer, or missing input dims.
-  [[nodiscard]] CompiledModel compile(const Model& model,
-                                      const CompileOptions& opts) const;
-  /// Graph counterpart (api/graph_model.h): additionally validates the DAG
-  /// topology -- acyclicity, single input/output, channel agreement into
-  /// convs, shape agreement at add/concat joins -- before anything is
-  /// baked.  Independent branches of the compiled graph execute in
-  /// parallel over the running pool.
+  /// Compile `model` against this session's spec: validate the DAG
+  /// topology (acyclicity, single input/output, channel agreement into
+  /// convs, shape agreement at add/concat joins), resolve the policy, bake
+  /// the packed filter planes.  The returned CompiledModel is
+  /// self-contained (shares nothing with this Session) and safe for
+  /// concurrent callers; independent branches execute in parallel over the
+  /// running pool.  Throws std::invalid_argument on a weightless model, an
+  /// unsupported INT layer, a topology violation, or missing input dims.
   [[nodiscard]] CompiledModel compile(const GraphModel& model,
                                       const CompileOptions& opts) const;
 
   /// Full forward pass of `model` on `input`.  Compile-on-first-use: the
   /// first call (per model content and input geometry) compiles, later
-  /// calls hit the cache and only execute.  Throws std::invalid_argument --
-  /// before any layer executes -- on a weightless model, an input/model
+  /// calls hit the cache and only execute.  The per-node RunReport is
+  /// byte-identical to CompiledModel::run.  Throws std::invalid_argument --
+  /// before any node executes -- on a weightless model, an input/model
   /// channel mismatch, or a policy asking for INT on a datapath that does
   /// not support it (e.g. the FP-only spatial scheme).
-  RunReport run(const Model& model, const Tensor& input,
-                const RunOptions& opts = {});
-  /// Full forward pass of a DAG-structured model (ResNet skip connections,
-  /// Inception branch/concat blocks) -- same compile-on-first-use caching,
-  /// same per-node RunReport, byte-identical to CompiledModel::run.
   RunReport run(const GraphModel& model, const Tensor& input,
                 const RunOptions& opts = {});
 
-  /// The exact FP32 reference forward pass of the numeric path (host-double
-  /// conv chain + the model's post-ops) -- what run() compares against when
-  /// RunOptions.compare_reference is set.  Exposed so drivers sweeping many
-  /// datapath configs over the same inputs can compute it once instead of
-  /// once per sweep point.
-  static Tensor reference(const Model& model, const Tensor& input);
-  /// Graph reference: the exact FP32 chain mirrored over the DAG
-  /// (host-double convs, exact joins) -- graph_reference_outputs' final
-  /// node.
+  /// The exact FP32 reference forward pass of the numeric path
+  /// (host-double convs, exact joins, the model's post-ops) -- what run()
+  /// compares against when RunOptions.compare_reference is set.  Exposed so
+  /// drivers sweeping many datapath configs over the same inputs can
+  /// compute it once instead of once per sweep point.
   static Tensor reference(const GraphModel& model, const Tensor& input);
 
   /// Forward passes over a batch of inputs with deterministic stats
   /// reduction (totals are sums of per-run sums).
-  BatchRunReport run_batch(const Model& model,
-                           const std::vector<Tensor>& inputs,
-                           const RunOptions& opts = {});
   BatchRunReport run_batch(const GraphModel& model,
                            const std::vector<Tensor>& inputs,
                            const RunOptions& opts = {});
 
-  /// Cycle-sim estimate of the model's shape table on spec().tile with
-  /// spec().datapath plugged in.  Ad-hoc layer models need the input
-  /// spatial dims to derive their table; shape-table models ignore them.
-  NetworkSimResult estimate(const Model& model, int input_h = 0,
-                            int input_w = 0) const;
-  /// Same, with an explicit tile geometry overriding spec().tile.
-  NetworkSimResult estimate(const Model& model, const TileConfig& tile,
-                            int input_h = 0, int input_w = 0) const;
-  /// Lowest-level overload: estimate an explicit shape table.
+  /// Estimate an explicit shape table (e.g. resnet18_forward()) on
+  /// spec().tile with spec().datapath plugged in.
   NetworkSimResult estimate(const Network& net) const;
-  /// Graph estimate: the graph's conv rows (GraphModel::shape_table) on the
-  /// cycle simulator -- agrees with estimate(net) for the equivalent table
-  /// by construction.  Graphs always need the input dims.
+  /// Model estimate: the graph's conv rows (GraphModel::shape_table) at the
+  /// given input dims -- agrees with estimate(net) for the equivalent table
+  /// by construction.
   NetworkSimResult estimate(const GraphModel& model, int input_h,
                             int input_w) const;
 
  private:
   /// The compile-on-first-use cache behind run(): exact-match lookup
   /// (CompiledModel::matches -- cheap field checks, then the weight bytes)
-  /// keyed by model content and input geometry, LRU-evicted.  One template
-  /// serves Model and GraphModel; chain and graph entries share the cache
-  /// (matches() never crosses the two).  Guarded by cache_mu_; returns a
-  /// shared_ptr so a concurrent eviction cannot destroy a plan mid-run.
-  template <typename ModelT>
-  std::shared_ptr<const CompiledModel> compiled_for(const ModelT& model,
+  /// keyed by model content and input geometry, LRU-evicted.  Guarded by
+  /// cache_mu_; returns a shared_ptr so a concurrent eviction cannot
+  /// destroy a plan mid-run.
+  std::shared_ptr<const CompiledModel> compiled_for(const GraphModel& model,
                                                     int input_h, int input_w);
   /// Execute on the shared pool when it is free, else on a private
   /// per-call pool of the same width (byte-identical either way).
   RunReport run_compiled(const CompiledModel& compiled, const Tensor& input,
                          const RunOptions& opts);
-  /// Shared body of the two run_batch overloads (defined in session.cpp;
-  /// instantiated only there).
-  template <typename ModelT>
-  BatchRunReport run_batch_impl(const ModelT& model,
-                                const std::vector<Tensor>& inputs,
-                                const RunOptions& opts);
 
   RunSpec spec_;
   ThreadPool pool_;

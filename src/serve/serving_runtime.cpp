@@ -96,9 +96,8 @@ ModelHealth& ServingRuntime::health_entry(ModelHandle h) {
   return it->second;
 }
 
-template <typename ModelT>
-ModelHandle ServingRuntime::load_impl(const ModelT& model, int input_h,
-                                      int input_w) {
+ModelHandle ServingRuntime::load(const GraphModel& model, int input_h,
+                                 int input_w) {
   ModelHandle handle;
   std::string name;
   {
@@ -139,16 +138,6 @@ ModelHandle ServingRuntime::load_impl(const ModelT& model, int input_h,
     model_names_[handle] = std::move(name);
   }
   return handle;
-}
-
-ModelHandle ServingRuntime::load(const Model& model, int input_h,
-                                 int input_w) {
-  return load_impl(model, input_h, input_w);
-}
-
-ModelHandle ServingRuntime::load(const GraphModel& model, int input_h,
-                                 int input_w) {
-  return load_impl(model, input_h, input_w);
 }
 
 std::shared_ptr<const CompiledModel> ServingRuntime::model(

@@ -231,7 +231,6 @@ class ServingRuntime {
   /// refreshes its LRU recency.  Throws std::invalid_argument for anything
   /// CompiledModel::compile rejects -- load time is where exceptions
   /// belong, not the request path.
-  ModelHandle load(const Model& model, int input_h, int input_w);
   ModelHandle load(const GraphModel& model, int input_h, int input_w);
 
   /// The compiled plan behind a handle (introspection / direct baseline
@@ -282,8 +281,6 @@ class ServingRuntime {
     std::string error;
   };
 
-  template <typename ModelT>
-  ModelHandle load_impl(const ModelT& model, int input_h, int input_w);
   void worker_loop() MPIPU_EXCLUDES(mu_, health_mu_, metrics_mu_);
   /// Move queued same-handle requests into `batch` (FIFO order) up to
   /// max_batch.  Caller holds mu_.

@@ -5,7 +5,7 @@
 //
 // Every builder returns a shape-only graph: conv nodes carry dimensions,
 // not weights -- call GraphModel::materialize_weights(seed) before
-// compiling/running (exactly the Model::from_network workflow).  Input
+// compiling/running (estimates need no weights).  Input
 // spatial dims are free: the same graph runs at 224x224 for paper-shape
 // estimates and at 8x8 for bit-accurate tests, because the topology is
 // resolution-independent.

@@ -35,7 +35,7 @@ DatapathConfig small_datapath(DecompositionScheme scheme) {
 }
 
 /// Tiny 3-layer CNN with real weights (mirrors test_session's fixture).
-Model tiny_model(Rng& rng) {
+GraphModel tiny_model(Rng& rng) {
   std::vector<ModelLayer> layers(3);
   layers[0].name = "conv1";
   layers[0].filters = random_filters(rng, 6, 3, 3, 3, ValueDist::kNormal, 0.3);
@@ -48,7 +48,7 @@ Model tiny_model(Rng& rng) {
   layers[1].pool = PoolOp::kMax2;
   layers[2].name = "head";
   layers[2].filters = random_filters(rng, 4, 8, 1, 1, ValueDist::kNormal, 0.2);
-  return Model::from_layers("tiny3", std::move(layers));
+  return GraphModel::from_layers("tiny3", std::move(layers));
 }
 
 void expect_tensors_identical(const Tensor& a, const Tensor& b,
@@ -76,7 +76,7 @@ void expect_reports_identical(const RunReport& a, const RunReport& b) {
 
 TEST(CompiledModelTest, ByteIdenticalToSessionRunAllSchemesAndModes) {
   Rng rng(31);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
 
   struct Case {
@@ -112,7 +112,7 @@ TEST(CompiledModelTest, ByteIdenticalToSessionRunAllSchemesAndModes) {
 
 TEST(CompiledModelTest, WithEstimateMatchesSessionAndBatchComputesItOnce) {
   Rng rng(32);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
   RunSpec spec;
   spec.datapath = small_datapath(DecompositionScheme::kTemporal);
@@ -137,7 +137,7 @@ TEST(CompiledModelTest, WithEstimateMatchesSessionAndBatchComputesItOnce) {
 
 TEST(CompiledModelTest, ConcurrentCallersAreByteIdenticalToSerial) {
   Rng rng(33);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   constexpr int kRequests = 6;
   constexpr int kThreads = 4;
   std::vector<Tensor> inputs;
@@ -181,7 +181,7 @@ TEST(CompiledModelTest, ConcurrentCallersAreByteIdenticalToSerial) {
 
 TEST(CompiledModelTest, PolicyIsFrozenAtCompileTime) {
   Rng rng(34);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
 
   RunSpec spec;
@@ -211,7 +211,7 @@ TEST(CompiledModelTest, PolicyIsFrozenAtCompileTime) {
 
 TEST(CompiledModelTest, CompileTimeValidationErrors) {
   Rng rng(35);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
 
   RunSpec spec;
   spec.datapath = small_datapath(DecompositionScheme::kTemporal);
@@ -221,19 +221,10 @@ TEST(CompiledModelTest, CompileTimeValidationErrors) {
   EXPECT_THROW(session.compile(model, {}), std::invalid_argument);
   EXPECT_THROW(session.compile(model, {0, 12}), std::invalid_argument);
 
-  // Weightless (shape-table) model.
-  Network net;
-  net.name = "shapes";
-  net.tensor_stats = forward_stats();
-  ConvLayer l;
-  l.name = "c1";
-  l.cin = 4;
-  l.cout = 4;
-  l.kh = l.kw = 3;
-  l.hout = l.wout = 8;
-  net.layers.push_back(l);
-  EXPECT_THROW(session.compile(Model::from_network(net), {8, 8}),
-               std::invalid_argument);
+  // Weightless (shape-only) model.
+  GraphModel::Builder shapes("shapes");
+  shapes.conv_shape("c1", 4, 4, 3, 3, ConvSpec{}, shapes.input());
+  EXPECT_THROW(session.compile(shapes.build(), {8, 8}), std::invalid_argument);
 
   // INT policy on the FP-only spatial scheme, rejected at compile with a
   // diagnostic naming the layer, the precision, and the scheme.
@@ -258,7 +249,8 @@ TEST(CompiledModelTest, CompileTimeValidationErrors) {
   bad[0].filters = random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.2);
   bad[1].name = "b";
   bad[1].filters = random_filters(rng, 4, 4, 4, 4, ValueDist::kNormal, 0.2);
-  const Model collapsing = Model::from_layers("collapses", std::move(bad));
+  const GraphModel collapsing =
+      GraphModel::from_layers("collapses", std::move(bad));
   EXPECT_THROW(session.compile(collapsing, {4, 4}), std::invalid_argument);
 
   // Run-time shape mismatch against the compiled geometry.
@@ -270,47 +262,41 @@ TEST(CompiledModelTest, CompileTimeValidationErrors) {
 
 TEST(CompiledModelTest, FingerprintAndMatchesTrackModelContent) {
   Rng rng(36);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   RunSpec spec;
   spec.datapath = small_datapath(DecompositionScheme::kTemporal);
   const CompiledModel compiled = CompiledModel::compile(model, spec, {8, 8});
 
-  EXPECT_EQ(compiled.fingerprint(), model_fingerprint(model));
+  EXPECT_EQ(compiled.fingerprint(), graph_fingerprint(model));
   EXPECT_TRUE(compiled.matches(model));
 
   // A one-ulp weight change flips both the fingerprint and the exact match.
-  Model tweaked = model;
-  std::vector<ModelLayer> layers = tweaked.layers();
-  layers[1].filters.data[0] += 1e-6;
-  tweaked = Model::from_layers("tiny3", std::move(layers));
-  EXPECT_NE(model_fingerprint(tweaked), compiled.fingerprint());
+  std::vector<GraphNode> nodes = model.nodes();
+  nodes[2].filters.data[0] += 1e-6;  // conv2 (node 0 is the input)
+  const GraphModel tweaked = GraphModel::from_nodes("tiny3", std::move(nodes));
+  EXPECT_NE(graph_fingerprint(tweaked), compiled.fingerprint());
   EXPECT_FALSE(compiled.matches(tweaked));
 }
 
 TEST(CompiledModelTest, CacheDistinguishesModelsByShapeTableStats) {
-  // Two from_network models with byte-identical (seeded) weights, names and
-  // layer specs but different tensor statistics / recorded shapes wrap
-  // different shape tables -- exactly what estimate() consumes.  The
-  // compile cache must not serve one model's estimate for the other.
-  Network net_a;
-  net_a.name = "twin";
-  net_a.tensor_stats = forward_stats();
-  ConvLayer l;
-  l.name = "c1";
-  l.cin = 4;
-  l.cout = 4;
-  l.kh = l.kw = 3;
-  l.hout = l.wout = 8;
-  net_a.layers.push_back(l);
-  Network net_b = net_a;
-  net_b.tensor_stats = backward_stats();  // same shapes, wider exponents
-
-  Model model_a = Model::from_network(net_a);
-  Model model_b = Model::from_network(net_b);
-  model_a.materialize_weights(7);
-  model_b.materialize_weights(7);  // same seed + dist: identical weights
-  ASSERT_EQ(model_a.layers()[0].filters.data, model_b.layers()[0].filters.data);
-  EXPECT_EQ(model_fingerprint(model_a), model_fingerprint(model_b));
+  // Two graphs with byte-identical weights, names and node specs but
+  // different tensor statistics derive different shape tables -- exactly
+  // what estimate() consumes.  The compile cache must not serve one
+  // model's estimate for the other.
+  Rng rng(39);
+  const FilterBank filters =
+      random_filters(rng, 4, 4, 3, 3, ValueDist::kNormal, 0.2);
+  const auto twin = [&](LayerTensorStats stats) {
+    GraphModel::Builder b("twin");
+    b.conv("c1", filters, ConvSpec{.stride = 1, .pad = 1}, b.input());
+    b.tensor_stats(stats);
+    return b.build();
+  };
+  const GraphModel model_a = twin(forward_stats());
+  // Same shapes and weights, wider exponents.
+  const GraphModel model_b = twin(backward_stats());
+  EXPECT_EQ(model_a.nodes(), model_b.nodes());
+  EXPECT_EQ(graph_fingerprint(model_a), graph_fingerprint(model_b));
 
   RunSpec spec;
   spec.datapath = small_datapath(DecompositionScheme::kTemporal);
@@ -330,7 +316,7 @@ TEST(CompiledModelTest, CacheDistinguishesModelsByShapeTableStats) {
 
 TEST(CompiledModelTest, SessionCompileCacheReusesAndRecompiles) {
   Rng rng(37);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor a = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
   const Tensor b = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
 

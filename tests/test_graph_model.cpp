@@ -22,6 +22,7 @@
 #include "api/session.h"
 #include "common/rng.h"
 #include "nn/elementwise.h"
+#include "serve/serving_runtime.h"
 #include "workload/graph_builders.h"
 
 namespace mpipu {
@@ -412,42 +413,49 @@ TEST(GraphModelTest, PolicyResolvesOverConvNodesInExecutionOrder) {
   EXPECT_EQ(report.layers[4].layer, "head");
 }
 
-TEST(GraphModelTest, SessionCacheKeepsGraphAndChainEntriesApart) {
-  // A chain Model and a GraphModel deliberately sharing a name: the cache
-  // must never serve one for the other, and graph repeat runs must be
-  // byte-identical cache hits.
+TEST(GraphModelTest, ChainAndBuilderGraphsAreOneModel) {
+  // A layer chain is the degenerate graph: from_layers and a Builder wiring
+  // the same name, layers and weights build equal models, which share one
+  // fingerprint, one Session plan and one ServingRuntime handle.
   Rng rng(111);
-  std::vector<ModelLayer> layers(1);
-  layers[0].name = "c1";
-  layers[0].filters = random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.2);
-  layers[0].spec.pad = 1;
-  const Model chain = Model::from_layers("twin", std::move(layers));
+  const FilterBank w1 =
+      random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.2);
+  const FilterBank w2 =
+      random_filters(rng, 5, 4, 1, 1, ValueDist::kNormal, 0.2);
+  const ConvSpec pad1{.stride = 1, .pad = 1};
+  std::vector<ModelLayer> layers(2);
+  layers[0] = {"c1", w1, pad1, /*relu=*/true, PoolOp::kMax2};
+  layers[1] = {"c2", w2, ConvSpec{}, /*relu=*/false, PoolOp::kNone};
+  const GraphModel chain = GraphModel::from_layers("twin", std::move(layers));
 
   GraphModel::Builder b("twin");
-  const int in = b.input();
-  b.conv_shape("c1", 4, 3, 3, 3, ConvSpec{.stride = 1, .pad = 1}, in);
-  GraphModel graph = b.build();
-  graph.materialize_weights(112);
+  const int c1 =
+      b.conv("c1", w1, pad1, b.input(), /*relu=*/true, PoolOp::kMax2);
+  b.conv("c2", w2, ConvSpec{}, c1);
+  const GraphModel graph = b.build();
+
+  EXPECT_TRUE(chain == graph);
+  EXPECT_EQ(graph_fingerprint(chain), graph_fingerprint(graph));
 
   RunSpec spec;
   spec.datapath = small_datapath(DecompositionScheme::kTemporal);
   Session session(spec);
   const Tensor input = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
+  EXPECT_EQ(session.run(graph, input).to_json(),
+            session.run(chain, input).to_json());
 
-  const RunReport g1 = session.run(graph, input);
-  const RunReport c1 = session.run(chain, input);
-  const RunReport g2 = session.run(graph, input);
-  const RunReport c2 = session.run(chain, input);
-  EXPECT_EQ(g1.to_json(), g2.to_json());
-  EXPECT_EQ(c1.to_json(), c2.to_json());
-  // Different weights -> different outputs proves no cross-serving.
-  EXPECT_NE(g1.output.data, c1.output.data);
-
+  // matches() is the lookup predicate of the Session cache: a plan compiled
+  // from either model serves the other.
   const CompiledModel cg = session.compile(graph, {8, 8});
-  EXPECT_TRUE(cg.is_graph());
-  EXPECT_TRUE(cg.matches(graph));
-  EXPECT_FALSE(cg.matches(chain));
+  EXPECT_TRUE(cg.matches(chain));
+  EXPECT_TRUE(session.compile(chain, {8, 8}).matches(graph));
+  EXPECT_EQ(cg.fingerprint(), session.compile(chain, {8, 8}).fingerprint());
   EXPECT_EQ(cg.fingerprint(), graph_fingerprint(graph));
+
+  serve::ServingRuntime rt(spec);
+  const serve::ModelHandle h = rt.load(chain, 8, 8);
+  EXPECT_EQ(rt.load(graph, 8, 8), h);
+  EXPECT_EQ(rt.loaded_count(), 1u);
 
   // Content tracking: a one-ulp weight change breaks the match.
   GraphModel tweaked = graph;

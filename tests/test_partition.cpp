@@ -342,7 +342,7 @@ TEST(TileValidation, SurfacedThroughSessionEstimate) {
   std::vector<ModelLayer> layers(1);
   layers[0].name = "conv";
   layers[0].filters = random_filters(rng, 8, 3, 3, 3, ValueDist::kNormal, 0.3);
-  const Model model = Model::from_layers("m", std::move(layers));
+  const GraphModel model = GraphModel::from_layers("m", std::move(layers));
   EXPECT_THROW(session.estimate(model, 8, 8), std::invalid_argument);
 }
 
@@ -392,7 +392,7 @@ DatapathConfig small_datapath(DecompositionScheme scheme) {
 
 /// Tiny 3-layer CNN with real weights; couts 6/8/4 exercise both evenly
 /// divisible and ragged shard splits over 4 tiles.
-Model tiny_model(Rng& rng) {
+GraphModel tiny_model(Rng& rng) {
   std::vector<ModelLayer> layers(3);
   layers[0].name = "conv1";
   layers[0].filters = random_filters(rng, 6, 3, 3, 3, ValueDist::kNormal, 0.3);
@@ -405,7 +405,7 @@ Model tiny_model(Rng& rng) {
   layers[1].pool = PoolOp::kMax2;
   layers[2].name = "head";
   layers[2].filters = random_filters(rng, 4, 8, 1, 1, ValueDist::kNormal, 0.2);
-  return Model::from_layers("tiny3", std::move(layers));
+  return GraphModel::from_layers("tiny3", std::move(layers));
 }
 
 void expect_reports_identical(const RunReport& a, const RunReport& b) {
@@ -425,7 +425,7 @@ void expect_reports_identical(const RunReport& a, const RunReport& b) {
 
 TEST(HostSharding, ByteIdenticalAcrossSchemesPrecisionsThreadsAndKinds) {
   Rng rng(42);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input =
       random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
 
@@ -471,7 +471,7 @@ TEST(HostSharding, SingleTileIsUnsharded) {
   // num_tiles = 1: shard_host must be a no-op (single shard falls through
   // to the plain executor).
   Rng rng(43);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input =
       random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
   RunSpec spec;

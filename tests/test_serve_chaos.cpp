@@ -53,7 +53,7 @@ RunSpec chaos_spec() {
   return spec;
 }
 
-Model tiny_model(Rng& rng, const std::string& name) {
+GraphModel tiny_model(Rng& rng, const std::string& name) {
   std::vector<ModelLayer> layers(2);
   layers[0].name = "conv1";
   layers[0].filters = random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.3);
@@ -61,7 +61,7 @@ Model tiny_model(Rng& rng, const std::string& name) {
   layers[0].relu = true;
   layers[1].name = "head";
   layers[1].filters = random_filters(rng, 2, 4, 1, 1, ValueDist::kNormal, 0.2);
-  return Model::from_layers(name, std::move(layers));
+  return GraphModel::from_layers(name, std::move(layers));
 }
 
 /// One seeded chaos scenario: randomized config + fault schedule + traffic,
@@ -218,7 +218,7 @@ TEST(ServeChaos, RandomizedFaultSchedulesUnderAbort) {
 
 TEST(ServeChaos, RuntimeReturnsToFullServiceAfterFaultsClear) {
   Rng rng(9100);
-  const Model model = tiny_model(rng, "chaos_recovery");
+  const GraphModel model = tiny_model(rng, "chaos_recovery");
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   ManualClock clock;
@@ -259,7 +259,7 @@ TEST(ServeChaos, RuntimeReturnsToFullServiceAfterFaultsClear) {
 
 TEST(ServeChaos, RetryClientRidesOutTransientChaos) {
   Rng rng(9200);
-  const Model model = tiny_model(rng, "chaos_client");
+  const GraphModel model = tiny_model(rng, "chaos_client");
   std::vector<Tensor> catalog;
   for (int i = 0; i < 2; ++i) {
     catalog.push_back(random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0));

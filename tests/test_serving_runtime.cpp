@@ -64,7 +64,7 @@ RunSpec serving_spec() {
 }
 
 /// Small 2-layer CNN (fast: the default request payload).
-Model fast_model(Rng& rng, const std::string& name = "serve_fast") {
+GraphModel fast_model(Rng& rng, const std::string& name = "serve_fast") {
   std::vector<ModelLayer> layers(2);
   layers[0].name = "conv1";
   layers[0].filters = random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.3);
@@ -72,12 +72,12 @@ Model fast_model(Rng& rng, const std::string& name = "serve_fast") {
   layers[0].relu = true;
   layers[1].name = "head";
   layers[1].filters = random_filters(rng, 2, 4, 1, 1, ValueDist::kNormal, 0.2);
-  return Model::from_layers(name, std::move(layers));
+  return GraphModel::from_layers(name, std::move(layers));
 }
 
 /// Wider 3-layer CNN (slow: used to hold a worker busy while the queue
 /// builds up behind it).
-Model slow_model(Rng& rng) {
+GraphModel slow_model(Rng& rng) {
   std::vector<ModelLayer> layers(3);
   layers[0].name = "conv1";
   layers[0].filters =
@@ -92,13 +92,13 @@ Model slow_model(Rng& rng) {
   layers[2].name = "head";
   layers[2].filters =
       random_filters(rng, 4, 16, 1, 1, ValueDist::kNormal, 0.2);
-  return Model::from_layers("serve_slow", std::move(layers));
+  return GraphModel::from_layers("serve_slow", std::move(layers));
 }
 
 TEST(ServingRuntime, BatchedAndCoalescedResultsAreByteIdentical) {
   Rng rng(7001);
-  const Model slow = slow_model(rng);
-  const Model fast = fast_model(rng);
+  const GraphModel slow = slow_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor plug = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
   std::vector<Tensor> catalog;
   for (int i = 0; i < 3; ++i) {
@@ -163,7 +163,7 @@ TEST(ServingRuntime, BatchedAndCoalescedResultsAreByteIdentical) {
 
 TEST(ServingRuntime, CoalescingOffStillByteIdentical) {
   Rng rng(7002);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   ServerConfig cfg;
@@ -186,7 +186,7 @@ TEST(ServingRuntime, CoalescingOffStillByteIdentical) {
 
 TEST(ServingRuntime, SaturatingClientShedsQueueFull) {
   Rng rng(7003);
-  const Model slow = slow_model(rng);
+  const GraphModel slow = slow_model(rng);
   const Tensor input = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
 
   ServerConfig cfg;
@@ -227,8 +227,8 @@ TEST(ServingRuntime, SaturatingClientShedsQueueFull) {
 
 TEST(ServingRuntime, PerModelAdmissionCapIsolatesAGreedyModel) {
   Rng rng(7004);
-  const Model slow = slow_model(rng);
-  const Model fast = fast_model(rng);
+  const GraphModel slow = slow_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor slow_in = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
   const Tensor fast_in = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
@@ -258,8 +258,8 @@ TEST(ServingRuntime, PerModelAdmissionCapIsolatesAGreedyModel) {
 
 TEST(ServingRuntime, ExpiredDeadlineShedsWithoutExecuting) {
   Rng rng(7005);
-  const Model slow = slow_model(rng);
-  const Model fast = fast_model(rng);
+  const GraphModel slow = slow_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor slow_in = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
   const Tensor fast_in = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
@@ -289,7 +289,7 @@ TEST(ServingRuntime, ExpiredDeadlineShedsWithoutExecuting) {
 
 TEST(ServingRuntime, DrainCompletesEveryAcceptedRequest) {
   Rng rng(7006);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   auto rt = std::make_unique<ServingRuntime>(serving_spec(), ServerConfig{});
@@ -310,7 +310,7 @@ TEST(ServingRuntime, DrainCompletesEveryAcceptedRequest) {
 
 TEST(ServingRuntime, AbortShedsQueuedButFinishesInFlight) {
   Rng rng(7007);
-  const Model slow = slow_model(rng);
+  const GraphModel slow = slow_model(rng);
   const Tensor input = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
 
   ServerConfig cfg;
@@ -343,9 +343,9 @@ TEST(ServingRuntime, AbortShedsQueuedButFinishesInFlight) {
 
 TEST(ServingRuntime, PlanCacheDedupsAndEvictsLru) {
   Rng rng(7008);
-  const Model a = fast_model(rng, "serve_a");
-  const Model b = fast_model(rng, "serve_b");
-  const Model c = fast_model(rng, "serve_c");
+  const GraphModel a = fast_model(rng, "serve_a");
+  const GraphModel b = fast_model(rng, "serve_b");
+  const GraphModel c = fast_model(rng, "serve_c");
 
   ServerConfig cfg;
   cfg.max_models = 2;
@@ -374,7 +374,7 @@ TEST(ServingRuntime, PlanCacheDedupsAndEvictsLru) {
 
 TEST(ServingRuntime, MetricsJsonHasTheContractKeys) {
   Rng rng(7009);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   ServingRuntime rt(serving_spec());
   const ModelHandle h = rt.load(fast, 10, 10);
   ASSERT_TRUE(
@@ -402,7 +402,7 @@ TEST(ServingRuntime, MetricsJsonHasTheContractKeys) {
 
 TEST(ServingFaults, BadInputShedsAtAdmissionWithoutExecuting) {
   Rng rng(7101);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   ServingRuntime rt(serving_spec());
   const ModelHandle h = rt.load(fast, 10, 10);
 
@@ -431,8 +431,8 @@ TEST(ServingFaults, BadInputShedsAtAdmissionWithoutExecuting) {
 
 TEST(ServingFaults, BadBatchmateIsIsolatedNotPoisoning) {
   Rng rng(7102);
-  const Model slow = slow_model(rng);
-  const Model fast = fast_model(rng);
+  const GraphModel slow = slow_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor plug = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
   const Tensor good_a = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
   const Tensor good_b = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
@@ -482,7 +482,7 @@ TEST(ServingFaults, BadBatchmateIsIsolatedNotPoisoning) {
 
 TEST(ServingFaults, ConservationInvariantHoldsMidFlight) {
   Rng rng(7103);
-  const Model slow = slow_model(rng);
+  const GraphModel slow = slow_model(rng);
   const Tensor input = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
 
   ServerConfig cfg;
@@ -525,7 +525,7 @@ TEST(ServingFaults, ConservationInvariantHoldsMidFlight) {
 
 TEST(ServingFaults, BreakerOpensFastShedsAndRecoversViaProbe) {
   Rng rng(7104);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   ManualClock clock;
@@ -582,7 +582,7 @@ TEST(ServingFaults, BreakerOpensFastShedsAndRecoversViaProbe) {
 
 TEST(ServingFaults, WatchdogCountsStallsAgainstTheBudget) {
   Rng rng(7105);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   // Every execution is delayed 50 virtual ms against a 5 ms budget; under
@@ -615,7 +615,7 @@ TEST(ServingFaults, WatchdogCountsStallsAgainstTheBudget) {
 
 TEST(ServingFaults, DrainRacesTheBatchWindow) {
   Rng rng(7106);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   // A 30 s batch window would block a naive drain for 30 s.  The leader
@@ -646,7 +646,7 @@ TEST(ServingFaults, DrainRacesTheBatchWindow) {
 
 TEST(ServingFaults, AbortRacesTheBatchWindow) {
   Rng rng(7107);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   ServerConfig cfg;
@@ -825,7 +825,7 @@ TEST(CircuitBreakerUnit, FullOpenHalfOpenClosedCycle) {
 
 TEST(ServeClientUnit, BackoffScheduleAndRetryGates) {
   Rng rng(7108);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   ManualClock clock;
   ServerConfig cfg;
   cfg.clock = &clock;
@@ -871,7 +871,7 @@ TEST(ServeClientUnit, BackoffScheduleAndRetryGates) {
 
 TEST(ServeClientUnit, RetriesThroughTransientFaultsThenGivesUp) {
   Rng rng(7109);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
   const Tensor bad = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
 

@@ -8,7 +8,7 @@
 //    are rejected with a clear error before anything executes;
 //  * Session::estimate reproduces simulate_network for the same config
 //    (one RunSpec drives both paths);
-//  * Model construction/validation and RunReport JSON emission.
+//  * GraphModel construction/validation and RunReport JSON emission.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -32,7 +32,7 @@ DatapathConfig small_datapath(DecompositionScheme scheme = DecompositionScheme::
 
 /// Tiny 3-layer CNN with real weights: fp16 -> int8 -> fp16 under the
 /// mixed policy used below.
-Model tiny_model(Rng& rng) {
+GraphModel tiny_model(Rng& rng) {
   std::vector<ModelLayer> layers(3);
   layers[0].name = "conv1";
   layers[0].filters = random_filters(rng, 6, 3, 3, 3, ValueDist::kNormal, 0.3);
@@ -45,7 +45,7 @@ Model tiny_model(Rng& rng) {
   layers[1].pool = PoolOp::kMax2;
   layers[2].name = "head";
   layers[2].filters = random_filters(rng, 4, 8, 1, 1, ValueDist::kNormal, 0.2);
-  return Model::from_layers("tiny3", std::move(layers));
+  return GraphModel::from_layers("tiny3", std::move(layers));
 }
 
 PrecisionPolicy mixed_policy() {
@@ -56,7 +56,7 @@ PrecisionPolicy mixed_policy() {
 
 TEST(SessionRun, BitExactVsHandWiredConvEngineChain) {
   Rng rng(21);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
 
   RunSpec spec;
@@ -72,10 +72,10 @@ TEST(SessionRun, BitExactVsHandWiredConvEngineChain) {
   ec.accum = AccumKind::kFp32;
   ec.threads = 1;
   ConvEngine engine(ec);
-  const auto& layers = model.layers();
-  Tensor x = relu(engine.conv_fp16(input, layers[0].filters, layers[0].spec));
-  x = maxpool2(relu(engine.conv_int(x, layers[1].filters, layers[1].spec, 8, 8)));
-  x = engine.conv_fp16(x, layers[2].filters, layers[2].spec);
+  const std::vector<GraphNode>& n = model.nodes();  // n[0] is the input
+  Tensor x = relu(engine.conv_fp16(input, n[1].filters, n[1].spec));
+  x = maxpool2(relu(engine.conv_int(x, n[2].filters, n[2].spec, 8, 8)));
+  x = engine.conv_fp16(x, n[3].filters, n[3].spec);
 
   ASSERT_EQ(report.output.data.size(), x.data.size());
   for (size_t i = 0; i < x.data.size(); ++i) {
@@ -92,7 +92,7 @@ TEST(SessionRun, BitExactVsHandWiredConvEngineChain) {
 
 TEST(SessionRunBatch, ThreadCountInvariantTensorsAndStats) {
   Rng rng(22);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   std::vector<Tensor> inputs;
   for (int i = 0; i < 3; ++i) {
     inputs.push_back(random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0));
@@ -127,7 +127,7 @@ TEST(SessionRunBatch, ThreadCountInvariantTensorsAndStats) {
 
 TEST(SessionRun, RejectsIntLayerOnSpatialDatapath) {
   Rng rng(23);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
 
   RunSpec spec;
@@ -173,7 +173,7 @@ TEST(SessionEstimate, ReproducesSimulateNetworkForSameConfig) {
   Session session(spec);
 
   const NetworkSimResult direct = simulate_network(net, tile, opts);
-  const NetworkSimResult api = session.estimate(Model::from_network(net));
+  const NetworkSimResult api = session.estimate(net);
   EXPECT_EQ(api.total_cycles, direct.total_cycles);
   ASSERT_EQ(api.layers.size(), direct.layers.size());
   EXPECT_EQ(api.layers[0].cycles_per_step, direct.layers[0].cycles_per_step);
@@ -181,7 +181,7 @@ TEST(SessionEstimate, ReproducesSimulateNetworkForSameConfig) {
 
 TEST(SessionEstimate, AdHocModelDerivesShapeTable) {
   Rng rng(24);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Network table = model.shape_table(12, 12);
   ASSERT_EQ(table.layers.size(), 3u);
   EXPECT_EQ(table.layers[0].hout, 12);  // pad-1 3x3 keeps dims
@@ -198,8 +198,8 @@ TEST(SessionEstimate, AdHocModelDerivesShapeTable) {
   EXPECT_GT(r.total_cycles, 0.0);
   EXPECT_EQ(r.layers.size(), 3u);
 
-  // Ad-hoc models need input dims to derive the table.
-  EXPECT_THROW(session.estimate(model), std::invalid_argument);
+  // Models need positive input dims to derive the table.
+  EXPECT_THROW(session.estimate(model, 0, 0), std::invalid_argument);
   // Mismatched tile/datapath widths are rejected: one RunSpec, one n.
   RunSpec bad = spec;
   bad.tile = small_tile(16, 28);  // c_unroll = 8 != n_inputs = 16
@@ -208,7 +208,7 @@ TEST(SessionEstimate, AdHocModelDerivesShapeTable) {
 
 TEST(SessionRun, WithEstimateAttachesSimResult) {
   Rng rng(25);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
   RunSpec spec;
   spec.datapath = small_datapath();
@@ -224,7 +224,7 @@ TEST(SessionRun, WithEstimateAttachesSimResult) {
 }
 
 TEST(ModelValidation, RejectsBadConstructions) {
-  EXPECT_THROW(Model::from_layers("empty", {}), std::invalid_argument);
+  EXPECT_THROW(GraphModel::from_layers("empty", {}), std::invalid_argument);
 
   Rng rng(26);
   std::vector<ModelLayer> broken(2);
@@ -232,53 +232,7 @@ TEST(ModelValidation, RejectsBadConstructions) {
   broken[0].filters = random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.2);
   broken[1].name = "b";
   broken[1].filters = random_filters(rng, 4, 5, 3, 3, ValueDist::kNormal, 0.2);
-  EXPECT_THROW(Model::from_layers("broken", std::move(broken)),
-               std::invalid_argument);
-
-  // Shape-table models are estimate-only until weights are materialized.
-  Network net;
-  net.name = "chain";
-  net.tensor_stats = forward_stats();
-  ConvLayer l;
-  l.cin = 4;
-  l.cout = 4;
-  l.kh = l.kw = 3;
-  l.hout = l.wout = 8;
-  l.name = "c1";
-  net.layers.push_back(l);
-  l.name = "c2";
-  net.layers.push_back(l);
-  Model shape_model = Model::from_network(net);
-  EXPECT_FALSE(shape_model.has_weights());
-
-  RunSpec spec;
-  spec.datapath = small_datapath();
-  Session session(spec);
-  const Tensor input(4, 8, 8);
-  EXPECT_THROW(session.run(shape_model, input), std::invalid_argument);
-
-  shape_model.materialize_weights(7);
-  ASSERT_TRUE(shape_model.has_weights());
-  EXPECT_EQ(session.run(shape_model, input).layers.size(), 2u);
-
-  // Branchy tables (repeat > 1) cannot be materialized.
-  net.layers[0].repeat = 2;
-  Model branchy = Model::from_network(net);
-  EXPECT_THROW(branchy.materialize_weights(7), std::invalid_argument);
-
-  // Rows chaining on channels but not spatially under same-padding are
-  // rejected too: run() and estimate() would silently disagree on shapes.
-  Network skewed;
-  skewed.name = "skewed";
-  skewed.tensor_stats = forward_stats();
-  ConvLayer s = l;
-  s.repeat = 1;
-  s.name = "s1";
-  skewed.layers.push_back(s);
-  s.name = "s2";
-  s.hout = s.wout = 6;  // recorded without padding; same-pad would give 8
-  skewed.layers.push_back(s);
-  EXPECT_THROW(Model::from_network(skewed).materialize_weights(7),
+  EXPECT_THROW(GraphModel::from_layers("broken", std::move(broken)),
                std::invalid_argument);
 }
 
@@ -300,7 +254,7 @@ TEST(PrecisionPolicyTest, PresetsAndOverridePriority) {
 
 TEST(RunReportJson, EmitsStructuredDocument) {
   Rng rng(27);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
   RunSpec spec;
   spec.datapath = small_datapath();
@@ -341,7 +295,7 @@ TEST(SessionThreadSafety, ConcurrentRunsShareOneSession) {
   spec.policy = mixed_policy();
   spec.threads = 1;
 
-  std::vector<Model> models;
+  std::vector<GraphModel> models;
   std::vector<Tensor> inputs;
   std::vector<Tensor> expected;
   {
