@@ -3,14 +3,17 @@
 //
 //   * the seed's legacy single-threaded per-pixel loop (re-created here
 //     verbatim as the "before everything" baseline; temporal scheme only),
-//   * the PR 2 per-op engine loop (re-created here verbatim: per-pixel
-//     patch gather of Fp16 values, per-op decode + decompose + allocating
-//     EHU inside each scheme's original fp_accumulate entry point),
-//   * the prepared-operand ConvEngine (decode once, allocate never) at 1
+//   * the per-op loop (per-pixel patch gather of Fp16 values, per-op
+//     decode + decompose + allocating EHU inside each scheme's original
+//     fp_accumulate entry point),
+//   * the compiled path -- the conv as a one-layer GraphModel through
+//     CompiledModel::compile + run (filter preparation, plan build and one
+//     prepared-operand execution, all timed) on a caller-owned pool of 1
 //     and hardware_concurrency threads,
 //
 // for every decomposition scheme.  Verifies all paths produce bit-identical
-// tensors and matching cycle/op counts before timing them.
+// tensors and matching cycle/op counts before timing them, and exits 1 on
+// any mismatch (ctest runs `--smoke`).
 //
 //   ./bench_conv_engine [--smoke] [--json [path]]
 //
@@ -27,9 +30,11 @@
 #include <thread>
 #include <vector>
 
+#include "api/compiled_model.h"
 #include "api/json.h"
 #include "bench_util.h"
 #include "common/rng.h"
+#include "core/ipu.h"
 #include "core/serial_ipu.h"
 #include "core/simd/simd.h"
 #include "core/spatial_ipu.h"
@@ -38,9 +43,9 @@
 namespace mpipu {
 namespace {
 
-/// The seed's conv_ipu_fp16 loop before the ConvEngine refactor: one Ipu,
-/// operands re-rounded to FP16 for every output pixel that touches them.
-Tensor legacy_conv_ipu_fp16(const Tensor& input, const FilterBank& filters,
+/// The seed's conv loop: one Ipu, operands re-rounded to FP16 for every
+/// output pixel that touches them.
+Tensor legacy_seed_conv_fp16(const Tensor& input, const FilterBank& filters,
                             const ConvSpec& spec, const IpuConfig& ipu_cfg,
                             AccumKind accum) {
   const int ho = spec.out_dim(input.h, filters.kh);
@@ -83,9 +88,9 @@ Tensor legacy_conv_ipu_fp16(const Tensor& input, const FilterBank& filters,
   return out;
 }
 
-// --- PR 2 per-op engine loop, re-created as the per-scheme baseline ---------
+// --- Per-op loop, the per-scheme baseline ------------------------------------
 
-/// Patch geometry of one output pixel (PR 2's gather): flat input indices
+/// Patch geometry of one output pixel: flat input indices
 /// and filter-block offsets in the canonical ky -> kx -> ci order.
 struct PatchIndices {
   std::vector<int32_t> input;
@@ -115,7 +120,7 @@ struct PatchIndices {
 };
 
 /// One per-op unit: reset / accumulate-a-chunk / read, plus the counters
-/// the bit-identity check compares against the prepared engine.  Owns the
+/// the bit-identity check compares against the compiled path.  Owns the
 /// underlying scheme instance (only the scheme under test is constructed).
 struct PerOpUnit {
   std::shared_ptr<void> holder;
@@ -182,10 +187,10 @@ PerOpUnit make_per_op_unit(const DatapathConfig& cfg) {
   return {};
 }
 
-/// PR 2's ConvEngine::conv_fp16 inner loop, single-threaded: tensors
-/// rounded to FP16 once, every pixel's operand stream gathered through
-/// PatchIndices, every chunk run through the scheme's original per-op
-/// entry point (per-op decode + decompose + allocating EHU).
+/// The per-op loop, single-threaded: tensors rounded to FP16 once, every
+/// pixel's operand stream gathered through PatchIndices, every chunk run
+/// through the scheme's original per-op entry point (per-op decode +
+/// decompose + allocating EHU).
 Tensor per_op_conv_fp16(const PerOpUnit& unit, int n_inputs, const Tensor& input,
                         const FilterBank& filters, const ConvSpec& spec) {
   std::vector<Fp16> in16(input.data.size());
@@ -235,7 +240,18 @@ Tensor per_op_conv_fp16(const PerOpUnit& unit, int n_inputs, const Tensor& input
   return out;
 }
 
-double time_seconds(const std::function<Tensor()>& fn, Tensor* out) {
+/// The compiled path for one conv: compile (filter preparation + plan
+/// build) and one run on the caller's pool, without the FP32 reference.
+RunReport compiled_conv(const GraphModel& model, const RunSpec& spec,
+                        const Tensor& input, ThreadPool& pool) {
+  RunOptions opts;
+  opts.compare_reference = false;
+  return CompiledModel::compile(model, spec, {input.h, input.w})
+      .run(input, opts, pool);
+}
+
+template <typename Fn, typename Result>
+double time_seconds(const Fn& fn, Result* out) {
   const auto t0 = std::chrono::steady_clock::now();
   *out = fn();
   const auto t1 = std::chrono::steady_clock::now();
@@ -264,7 +280,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::title("Prepared-operand ConvEngine vs per-op loop vs legacy seed loop");
+  bench::title("Compiled conv (prepared operands) vs per-op loop vs legacy seed loop");
 
   // Quickstart-style workload (MC-IPU(16), FP32-grade software precision);
   // --smoke shrinks it so CI can afford every scheme on every push.
@@ -276,6 +292,8 @@ int main(int argc, char** argv) {
       random_filters(rng, co, ci, 3, 3, ValueDist::kNormal, 0.2);
   ConvSpec spec;
   spec.pad = 1;
+  const GraphModel model =
+      GraphModel::from_layers("conv", {ModelLayer{"conv", filters, spec}});
 
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
@@ -320,7 +338,7 @@ int main(int argc, char** argv) {
   Tensor legacy_out;
   const double t_legacy = time_seconds(
       [&] {
-        return legacy_conv_ipu_fp16(input, filters, spec, icfg, AccumKind::kFp32);
+        return legacy_seed_conv_fp16(input, filters, spec, icfg, AccumKind::kFp32);
       },
       &legacy_out);
 
@@ -332,38 +350,35 @@ int main(int argc, char** argv) {
     cfg.software_precision = 28;
     cfg.multi_cycle = true;
 
-    // A direct scheme instance behind the per-op baseline (the PR 2 engine
-    // drove these exact entry points through its virtual wrapper).
+    // A direct scheme instance behind the per-op baseline.
     const PerOpUnit unit = make_per_op_unit(cfg);
 
-    Tensor per_op_out, prep1_out, prephw_out;
+    Tensor per_op_out;
     const double t_per_op = time_seconds(
         [&] { return per_op_conv_fp16(unit, cfg.n_inputs, input, filters, spec); },
         &per_op_out);
 
-    ConvEngineConfig ec;
-    ec.datapath = cfg;
-    ec.accum = AccumKind::kFp32;
-    ec.threads = 1;
-    ConvEngine engine1(ec);
+    RunSpec run_spec;
+    run_spec.datapath = cfg;
+    run_spec.policy = PrecisionPolicy::all_fp16(AccumKind::kFp32);
+    RunReport prep1, prephw;
+    ThreadPool pool1(1);
     const double t_prep1 = time_seconds(
-        [&] { return engine1.conv_fp16(input, filters, spec); }, &prep1_out);
+        [&] { return compiled_conv(model, run_spec, input, pool1); }, &prep1);
 
-    bool identical = tensors_identical(per_op_out, prep1_out) &&
-                     unit.cycles() == engine1.stats().cycles &&
-                     unit.fp_ops() == engine1.stats().fp_ops;
+    bool identical = tensors_identical(per_op_out, prep1.output) &&
+                     unit.cycles() == prep1.totals.cycles &&
+                     unit.fp_ops() == prep1.totals.fp_ops;
     double t_prephw = 0.0;
     if (run_hw) {
-      ec.threads = hw;
-      ConvEngine enginehw(ec);
-      const double t = time_seconds(
-          [&] { return enginehw.conv_fp16(input, filters, spec); }, &prephw_out);
-      t_prephw = t;
-      identical = identical && tensors_identical(per_op_out, prephw_out) &&
-                  engine1.stats() == enginehw.stats();
+      ThreadPool poolhw(hw);
+      t_prephw = time_seconds(
+          [&] { return compiled_conv(model, run_spec, input, poolhw); }, &prephw);
+      identical = identical && tensors_identical(per_op_out, prephw.output) &&
+                  prep1.totals == prephw.totals;
     }
     if (scheme == DecompositionScheme::kTemporal) {
-      identical = identical && tensors_identical(legacy_out, prep1_out);
+      identical = identical && tensors_identical(legacy_out, prep1.output);
     }
     if (!identical) {
       std::printf("BIT MISMATCH on %s scheme\n", scheme_name(scheme));
@@ -371,14 +386,14 @@ int main(int argc, char** argv) {
       rc = 1;
     }
 
-    table.add_row({scheme_name(scheme), "per-op loop (PR 2), 1 thread",
+    table.add_row({scheme_name(scheme), "per-op loop, 1 thread",
                    bench::fmt(t_per_op, 3), "1.00x"});
-    table.add_row({scheme_name(scheme), "prepared engine, 1 thread",
+    table.add_row({scheme_name(scheme), "compiled, 1 thread",
                    bench::fmt(t_prep1, 3),
                    bench::fmt(t_per_op / t_prep1, 2) + "x"});
     if (run_hw) {
       table.add_row({scheme_name(scheme),
-                     "prepared engine, hw threads (" + std::to_string(hw) + ")",
+                     "compiled, hw threads (" + std::to_string(hw) + ")",
                      bench::fmt(t_prephw, 3),
                      bench::fmt(t_per_op / t_prephw, 2) + "x"});
     }

@@ -3,10 +3,10 @@
 // robust middle layers, INT8 where quantization is harder, FP16 for the
 // sensitive first/last layers -- all running on the *same* IPU datapath.
 //
-// Migrated onto the high-level API: the layer list is a GraphModel, the
-// per-layer choices are a PrecisionPolicy (the int8_except_first_last preset
-// plus one INT4 override), and a single Session::run produces the whole
-// accuracy/cycles table that used to be hand-wired ConvEngine calls.
+// The layer list is a GraphModel, the per-layer choices are a
+// PrecisionPolicy (the int8_except_first_last preset plus one INT4
+// override), and a single Session::run produces the whole accuracy/cycles
+// table.
 //
 //   ./examples/mixed_precision_inference
 #include <cstdio>

@@ -33,9 +33,8 @@
 // only reads the shared `const` plans, so any number of host threads may
 // call them concurrently on one CompiledModel.  Each call returns its own
 // RunReport whose outputs, stats and cycles are byte-identical to what
-// Session::run produces for the same spec/model/input.  Unlike the legacy
-// ConvEngine (whose counters accumulate across calls -- see
-// ConvEngine::stats), stats here are per-call by construction.
+// Session::run produces for the same spec/model/input.  Stats are per-call
+// by construction: nothing accumulates across calls.
 //
 // Session::run sits on top of this (compile-on-first-use with an
 // exact-match model cache).

@@ -115,6 +115,12 @@ GraphTopology analyze_graph(const std::vector<GraphNode>& nodes, int input_h,
           throw std::invalid_argument("analyze_graph: " + node_label(nd) +
                                       " must have exactly one predecessor");
         }
+        if (nd.spec.stride < 1) {
+          throw std::invalid_argument("analyze_graph: " + node_label(nd) +
+                                      " has stride " +
+                                      std::to_string(nd.spec.stride) +
+                                      "; the stride must be at least 1");
+        }
         break;
       case GraphNode::Op::kAdd:
       case GraphNode::Op::kConcat:

@@ -88,10 +88,10 @@ const char* graph_op_name(GraphNode::Op op);
 /// structure (topological levels -- nodes of one wave are mutually
 /// independent and may execute concurrently).  Throws std::invalid_argument
 /// on any structural violation: no/multiple kInput nodes, wrong arity,
-/// out-of-range predecessor ids, a cycle, multiple outputs, channel
-/// mismatch into a conv, shape mismatch at a join, collapsing geometry, or
-/// an input node whose channel count cannot be inferred (no direct conv
-/// consumer).
+/// a conv stride below 1, out-of-range predecessor ids, a cycle, multiple
+/// outputs, channel mismatch into a conv, shape mismatch at a join,
+/// collapsing geometry, or an input node whose channel count cannot be
+/// inferred (no direct conv consumer).
 struct GraphTopology {
   std::vector<int> order;  ///< topo execution order, input node first
   std::vector<std::vector<int>> waves;  ///< topo levels, input excluded

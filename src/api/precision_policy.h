@@ -14,7 +14,7 @@
 #include <optional>
 #include <string>
 
-#include "nn/conv_engine.h"
+#include "nn/conv.h"
 
 namespace mpipu {
 

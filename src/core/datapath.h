@@ -15,9 +15,10 @@
 // plus the shared knobs) and a factory, `make_datapath`, that wraps the
 // scheme implementations behind a common accumulate / dot / readout / stats
 // contract while preserving the bit-exact behaviour of each scheme.  The
-// conv engine (src/nn/conv_engine.h), the cycle simulator's tile costing
-// (src/sim) and the decomposition-scheme benches all route through this
-// interface, so every workload can run on every scheme.
+// conv plan executors (src/nn/conv_plan.h, driven by CompiledModel), the
+// cycle simulator's tile costing (src/sim) and the decomposition-scheme
+// benches all route through this interface, so every workload can run on
+// every scheme.
 #pragma once
 
 #include <algorithm>

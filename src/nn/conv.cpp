@@ -1,8 +1,9 @@
 #include "nn/conv.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace mpipu {
 
@@ -21,7 +22,11 @@ FilterBank random_filters(Rng& rng, int cout, int cin, int kh, int kw, ValueDist
 
 Tensor conv_reference(const Tensor& input, const FilterBank& filters,
                       const ConvSpec& spec) {
-  assert(input.c == filters.cin);
+  if (input.c != filters.cin) {
+    throw std::invalid_argument(
+        "conv_reference: input has " + std::to_string(input.c) +
+        " channels but the filters expect " + std::to_string(filters.cin));
+  }
   const int ho = spec.out_dim(input.h, filters.kh);
   const int wo = spec.out_dim(input.w, filters.kw);
   Tensor out(filters.cout, ho, wo);
@@ -42,49 +47,6 @@ Tensor conv_reference(const Tensor& input, const FilterBank& filters,
         out.at(co, y, x) = acc;
       }
     }
-  }
-  return out;
-}
-
-DatapathConfig datapath_config_from_ipu(const IpuConfig& cfg) {
-  DatapathConfig d;
-  d.scheme = DecompositionScheme::kTemporal;
-  d.n_inputs = cfg.n_inputs;
-  d.adder_tree_width = cfg.adder_tree_width;
-  d.software_precision = cfg.software_precision;
-  d.multi_cycle = cfg.multi_cycle;
-  d.skip_empty_bands = cfg.skip_empty_bands;
-  d.skip_zero_iterations = cfg.skip_zero_iterations;
-  d.accumulator = cfg.accumulator;
-  return d;
-}
-
-Tensor conv_ipu_fp16(const Tensor& input, const FilterBank& filters, const ConvSpec& spec,
-                     const IpuConfig& ipu_cfg, AccumKind accum, IpuConvStats* stats) {
-  ConvEngineConfig ec;
-  ec.datapath = datapath_config_from_ipu(ipu_cfg);
-  ec.accum = accum;
-  ec.threads = 1;
-  ConvEngine engine(ec);
-  Tensor out = engine.conv_fp16(input, filters, spec);
-  if (stats != nullptr) {
-    stats->fp_ops = engine.stats().fp_ops;
-    stats->cycles = engine.stats().cycles;
-  }
-  return out;
-}
-
-Tensor conv_ipu_int(const Tensor& input, const FilterBank& filters, const ConvSpec& spec,
-                    const IpuConfig& ipu_cfg, int a_bits, int w_bits,
-                    IpuConvStats* stats) {
-  ConvEngineConfig ec;
-  ec.datapath = datapath_config_from_ipu(ipu_cfg);
-  ec.threads = 1;
-  ConvEngine engine(ec);
-  Tensor out = engine.conv_int(input, filters, spec, a_bits, w_bits);
-  if (stats != nullptr) {
-    stats->fp_ops = engine.stats().int_ops;
-    stats->cycles = engine.stats().cycles;
   }
   return out;
 }
@@ -122,30 +84,18 @@ FilterBank transpose_for_dgrad(const FilterBank& f) {
   return t;
 }
 
-namespace {
-
-ConvSpec dgrad_spec(const FilterBank& f, int fwd_pad) {
-  ConvSpec s;
-  s.stride = 1;
-  s.pad = f.kh - 1 - fwd_pad;
-  return s;
-}
-
-}  // namespace
-
 Tensor dgrad_reference(const Tensor& grad_out, const FilterBank& filters, int fwd_pad) {
-  const FilterBank t = transpose_for_dgrad(filters);
-  return conv_reference(grad_out, t, dgrad_spec(filters, fwd_pad));
-}
-
-Tensor dgrad_ipu_fp16(const Tensor& grad_out, const FilterBank& filters, int fwd_pad,
-                      const IpuConfig& ipu_cfg, AccumKind accum, IpuConvStats* stats) {
-  const FilterBank t = transpose_for_dgrad(filters);
-  return conv_ipu_fp16(grad_out, t, dgrad_spec(filters, fwd_pad), ipu_cfg, accum, stats);
+  ConvSpec spec;
+  spec.pad = filters.kh - 1 - fwd_pad;
+  return conv_reference(grad_out, transpose_for_dgrad(filters), spec);
 }
 
 AgreementStats compare_outputs(const Tensor& test, const Tensor& reference) {
-  assert(test.size() == reference.size());
+  if (test.size() != reference.size()) {
+    throw std::invalid_argument(
+        "compare_outputs: test has " + std::to_string(test.size()) +
+        " elements but the reference has " + std::to_string(reference.size()));
+  }
   AgreementStats s;
   s.total = static_cast<int64_t>(test.size());
   double err_energy = 0.0, sig_energy = 0.0, abs_sum = 0.0;

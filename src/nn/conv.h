@@ -1,19 +1,17 @@
-// Convolution executors: an exact host-double reference ("FP32 CPU") and
-// bit-accurate paths that run every inner product through the datapath.
-// Used by the §3.1 end-to-end agreement study and the examples.
+// Convolution vocabulary and the exact host-double reference ("FP32 CPU")
+// every datapath result is judged against.
 //
-// conv_ipu_fp16 / conv_ipu_int / dgrad_ipu_fp16 are retained for API
-// compatibility as thin single-threaded wrappers over the scheme-generic
-// ConvEngine (nn/conv_engine.h) configured for the temporal scheme; new
-// code should drive ConvEngine directly.
+// ConvSpec and AccumKind describe a conv layer and its FP16 accumulation
+// destination; the bit-accurate execution of such a layer lives in
+// nn/conv_plan.h and is driven through GraphModel -> CompiledModel
+// (api/compiled_model.h).  conv_reference, dgrad_reference and
+// compare_outputs are the reference side of the §3.1 end-to-end agreement
+// study.
 #pragma once
 
 #include <cstdint>
 
-#include "core/ipu.h"
-#include "nn/conv_engine.h"
 #include "nn/tensor.h"
-#include "workload/quantizer.h"
 
 namespace mpipu {
 
@@ -24,33 +22,14 @@ struct ConvSpec {
   int out_dim(int in, int k) const { return (in + 2 * pad - k) / stride + 1; }
 };
 
+/// Accumulation destination for the FP16 datapath convolution.
+enum class AccumKind { kFp16, kFp32 };
+
 /// Exact reference convolution in host double ("FP32 CPU" stand-in; double
-/// is a strict superset of FP32 for these magnitudes).
+/// is a strict superset of FP32 for these magnitudes).  Throws
+/// std::invalid_argument when input.c != filters.cin.
 Tensor conv_reference(const Tensor& input, const FilterBank& filters,
                       const ConvSpec& spec);
-
-/// Map the temporal scheme's IpuConfig onto the unified datapath config
-/// (used by the legacy wrappers below and anything else still holding an
-/// IpuConfig).
-DatapathConfig datapath_config_from_ipu(const IpuConfig& cfg);
-
-struct IpuConvStats {
-  int64_t fp_ops = 0;
-  int64_t cycles = 0;
-};
-
-/// Convolution with every inner product executed on the given IPU datapath:
-/// inputs/weights are first rounded to FP16, partial sums accumulate in the
-/// IPU accumulator and are rounded to the destination once per output pixel.
-Tensor conv_ipu_fp16(const Tensor& input, const FilterBank& filters, const ConvSpec& spec,
-                     const IpuConfig& ipu_cfg, AccumKind accum,
-                     IpuConvStats* stats = nullptr);
-
-/// Convolution with operands quantized to (a_bits, w_bits) integers and
-/// executed on the IPU's INT mode; the result is dequantized to real values.
-Tensor conv_ipu_int(const Tensor& input, const FilterBank& filters, const ConvSpec& spec,
-                    const IpuConfig& ipu_cfg, int a_bits, int w_bits,
-                    IpuConvStats* stats = nullptr);
 
 /// Elementwise ReLU.
 Tensor relu(const Tensor& t);
@@ -62,13 +41,12 @@ Tensor maxpool2(const Tensor& t);
 FilterBank transpose_for_dgrad(const FilterBank& f);
 
 /// Data-gradient convolution (stride-1 layers): given the output gradient,
-/// compute the input gradient through the same datapath -- the backward-path
-/// workload the paper studies in §4.3 / Fig. 9(b).  Pads by k-1 ("full"
-/// convolution) so shapes invert conv with pad p = k-1-p_fwd.
+/// compute the input gradient -- the backward-path workload the paper
+/// studies in §4.3 / Fig. 9(b).  It is conv(grad_out,
+/// transpose_for_dgrad(filters)) at stride 1 with pad k-1-fwd_pad, so
+/// shapes invert the forward conv; the datapath runs it as that plain
+/// conv.
 Tensor dgrad_reference(const Tensor& grad_out, const FilterBank& filters, int fwd_pad);
-Tensor dgrad_ipu_fp16(const Tensor& grad_out, const FilterBank& filters, int fwd_pad,
-                      const IpuConfig& ipu_cfg, AccumKind accum,
-                      IpuConvStats* stats = nullptr);
 
 /// Output-agreement metrics between a datapath result and the reference.
 struct AgreementStats {
@@ -80,6 +58,7 @@ struct AgreementStats {
   int64_t total = 0;
 };
 
+/// Throws std::invalid_argument when the two tensors differ in size.
 AgreementStats compare_outputs(const Tensor& test, const Tensor& reference);
 
 }  // namespace mpipu

@@ -1,22 +1,23 @@
-// ConvPlan: the planning half of the convolution pipeline, split out of
-// ConvEngine so it can be built once and shared immutably.
+// ConvPlan: the one bit-accurate convolution path.  CompiledModel
+// (api/compiled_model.h) builds a plan per conv layer at compile time and
+// runs it through the executors below.
 //
 // A plan captures everything about one conv layer that does not depend on
 // the activation values: the output geometry, the clip classes (in-bounds
 // kernel-window shapes) with their base-relative input gather offsets, and
 // -- the expensive part -- each class's per-output-channel *filter* operand
-// streams packed into contiguous prepared planes (core/prepared.h).  PR 3
-// built this per ConvEngine call; compile-once callers (api/compiled_model.h)
-// build it once per layer at model-compile time and share it `const` across
-// any number of concurrent executions.
+// streams packed into contiguous prepared planes (core/prepared.h).  It is
+// built once and shared `const` across any number of concurrent
+// executions.
 //
 // The execution half is stateless with respect to the plan: `run_conv_plan`
 // streams per-call prepared activation planes against a `const` plan, using
 // caller-supplied scratch (a thread pool plus one private Datapath per
 // worker slot).  Nothing in the plan is written during execution, so one
-// plan serves N threads and M concurrent calls; determinism and
-// bit-exactness are inherited unchanged from the PR 3 hot loop this code
-// was lifted from.
+// plan serves N threads and M concurrent calls.  Every output element is
+// accumulated exactly as the per-op loop would feed it (same operand
+// order, same n_inputs chunks, accumulator reset per pixel), so outputs
+// and stats are bit-identical to it for any thread count.
 #pragma once
 
 #include <algorithm>
@@ -39,12 +40,12 @@ namespace mpipu {
 /// per-(pixel, co) loop needs for it, computed once per plan:
 ///
 ///   * `rel_input`: base-relative input offsets of the window's taps in the
-///     canonical ky -> kx -> ci gather order (the same order the legacy
-///     loop streamed operands in, so results stay bit-identical); a pixel's
+///     canonical ky -> kx -> ci gather order (the order the per-op loop
+///     streams operands in, so results stay bit-identical); a pixel's
 ///     absolute tap index is rel_input[t] + (iy0*W + ix0);
 ///   * `filters`: the per-output-channel filter operand streams, packed
 ///     into contiguous prepared planes (co's stream = [co*len, (co+1)*len))
-///     -- the old loop re-gathered these len values for every single pixel.
+///     -- packed once here instead of re-gathered for every pixel.
 ///
 /// Interior pixels all share one class; border pixels fall into at most
 /// (kh+1) x (kw+1) distinct ky-range x kx-range combinations, so the
@@ -210,9 +211,8 @@ Tensor run_conv_plan_shard(const ConvPlan<Planes>& plan,
   return out;
 }
 
-/// Full-range executor: the shard executor over the whole output.  The
-/// pixel index space and per-(pixel, co) operand streams are identical to
-/// the pre-shard loop, so this stays bit-identical to PR 3 by construction.
+/// Full-range executor: the shard executor over the whole output (same
+/// pixel index space, same per-(pixel, co) operand streams).
 template <typename Planes, typename AccumulateFn, typename ReadoutFn>
 Tensor run_conv_plan(const ConvPlan<Planes>& plan, const Planes& in_planes,
                      ThreadPool& pool,
@@ -226,10 +226,8 @@ Tensor run_conv_plan(const ConvPlan<Planes>& plan, const Planes& in_planes,
 }
 
 // ---------------------------------------------------------------------------
-// Concrete plan builders / executors shared by ConvEngine (plan-per-call)
-// and CompiledModel (plan-per-model).  Keeping both callers on these exact
-// functions is what makes compile-once execution bit-identical to the
-// engine path by construction.
+// Concrete plane preparation and FP16 / INT plan executors (what
+// CompiledModel calls per conv node).
 // ---------------------------------------------------------------------------
 
 /// Round a double tensor to FP16 and decode + nibble-decompose it into

@@ -10,9 +10,7 @@
 //    the policy after compile changes nothing, recompiling does;
 //  * compile-time validation: weightless models, INT on the FP-only spatial
 //    scheme, missing input dims, collapsing geometry, and run-time shape
-//    mismatches are all rejected with std::invalid_argument;
-//  * the ConvEngine stats contract: counters accumulate across calls
-//    (legacy) until reset_stats(), while CompiledModel reports are per-call.
+//    mismatches are all rejected with std::invalid_argument.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -331,37 +329,6 @@ TEST(CompiledModelTest, SessionCompileCacheReusesAndRecompiles) {
   const RunReport b2 = session.run(model, b);
   expect_reports_identical(a2, a1);
   expect_reports_identical(b2, b1);
-}
-
-TEST(ConvEngineStats, AccumulateAcrossCallsUntilReset) {
-  Rng rng(38);
-  const Tensor input = random_tensor(rng, 4, 6, 6, ValueDist::kNormal, 1.0);
-  const FilterBank filters =
-      random_filters(rng, 4, 4, 3, 3, ValueDist::kNormal, 0.2);
-  ConvSpec spec;
-  spec.pad = 1;
-
-  ConvEngineConfig ec;
-  ec.datapath = DatapathConfig::for_scheme(DecompositionScheme::kTemporal);
-  ec.threads = 1;
-  ConvEngine engine(ec);
-
-  engine.conv_fp16(input, filters, spec);
-  const DatapathStats once = engine.stats();
-  EXPECT_GT(once.fp_ops, 0);
-
-  // Legacy contract: counters accumulate silently across calls.
-  engine.conv_fp16(input, filters, spec);
-  DatapathStats twice_expected = once;
-  twice_expected += once;
-  EXPECT_EQ(engine.stats(), twice_expected);
-
-  // reset_stats zeroes the aggregate without touching numeric behaviour.
-  engine.reset_stats();
-  EXPECT_EQ(engine.stats(), DatapathStats{});
-  const Tensor again = engine.conv_fp16(input, filters, spec);
-  EXPECT_EQ(engine.stats(), once);
-  (void)again;
 }
 
 }  // namespace

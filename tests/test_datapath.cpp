@@ -1,5 +1,4 @@
-// Tests for the unified Datapath interface (core/datapath.h) and the
-// scheme-generic ConvEngine (nn/conv_engine.h):
+// Tests for the unified Datapath interface (core/datapath.h):
 //
 //  * wrapping transparency: Datapath::dot bit-matches the directly
 //    constructed Ipu / SerialIpu / SpatialIpu on values AND cycles;
@@ -8,9 +7,6 @@
 //    (the §5 orthogonality claim at the value level);
 //  * the scheme-generic service-cycle model used for tile costing matches
 //    the cycles the bit-accurate units actually report;
-//  * ConvEngine determinism: 1 thread and N threads produce identical
-//    tensors and identical aggregate stats, and match the legacy
-//    single-threaded conv_ipu_* wrappers;
 //  * ThreadPool partition correctness.
 #include <gtest/gtest.h>
 
@@ -24,7 +20,6 @@
 #include "core/reference.h"
 #include "core/serial_ipu.h"
 #include "core/spatial_ipu.h"
-#include "nn/conv.h"
 
 namespace mpipu {
 namespace {
@@ -250,76 +245,6 @@ TEST(DatapathCostModel, ServiceCyclesMatchBitAccurateUnits) {
       }
     }
   }
-}
-
-// --- ConvEngine determinism ---------------------------------------------------
-
-TEST(ConvEngineDeterminism, ThreadCountDoesNotChangeOutputOrStats) {
-  Rng rng(9);
-  const Tensor input = random_tensor(rng, 6, 10, 10, ValueDist::kNormal, 1.0);
-  const FilterBank filters = random_filters(rng, 5, 6, 3, 3, ValueDist::kNormal, 0.3);
-  ConvSpec spec;
-  spec.pad = 1;
-  for (auto scheme : kAllSchemes) {
-    ConvEngineConfig ec;
-    ec.datapath = base_config(scheme, 16);
-    ec.accum = AccumKind::kFp32;
-    ec.threads = 1;
-    ConvEngine serial_engine(ec);
-    const Tensor out1 = serial_engine.conv_fp16(input, filters, spec);
-    ec.threads = 4;
-    ConvEngine parallel_engine(ec);
-    const Tensor outn = parallel_engine.conv_fp16(input, filters, spec);
-    ASSERT_EQ(out1.data.size(), outn.data.size());
-    for (size_t i = 0; i < out1.data.size(); ++i) {
-      EXPECT_EQ(out1.data[i], outn.data[i]) << scheme_name(scheme) << " elt " << i;
-    }
-    EXPECT_EQ(serial_engine.stats(), parallel_engine.stats()) << scheme_name(scheme);
-  }
-}
-
-TEST(ConvEngineDeterminism, IntConvThreadCountDoesNotChangeOutputOrStats) {
-  Rng rng(10);
-  const Tensor input = random_tensor(rng, 8, 8, 8, ValueDist::kHalfNormal, 1.0);
-  const FilterBank filters = random_filters(rng, 4, 8, 3, 3, ValueDist::kNormal, 0.2);
-  ConvSpec spec;
-  ConvEngineConfig ec;
-  ec.datapath = base_config(DecompositionScheme::kTemporal, 16);
-  ec.threads = 1;
-  ConvEngine e1(ec);
-  ec.threads = 3;
-  ConvEngine e3(ec);
-  const Tensor out1 = e1.conv_int(input, filters, spec, 8, 8);
-  const Tensor out3 = e3.conv_int(input, filters, spec, 8, 8);
-  for (size_t i = 0; i < out1.data.size(); ++i) {
-    EXPECT_EQ(out1.data[i], out3.data[i]) << i;
-  }
-  EXPECT_EQ(e1.stats(), e3.stats());
-}
-
-TEST(ConvEngineDeterminism, MatchesLegacyWrapper) {
-  Rng rng(11);
-  const Tensor input = random_tensor(rng, 4, 9, 9, ValueDist::kNormal, 1.0);
-  const FilterBank filters = random_filters(rng, 3, 4, 3, 3, ValueDist::kNormal, 0.3);
-  ConvSpec spec;
-  spec.pad = 1;
-  IpuConfig icfg;
-  icfg.n_inputs = 16;
-  icfg.adder_tree_width = 16;
-  IpuConvStats wrapper_stats;
-  const Tensor legacy =
-      conv_ipu_fp16(input, filters, spec, icfg, AccumKind::kFp32, &wrapper_stats);
-
-  ConvEngineConfig ec;
-  ec.datapath = datapath_config_from_ipu(icfg);
-  ec.threads = 4;
-  ConvEngine engine(ec);
-  const Tensor threaded = engine.conv_fp16(input, filters, spec);
-  for (size_t i = 0; i < legacy.data.size(); ++i) {
-    EXPECT_EQ(legacy.data[i], threaded.data[i]) << i;
-  }
-  EXPECT_EQ(wrapper_stats.cycles, engine.stats().cycles);
-  EXPECT_EQ(wrapper_stats.fp_ops, engine.stats().fp_ops);
 }
 
 // --- ThreadPool ---------------------------------------------------------------

@@ -1,11 +1,42 @@
 // Tests for the data-gradient (backward) convolution path: the bit-level
-// counterpart of the simulator's backward workload (§4.3, Fig. 9(b)).
+// counterpart of the simulator's backward workload (§4.3, Fig. 9(b)).  On
+// the datapath, dgrad is the plain stride-1 conv of the output gradient
+// with transpose_for_dgrad(f) at pad k-1-p, run as a one-layer GraphModel.
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "nn/conv.h"
 
 namespace mpipu {
 namespace {
+
+DatapathConfig mc_datapath(int adder_tree_width) {
+  DatapathConfig cfg;
+  cfg.n_inputs = 16;
+  cfg.adder_tree_width = adder_tree_width;
+  cfg.software_precision = 28;
+  cfg.multi_cycle = true;
+  return cfg;
+}
+
+/// One FP16 (FP32-accumulated) conv on the datapath through Session.
+RunReport run_conv(const DatapathConfig& datapath, const Tensor& input,
+                   const FilterBank& filters, const ConvSpec& conv_spec) {
+  RunSpec spec;
+  spec.datapath = datapath;
+  Session session(spec);
+  return session.run(
+      GraphModel::from_layers("conv", {ModelLayer{"conv", filters, conv_spec}}),
+      input);
+}
+
+/// The datapath dgrad of a stride-1 forward conv with pad `fwd_pad`.
+RunReport run_dgrad(const DatapathConfig& datapath, const Tensor& grad_out,
+                    const FilterBank& filters, int fwd_pad) {
+  ConvSpec spec;
+  spec.pad = filters.kh - 1 - fwd_pad;
+  return run_conv(datapath, grad_out, transpose_for_dgrad(filters), spec);
+}
 
 TEST(Dgrad, TransposeIsAnInvolutionOnShapes) {
   Rng rng(91);
@@ -55,13 +86,8 @@ TEST(Dgrad, IpuPathAgreesWithReference) {
       random_tensor(rng, 8, 7, 7, ValueDist::kBackwardWide, 1.0).rounded_to_fp16();
   const FilterBank f =
       random_filters(rng, 8, 4, 3, 3, ValueDist::kNormal, 0.1).rounded_to_fp16();
-  IpuConfig cfg;
-  cfg.n_inputs = 16;
-  cfg.adder_tree_width = 28;
-  cfg.software_precision = 28;
-  cfg.multi_cycle = true;
   const Tensor ref = dgrad_reference(g, f, 1);
-  const Tensor got = dgrad_ipu_fp16(g, f, 1, cfg, AccumKind::kFp32);
+  const Tensor got = run_dgrad(mc_datapath(28), g, f, 1).output;
   const AgreementStats s = compare_outputs(got, ref);
   EXPECT_GT(s.snr_db, 50.0);
 }
@@ -70,20 +96,15 @@ TEST(Dgrad, BackwardTensorsCostMoreAlignmentCyclesThanForward) {
   // The bit-level confirmation of Fig. 9: gradient-like values multi-cycle
   // far more often than activation-like ones on a narrow MC-IPU.
   Rng rng(95);
-  IpuConfig cfg;
-  cfg.n_inputs = 16;
-  cfg.adder_tree_width = 12;
-  cfg.software_precision = 28;
-  cfg.multi_cycle = true;
+  const DatapathConfig cfg = mc_datapath(12);
   const FilterBank f =
       random_filters(rng, 4, 8, 3, 3, ValueDist::kNormal, 0.1).rounded_to_fp16();
-  IpuConvStats fwd_stats, bwd_stats;
   const Tensor act =
       random_tensor(rng, 8, 7, 7, ValueDist::kHalfNormal, 1.0).rounded_to_fp16();
-  conv_ipu_fp16(act, f, ConvSpec{}, cfg, AccumKind::kFp32, &fwd_stats);
+  const DatapathStats fwd_stats = run_conv(cfg, act, f, ConvSpec{}).totals;
   const Tensor grad =
       random_tensor(rng, 4, 7, 7, ValueDist::kBackwardWide, 1.0).rounded_to_fp16();
-  dgrad_ipu_fp16(grad, f, 0, cfg, AccumKind::kFp32, &bwd_stats);
+  const DatapathStats bwd_stats = run_dgrad(cfg, grad, f, 0).totals;
   const double fwd_cpi = static_cast<double>(fwd_stats.cycles) /
                          static_cast<double>(fwd_stats.fp_ops);
   const double bwd_cpi = static_cast<double>(bwd_stats.cycles) /

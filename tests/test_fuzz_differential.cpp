@@ -2,9 +2,9 @@
 // random operand streams, cross-checked against the exact reference and
 // against each other; plus random DAG topologies (chains, diamonds,
 // residual blocks, concat fan-ins) cross-checked between the graph
-// execution core, the Session facade and a hand-wired ConvEngine
-// evaluation.  Complements the targeted property tests with broad
-// configuration coverage.
+// execution core, the Session facade and a node-by-node evaluation on the
+// per-op oracle (per_op_conv.h).  Complements the targeted property tests
+// with broad configuration coverage.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -15,6 +15,7 @@
 #include "core/ipu.h"
 #include "core/spatial_ipu.h"
 #include "nn/elementwise.h"
+#include "per_op_conv.h"
 
 namespace mpipu {
 namespace {
@@ -165,9 +166,9 @@ TEST(FuzzDifferential, TemporalAndSpatialAgreeUnderRandomConfigs) {
 
 // ---------------------------------------------------------------------------
 // Random DAG topologies: the graph execution core (parallel-branch waves,
-// prepared/packed plans) vs the Session facade vs a node-by-node hand-wired
-// ConvEngine chain must agree bit for bit, for every scheme and precision
-// mode that scheme supports.
+// prepared/packed plans) vs the Session facade vs a node-by-node per-op
+// oracle chain must agree bit for bit, for every scheme and precision mode
+// that scheme supports.
 // ---------------------------------------------------------------------------
 
 int rint(Rng& rng, int lo, int hi) {
@@ -253,11 +254,11 @@ GraphModel random_dag(Rng& rng, int& input_c, int& input_h, int& input_w) {
   return b.build();
 }
 
-/// Node-by-node evaluation on one ConvEngine -- the "obviously correct"
+/// Node-by-node evaluation on one per-op oracle -- the "obviously correct"
 /// wiring of the same topology (builder order is topological by
 /// construction, so plain list order works).
 Tensor eval_hand_wired(const GraphModel& g, const Tensor& input,
-                       ConvEngine& engine, bool use_int) {
+                       PerOpOracle& oracle, const LayerPrecision& precision) {
   std::vector<Tensor> acts(g.nodes().size());
   for (size_t i = 0; i < g.nodes().size(); ++i) {
     const GraphNode& nd = g.nodes()[i];
@@ -268,8 +269,10 @@ Tensor eval_hand_wired(const GraphModel& g, const Tensor& input,
         continue;
       case GraphNode::Op::kConv: {
         const Tensor& x = acts[static_cast<size_t>(nd.inputs[0])];
-        y = use_int ? engine.conv_int(x, nd.filters, nd.spec, 8, 8)
-                    : engine.conv_fp16(x, nd.filters, nd.spec);
+        y = precision.kind == LayerPrecision::Kind::kInt
+                ? oracle.conv_int(x, nd.filters, nd.spec, precision.a_bits,
+                                  precision.w_bits)
+                : oracle.conv_fp16(x, nd.filters, nd.spec, precision.accum);
         break;
       }
       case GraphNode::Op::kAdd:
@@ -299,8 +302,12 @@ TEST(FuzzDifferential, RandomDagsAgreeAcrossSchemesModesAndExecutors) {
     for (DecompositionScheme scheme :
          {DecompositionScheme::kTemporal, DecompositionScheme::kSerial,
           DecompositionScheme::kSpatial}) {
-      for (const bool use_int : {false, true}) {
-        if (use_int && scheme == DecompositionScheme::kSpatial) {
+      for (const LayerPrecision& precision :
+           {LayerPrecision::fp16(AccumKind::kFp32),
+            LayerPrecision::fp16(AccumKind::kFp16),
+            LayerPrecision::int_bits(8, 8)}) {
+        if (precision.kind == LayerPrecision::Kind::kInt &&
+            scheme == DecompositionScheme::kSpatial) {
           continue;  // spatial is FP-only
         }
         RunSpec spec;
@@ -309,8 +316,7 @@ TEST(FuzzDifferential, RandomDagsAgreeAcrossSchemesModesAndExecutors) {
         spec.datapath.adder_tree_width = 16;
         spec.datapath.software_precision = 28;
         spec.datapath.multi_cycle = true;
-        spec.policy = use_int ? PrecisionPolicy::all_int(8)
-                              : PrecisionPolicy::all_fp16(AccumKind::kFp32);
+        spec.policy.set_default(precision);
         spec.threads = 1;
 
         Session session(spec);
@@ -320,24 +326,23 @@ TEST(FuzzDifferential, RandomDagsAgreeAcrossSchemesModesAndExecutors) {
             session.compile(graph, {input_h, input_w});
         const RunReport via_compiled = compiled.run(input);
 
-        ConvEngineConfig ec;
-        ec.datapath = spec.datapath;
-        ec.accum = AccumKind::kFp32;
-        ec.threads = 1;
-        ConvEngine engine(ec);
-        const Tensor expected = eval_hand_wired(graph, input, engine, use_int);
+        PerOpOracle oracle(spec.datapath);
+        const Tensor expected =
+            eval_hand_wired(graph, input, oracle, precision);
 
         ASSERT_EQ(via_session.output.data.size(), expected.data.size())
             << "trial " << trial << " " << scheme_name(scheme);
         for (size_t i = 0; i < expected.data.size(); ++i) {
           ASSERT_EQ(via_session.output.data[i], expected.data[i])
-              << "trial " << trial << " " << scheme_name(scheme)
-              << (use_int ? " int8" : " fp16") << " elt " << i;
+              << "trial " << trial << " " << scheme_name(scheme) << " "
+              << precision.to_string() << " elt " << i;
         }
         ASSERT_EQ(via_session.to_json(), via_compiled.to_json())
-            << "trial " << trial << " " << scheme_name(scheme);
-        ASSERT_EQ(via_session.totals, engine.stats())
-            << "trial " << trial << " " << scheme_name(scheme);
+            << "trial " << trial << " " << scheme_name(scheme) << " "
+            << precision.to_string();
+        ASSERT_EQ(via_session.totals, oracle.stats())
+            << "trial " << trial << " " << scheme_name(scheme) << " "
+            << precision.to_string();
       }
     }
   }

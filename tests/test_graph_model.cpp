@@ -2,16 +2,18 @@
 // core in api/compiled_model.cpp):
 //
 //  * residual (add) and branch/concat blocks execute end-to-end and are
-//    bit-exact against a hand-wired ConvEngine evaluation of the same
-//    topology, for all three decomposition schemes and FP16/INT modes;
+//    bit-exact against a hand-wired per-op oracle (per_op_conv.h)
+//    evaluation of the same topology, for all three decomposition schemes
+//    and FP16/INT modes;
 //  * parallel-branch dispatch is deterministic: 1 and N pool threads
 //    produce identical outputs, per-node stats and serialized reports;
 //  * estimate(graph) reproduces simulate_network on the equivalent shape
 //    table, and resnet18_graph()'s table at 224x224 carries exactly the
 //    MACs of the hand-built resnet18_forward() table;
 //  * compile-time topology validation: cycles, multiple inputs/outputs,
-//    join shape mismatches, channel breaks, collapsing geometry and
-//    weightless graphs are all rejected with std::invalid_argument;
+//    join shape mismatches, channel breaks, collapsing geometry, conv
+//    strides below 1 and weightless graphs are all rejected with
+//    std::invalid_argument;
 //  * PrecisionPolicy resolves over conv nodes only (joins carry no
 //    precision), with first/last meaning first/last conv in execution
 //    order.
@@ -22,6 +24,7 @@
 #include "api/session.h"
 #include "common/rng.h"
 #include "nn/elementwise.h"
+#include "per_op_conv.h"
 #include "serve/serving_runtime.h"
 #include "workload/graph_builders.h"
 
@@ -69,14 +72,10 @@ TEST(GraphModelTest, ResidualBlockBitExactVsHandWiredAllSchemes) {
     Session session(spec);
     const RunReport report = session.run(block, input);
 
-    // Hand-wired: the same topology evaluated call by call on one
-    // ConvEngine (stride-2 projection block: conv1+relu, conv2, 1x1 down,
-    // add, relu).
-    ConvEngineConfig ec;
-    ec.datapath = spec.datapath;
-    ec.accum = AccumKind::kFp32;
-    ec.threads = 1;
-    ConvEngine engine(ec);
+    // Hand-wired: the same topology evaluated call by call on one per-op
+    // oracle (stride-2 projection block: conv1+relu, conv2, 1x1 down, add,
+    // relu).
+    PerOpOracle oracle(spec.datapath);
     ConvSpec s31;
     s31.stride = 2;
     s31.pad = 1;
@@ -85,15 +84,15 @@ TEST(GraphModelTest, ResidualBlockBitExactVsHandWiredAllSchemes) {
     ConvSpec sd;
     sd.stride = 2;
     const Tensor c1 =
-        relu(engine.conv_fp16(input, filters_of(block, "block.conv1"), s31));
+        relu(oracle.conv_fp16(input, filters_of(block, "block.conv1"), s31));
     const Tensor c2 =
-        engine.conv_fp16(c1, filters_of(block, "block.conv2"), s11);
+        oracle.conv_fp16(c1, filters_of(block, "block.conv2"), s11);
     const Tensor skip =
-        engine.conv_fp16(input, filters_of(block, "block.down"), sd);
+        oracle.conv_fp16(input, filters_of(block, "block.down"), sd);
     const Tensor expected = relu(tensor_add(c2, skip));
 
     expect_tensors_identical(report.output, expected, scheme_name(scheme));
-    EXPECT_EQ(report.totals, engine.stats()) << scheme_name(scheme);
+    EXPECT_EQ(report.totals, oracle.stats()) << scheme_name(scheme);
 
     // CompiledModel path agrees byte for byte with the Session path.
     const CompiledModel compiled = session.compile(block, {9, 9});
@@ -127,19 +126,17 @@ TEST(GraphModelTest, IdentitySkipAndIntPolicyBitExactVsHandWired) {
     Session session(spec);
     const RunReport report = session.run(block, input);
 
-    ConvEngineConfig ec;
-    ec.datapath = spec.datapath;
-    ec.threads = 1;
-    ConvEngine engine(ec);
+    PerOpOracle oracle(spec.datapath);
     ConvSpec s11;
     s11.pad = 1;
     const Tensor c1 = relu(
-        engine.conv_int(input, filters_of(block, "block.conv1"), s11, 8, 8));
+        oracle.conv_int(input, filters_of(block, "block.conv1"), s11, 8, 8));
     const Tensor c2 =
-        engine.conv_int(c1, filters_of(block, "block.conv2"), s11, 8, 8);
+        oracle.conv_int(c1, filters_of(block, "block.conv2"), s11, 8, 8);
     const Tensor expected = relu(tensor_add(c2, input));
 
     expect_tensors_identical(report.output, expected, scheme_name(scheme));
+    EXPECT_EQ(report.totals, oracle.stats()) << scheme_name(scheme);
     ASSERT_EQ(report.layers.size(), 3u);  // conv1, conv2, add
     EXPECT_EQ(report.layers[0].precision, "int8x8");
     EXPECT_GT(report.totals.int_ops, 0);
@@ -159,35 +156,31 @@ TEST(GraphModelTest, InceptionBlockConcatBitExactVsHandWired) {
   Session session(spec);
   const RunReport report = session.run(block, input);
 
-  ConvEngineConfig ec;
-  ec.datapath = spec.datapath;
-  ec.accum = AccumKind::kFp32;
-  ec.threads = 1;
-  ConvEngine engine(ec);
+  PerOpOracle oracle(spec.datapath);
   ConvSpec s1;
   ConvSpec s5;
   s5.pad = 2;
   ConvSpec s3;
   s3.pad = 1;
   const Tensor b1 =
-      relu(engine.conv_fp16(input, filters_of(block, "mixed5.b1x1"), s1));
+      relu(oracle.conv_fp16(input, filters_of(block, "mixed5.b1x1"), s1));
   const Tensor b5r =
-      relu(engine.conv_fp16(input, filters_of(block, "mixed5.b5x5r"), s1));
+      relu(oracle.conv_fp16(input, filters_of(block, "mixed5.b5x5r"), s1));
   const Tensor b5 =
-      relu(engine.conv_fp16(b5r, filters_of(block, "mixed5.b5x5"), s5));
+      relu(oracle.conv_fp16(b5r, filters_of(block, "mixed5.b5x5"), s5));
   const Tensor b3r =
-      relu(engine.conv_fp16(input, filters_of(block, "mixed5.b3x3r"), s1));
+      relu(oracle.conv_fp16(input, filters_of(block, "mixed5.b3x3r"), s1));
   const Tensor b3a =
-      relu(engine.conv_fp16(b3r, filters_of(block, "mixed5.b3x3a"), s3));
+      relu(oracle.conv_fp16(b3r, filters_of(block, "mixed5.b3x3a"), s3));
   const Tensor b3b =
-      relu(engine.conv_fp16(b3a, filters_of(block, "mixed5.b3x3b"), s3));
+      relu(oracle.conv_fp16(b3a, filters_of(block, "mixed5.b3x3b"), s3));
   const Tensor bp =
-      relu(engine.conv_fp16(input, filters_of(block, "mixed5.pool1x1"), s1));
+      relu(oracle.conv_fp16(input, filters_of(block, "mixed5.pool1x1"), s1));
   const Tensor expected = channel_concat({&b1, &b5, &b3b, &bp});
 
   ASSERT_EQ(report.output.c, 64 + 64 + 96 + 32);
   expect_tensors_identical(report.output, expected, "inception-a");
-  EXPECT_EQ(report.totals, engine.stats());
+  EXPECT_EQ(report.totals, oracle.stats());
   EXPECT_EQ(report.layers.back().precision, "concat");
 }
 
@@ -341,6 +334,20 @@ TEST(GraphModelTest, TopologyValidationErrors) {
     j.name = "join";
     j.inputs = {0, 0};
     expect_invalid({in, j}, "uninferable input channels");
+  }
+  // Conv stride below 1: every entry point that sizes the graph rejects it
+  // before out_dim divides by the stride.
+  for (int stride : {0, -1}) {
+    ConvSpec bad;
+    bad.stride = stride;
+    const GraphModel g = GraphModel::from_layers(
+        "bad-stride", {ModelLayer{"c1", f433, bad}});
+    EXPECT_THROW(session.compile(g, {8, 8}), std::invalid_argument) << stride;
+    EXPECT_THROW(session.run(g, Tensor(4, 8, 8)), std::invalid_argument)
+        << stride;
+    EXPECT_THROW(session.estimate(g, 8, 8), std::invalid_argument) << stride;
+    serve::ServingRuntime rt(spec);
+    EXPECT_THROW(rt.load(g, 8, 8), std::invalid_argument) << stride;
   }
   // Builder rejects forward references outright.
   {

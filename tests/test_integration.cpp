@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "analysis/error_metrics.h"
+#include "api/session.h"
+#include "core/ipu.h"
+#include "core/reference.h"
 #include "model/hw_model.h"
 #include "nn/conv.h"
 #include "sim/cycle_sim.h"
@@ -18,16 +21,26 @@ TEST(Integration, QuantizedIntConvTracksFp16ConvAsBitsGrow) {
   Rng rng(81);
   Tensor in = random_tensor(rng, 8, 6, 6, ValueDist::kHalfNormal, 1.0);
   FilterBank f = random_filters(rng, 4, 8, 3, 3, ValueDist::kNormal, 0.1);
-  IpuConfig cfg;
-  cfg.n_inputs = 8;
-  cfg.adder_tree_width = 28;
-  cfg.software_precision = 28;
-  const Tensor fp_out =
-      conv_ipu_fp16(in.rounded_to_fp16(), f.rounded_to_fp16(), ConvSpec{}, cfg,
-                    AccumKind::kFp32);
+  RunSpec spec;
+  spec.datapath.n_inputs = 8;
+  spec.datapath.adder_tree_width = 28;
+  spec.datapath.software_precision = 28;
+  const auto run_conv = [&](const Tensor& input, const FilterBank& filters,
+                            LayerPrecision precision) {
+    spec.policy.set_default(precision);
+    Session session(spec);
+    return session
+        .run(GraphModel::from_layers(
+                 "conv", {ModelLayer{"conv", filters, ConvSpec{}}}),
+             input)
+        .output;
+  };
+  const Tensor fp_out = run_conv(in.rounded_to_fp16(), f.rounded_to_fp16(),
+                                 LayerPrecision::fp16());
   double prev_snr = -100.0;
   for (int bits : {4, 8, 12}) {
-    const Tensor int_out = conv_ipu_int(in, f, ConvSpec{}, cfg, bits, bits);
+    const Tensor int_out =
+        run_conv(in, f, LayerPrecision::int_bits(bits, bits));
     const double snr = compare_outputs(int_out, fp_out).snr_db;
     EXPECT_GT(snr, prev_snr);
     prev_snr = snr;

@@ -1,14 +1,18 @@
 // Integration tests: convolution on the bit-accurate IPU datapath vs the
-// exact reference -- the mechanism behind the paper's §3.1 accuracy claims.
+// exact reference -- the mechanism behind the paper's §3.1 accuracy claims
+// -- plus the input checks of the reference functions.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "api/session.h"
 #include "nn/conv.h"
 
 namespace mpipu {
 namespace {
 
-IpuConfig wide_ipu() {
-  IpuConfig cfg;
+DatapathConfig wide_datapath() {
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 38;
   cfg.software_precision = 58;
@@ -16,6 +20,18 @@ IpuConfig wide_ipu() {
   cfg.accumulator.frac_bits = 100;
   cfg.accumulator.lossless = true;
   return cfg;
+}
+
+/// One conv on the datapath: a one-layer GraphModel run through Session.
+RunReport run_conv(const DatapathConfig& datapath, LayerPrecision precision,
+                   const Tensor& input, const FilterBank& filters) {
+  RunSpec spec;
+  spec.datapath = datapath;
+  spec.policy.set_default(precision);
+  Session session(spec);
+  return session.run(
+      GraphModel::from_layers("conv", {ModelLayer{"conv", filters, ConvSpec{}}}),
+      input);
 }
 
 TEST(ConvReference, KnownTinyCase) {
@@ -59,7 +75,8 @@ TEST(ConvIpu, WideIpuConvIsExactOnFp16Inputs) {
   FilterBank f =
       random_filters(rng, 4, 8, 3, 3, ValueDist::kNormal, 0.1).rounded_to_fp16();
   const Tensor ref = conv_reference(in, f, ConvSpec{});
-  const Tensor got = conv_ipu_fp16(in, f, ConvSpec{}, wide_ipu(), AccumKind::kFp32);
+  const Tensor got =
+      run_conv(wide_datapath(), LayerPrecision::fp16(), in, f).output;
   const AgreementStats s = compare_outputs(got, ref);
   // Every output within half an FP32 ULP of the exact value.
   EXPECT_EQ(s.mismatched_fp16, 0);
@@ -72,13 +89,13 @@ TEST(ConvIpu, Precision16MatchesReferenceThroughFp16Rounding) {
   Tensor in = random_tensor(rng, 16, 8, 8, ValueDist::kHalfNormal, 1.0).rounded_to_fp16();
   FilterBank f =
       random_filters(rng, 8, 16, 3, 3, ValueDist::kNormal, 0.05).rounded_to_fp16();
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 28;
   cfg.software_precision = 28;
   cfg.multi_cycle = true;
   const Tensor ref = conv_reference(in, f, ConvSpec{});
-  const Tensor got = conv_ipu_fp16(in, f, ConvSpec{}, cfg, AccumKind::kFp32);
+  const Tensor got = run_conv(cfg, LayerPrecision::fp16(), in, f).output;
   const AgreementStats s = compare_outputs(got, ref);
   EXPECT_GT(s.snr_db, 55.0);
   EXPECT_LT(static_cast<double>(s.mismatched_fp16) / static_cast<double>(s.total), 0.02);
@@ -92,12 +109,12 @@ TEST(ConvIpu, LowPrecisionDegradesGracefully) {
   const Tensor ref = conv_reference(in, f, ConvSpec{});
   double prev_snr = -100.0;
   for (int w : {8, 12, 16, 24}) {
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = 16;
     cfg.adder_tree_width = w;
     cfg.software_precision = w;
     cfg.multi_cycle = false;
-    const Tensor got = conv_ipu_fp16(in, f, ConvSpec{}, cfg, AccumKind::kFp32);
+    const Tensor got = run_conv(cfg, LayerPrecision::fp16(), in, f).output;
     const double snr = compare_outputs(got, ref).snr_db;
     EXPECT_GE(snr, prev_snr - 3.0) << w;  // approximately monotone
     prev_snr = snr;
@@ -109,11 +126,12 @@ TEST(ConvIpu, IntConvMatchesQuantizedReference) {
   Rng rng(24);
   Tensor in = random_tensor(rng, 8, 5, 5, ValueDist::kHalfNormal, 1.0);
   FilterBank f = random_filters(rng, 4, 8, 3, 3, ValueDist::kNormal, 0.1);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 8;
   cfg.adder_tree_width = 12;
   for (int bits : {4, 8}) {
-    const Tensor got = conv_ipu_int(in, f, ConvSpec{}, cfg, bits, bits);
+    const Tensor got =
+        run_conv(cfg, LayerPrecision::int_bits(bits, bits), in, f).output;
     // Build the quantized reference by hand.
     const QuantParams qa = fit_symmetric(in.data, bits);
     const QuantParams qw = fit_symmetric(f.data, bits);
@@ -131,13 +149,13 @@ TEST(ConvIpu, Int4CoarserThanInt8) {
   Rng rng(25);
   Tensor in = random_tensor(rng, 8, 6, 6, ValueDist::kHalfNormal, 1.0);
   FilterBank f = random_filters(rng, 4, 8, 3, 3, ValueDist::kNormal, 0.1);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 8;
   const Tensor ref = conv_reference(in, f, ConvSpec{});
-  const double snr4 =
-      compare_outputs(conv_ipu_int(in, f, ConvSpec{}, cfg, 4, 4), ref).snr_db;
-  const double snr8 =
-      compare_outputs(conv_ipu_int(in, f, ConvSpec{}, cfg, 8, 8), ref).snr_db;
+  const double snr4 = compare_outputs(
+      run_conv(cfg, LayerPrecision::int_bits(4, 4), in, f).output, ref).snr_db;
+  const double snr8 = compare_outputs(
+      run_conv(cfg, LayerPrecision::int_bits(8, 8), in, f).output, ref).snr_db;
   EXPECT_GT(snr8, snr4 + 10.0);
   EXPECT_GT(snr4, 10.0);
 }
@@ -147,11 +165,27 @@ TEST(ConvIpu, CyclesAccountNineIterationsPerOp) {
   Tensor in = random_tensor(rng, 16, 4, 4, ValueDist::kNormal, 1.0).rounded_to_fp16();
   FilterBank f =
       random_filters(rng, 2, 16, 1, 1, ValueDist::kNormal, 0.1).rounded_to_fp16();
-  IpuConvStats stats;
-  conv_ipu_fp16(in, f, ConvSpec{}, wide_ipu(), AccumKind::kFp32, &stats);
+  const DatapathStats stats =
+      run_conv(wide_datapath(), LayerPrecision::fp16(), in, f).totals;
   // 2 cout * 16 pixels * 1 chunk = 32 ops, 9 cycles each (single-cycle IPU).
   EXPECT_EQ(stats.fp_ops, 32);
   EXPECT_EQ(stats.cycles, 32 * 9);
+}
+
+TEST(ConvReference, RejectsChannelMismatch) {
+  // A 3-channel input against 4-channel filters would read past the filter
+  // bank; the check holds in Release builds too.
+  const Tensor in(3, 4, 4);
+  const FilterBank f(2, 4, 3, 3);
+  EXPECT_THROW(conv_reference(in, f, ConvSpec{}), std::invalid_argument);
+}
+
+TEST(CompareOutputs, RejectsSizeMismatch) {
+  // A test tensor longer than the reference would read past the reference.
+  const Tensor small(1, 2, 2);
+  const Tensor large(1, 3, 3);
+  EXPECT_THROW(compare_outputs(large, small), std::invalid_argument);
+  EXPECT_THROW(compare_outputs(small, large), std::invalid_argument);
 }
 
 TEST(Pooling, ReluAndMaxpool) {

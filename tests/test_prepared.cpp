@@ -6,21 +6,22 @@
 //     (software precision 16 / 28 with the matching readout),
 //   * INT mode (temporal digit planes, serial raw-value streaming),
 //   * full convolutions including border-pixel clip classes (pad/stride
-//     combinations) and the skip_zero_iterations sparse ablation,
+//     combinations) and the skip_zero_iterations sparse ablation: a
+//     one-layer CompiledModel against the per-op oracle (per_op_conv.h)
+//     driven through the directly constructed scheme units,
 //   * the allocation-free EHU overloads (Decoded spans, exponent planes,
 //     and scratch reuse across calls) against the allocating one.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <vector>
 
+#include "api/compiled_model.h"
 #include "common/rng.h"
 #include "core/datapath.h"
 #include "core/ipu.h"
 #include "core/serial_ipu.h"
 #include "core/spatial_ipu.h"
-#include "nn/conv.h"
-#include "workload/quantizer.h"
+#include "per_op_conv.h"
 
 namespace mpipu {
 namespace {
@@ -117,14 +118,6 @@ TEST(PreparedEhu, ProductAlignmentsMatchesRunEhuStages) {
 
 // --- Datapath prepared vs per-op, all schemes x accumulation regimes --------
 
-/// Per-op reference driven through the original (template) entry points of
-/// the directly constructed scheme units.
-struct PerOpRef {
-  std::function<void()> reset;
-  std::function<int(std::span<const Fp16>, std::span<const Fp16>)> accumulate;
-  std::function<FixedPoint()> raw;
-};
-
 // Scheme-config mappers mirroring make_datapath's (kept local: the wrapped
 // configs are an implementation detail of datapath.cpp).
 IpuConfig TemporalOnly(const DatapathConfig& cfg) {
@@ -158,8 +151,10 @@ SpatialIpuConfig SpatialOnly(const DatapathConfig& cfg) {
   return c;
 }
 
-PerOpRef make_ref(DecompositionScheme scheme, Ipu& ipu, SerialIpu& serial,
-                  SpatialIpu& spatial) {
+/// Per-op reference driven through the original (template) entry points of
+/// the directly constructed scheme units.
+Fp16PerOpUnit make_ref(DecompositionScheme scheme, Ipu& ipu, SerialIpu& serial,
+                       SpatialIpu& spatial) {
   switch (scheme) {
     case DecompositionScheme::kTemporal:
       return {[&] { ipu.reset_accumulator(); },
@@ -194,7 +189,7 @@ TEST(PreparedDatapath, BitAndCycleIdenticalToPerOpAllSchemesBothRegimes) {
         Ipu ipu(TemporalOnly(cfg));
         SerialIpu serial(SerialOnly(cfg));
         SpatialIpu spatial(SpatialOnly(cfg));
-        PerOpRef ref = make_ref(scheme, ipu, serial, spatial);
+        const Fp16PerOpUnit ref = make_ref(scheme, ipu, serial, spatial);
 
         for (int t = 0; t < 150; ++t) {
           // Multi-op accumulation chains exercise the accumulator hand-off
@@ -212,7 +207,7 @@ TEST(PreparedDatapath, BitAndCycleIdenticalToPerOpAllSchemesBothRegimes) {
                 std::span<const Fp16>(a).subspan(c0, 16),
                 std::span<const Fp16>(b).subspan(c0, 16));
           }
-          EXPECT_TRUE(dp->read_raw() == ref.raw())
+          EXPECT_TRUE(dp->read_raw() == ref.read())
               << scheme_name(scheme) << " w=" << w << " sp=" << soft_prec
               << " trial " << t;
           EXPECT_EQ(prep_cycles, ref_cycles)
@@ -220,9 +215,9 @@ TEST(PreparedDatapath, BitAndCycleIdenticalToPerOpAllSchemesBothRegimes) {
               << " trial " << t;
           // Both accumulation destinations round from the same raw bits.
           EXPECT_EQ(dp->read_fp16().raw_bits(),
-                    Fp16::round_from_fixed(ref.raw()).raw_bits());
+                    Fp16::round_from_fixed(ref.read()).raw_bits());
           EXPECT_EQ(dp->read_fp32().raw_bits(),
-                    Fp32::round_from_fixed(ref.raw()).raw_bits());
+                    Fp32::round_from_fixed(ref.read()).raw_bits());
         }
       }
     }
@@ -319,68 +314,39 @@ TEST(PreparedDatapath, IntPreparedMatchesPerOpTemporalAndSerial) {
 
 // --- Convolution: clip classes, strides, both accumulation destinations -----
 
-/// Single-threaded per-op convolution reference (the PR 2 engine loop):
-/// per-pixel Fp16 gather + the scheme's original per-op entry points.
-Tensor per_op_conv_fp16(const PerOpRef& ref,
-                        std::function<double()> read_out, int n_inputs,
-                        const Tensor& input, const FilterBank& filters,
-                        const ConvSpec& spec, int64_t* cycles_out) {
-  std::vector<Fp16> in16(input.data.size()), flt16(filters.data.size());
-  for (size_t i = 0; i < input.data.size(); ++i) {
-    in16[i] = Fp16::from_double(input.data[i]);
+/// The direct INT units behind the per-op oracle (temporal or serial).
+IntPerOpUnit make_int_ref(DecompositionScheme scheme, Ipu& ipu,
+                          SerialIpu& serial, int a_bits, int w_bits) {
+  if (scheme == DecompositionScheme::kTemporal) {
+    return {[&] { ipu.reset_accumulator(); },
+            [&ipu, a_bits, w_bits](std::span<const int32_t> a,
+                                   std::span<const int32_t> b) {
+              return ipu.int_accumulate(a, b, a_bits, w_bits);
+            },
+            [&] { return ipu.read_int(); }};
   }
-  for (size_t i = 0; i < filters.data.size(); ++i) {
-    flt16[i] = Fp16::from_double(filters.data[i]);
-  }
-  const int ho = spec.out_dim(input.h, filters.kh);
-  const int wo = spec.out_dim(input.w, filters.kw);
-  Tensor out(filters.cout, ho, wo);
-  int64_t cycles = 0;
-  std::vector<Fp16> pa, pb;
-  for (int y = 0; y < ho; ++y) {
-    for (int x = 0; x < wo; ++x) {
-      pa.clear();
-      pb.clear();
-      std::vector<int32_t> filter_off;
-      for (int ky = 0; ky < filters.kh; ++ky) {
-        for (int kx = 0; kx < filters.kw; ++kx) {
-          const int iy = y * spec.stride + ky - spec.pad;
-          const int ix = x * spec.stride + kx - spec.pad;
-          if (iy < 0 || iy >= input.h || ix < 0 || ix >= input.w) continue;
-          for (int ci = 0; ci < input.c; ++ci) {
-            pa.push_back(in16[(static_cast<size_t>(ci) * input.h + iy) *
-                                  static_cast<size_t>(input.w) +
-                              ix]);
-            filter_off.push_back(static_cast<int32_t>(
-                (static_cast<size_t>(ci) * filters.kh + ky) *
-                    static_cast<size_t>(filters.kw) +
-                kx));
-          }
-        }
-      }
-      const int len = static_cast<int>(pa.size());
-      const size_t block =
-          static_cast<size_t>(filters.cin) * filters.kh * filters.kw;
-      for (int co = 0; co < filters.cout; ++co) {
-        pb.resize(static_cast<size_t>(len));
-        for (int t = 0; t < len; ++t) {
-          pb[static_cast<size_t>(t)] =
-              flt16[static_cast<size_t>(co) * block +
-                    static_cast<size_t>(filter_off[static_cast<size_t>(t)])];
-        }
-        ref.reset();
-        for (int c0 = 0; c0 < len; c0 += n_inputs) {
-          const auto chunk = static_cast<size_t>(std::min(n_inputs, len - c0));
-          cycles += ref.accumulate(
-              std::span<const Fp16>(pa).subspan(static_cast<size_t>(c0), chunk),
-              std::span<const Fp16>(pb).subspan(static_cast<size_t>(c0), chunk));
-        }
-        out.at(co, y, x) = read_out();
-      }
-    }
-  }
-  if (cycles_out) *cycles_out = cycles;
-  return out;
+  return {[&] { serial.reset_accumulator(); },
+          [&serial, a_bits, w_bits](std::span<const int32_t> a,
+                                    std::span<const int32_t> b) {
+            return serial.int_accumulate(a, b, a_bits, w_bits);
+          },
+          [&] { return serial.read_int(); }};
+}
+
+/// One conv as a one-layer CompiledModel run on `threads` workers.
+RunReport run_compiled_conv(const DatapathConfig& cfg,
+                            const PrecisionPolicy& policy, int threads,
+                            const Tensor& input, const FilterBank& filters,
+                            const ConvSpec& spec) {
+  RunSpec rs;
+  rs.datapath = cfg;
+  rs.policy = policy;
+  rs.threads = threads;
+  const GraphModel model =
+      GraphModel::from_layers("conv", {ModelLayer{"conv", filters, spec}});
+  RunOptions opts;
+  opts.compare_reference = false;
+  return CompiledModel::compile(model, rs, {input.h, input.w}).run(input, opts);
 }
 
 TEST(PreparedConv, BorderClipClassesAndStridesMatchPerOpAllSchemes) {
@@ -402,31 +368,23 @@ TEST(PreparedConv, BorderClipClassesAndStridesMatchPerOpAllSchemes) {
         Ipu ipu(TemporalOnly(cfg));
         SerialIpu serial(SerialOnly(cfg));
         SpatialIpu spatial(SpatialOnly(cfg));
-        PerOpRef ref = make_ref(scheme, ipu, serial, spatial);
-        auto read_out = [&]() {
-          const FixedPoint raw = ref.raw();
-          return accum == AccumKind::kFp16
-                     ? Fp16::round_from_fixed(raw).to_double()
-                     : Fp32::round_from_fixed(raw).to_double();
-        };
         int64_t ref_cycles = 0;
-        const Tensor expect = per_op_conv_fp16(ref, read_out, cfg.n_inputs,
-                                               input, filters, spec, &ref_cycles);
+        const Tensor expect =
+            per_op_conv_fp16(make_ref(scheme, ipu, serial, spatial),
+                             cfg.n_inputs, accum, input, filters, spec,
+                             &ref_cycles);
 
         for (int threads : {1, 3}) {
-          ConvEngineConfig ec;
-          ec.datapath = cfg;
-          ec.accum = accum;
-          ec.threads = threads;
-          ConvEngine engine(ec);
-          const Tensor got = engine.conv_fp16(input, filters, spec);
-          ASSERT_EQ(got.data.size(), expect.data.size());
-          for (size_t i = 0; i < got.data.size(); ++i) {
-            EXPECT_EQ(got.data[i], expect.data[i])
+          const RunReport got =
+              run_compiled_conv(cfg, PrecisionPolicy::all_fp16(accum), threads,
+                                input, filters, spec);
+          ASSERT_EQ(got.output.data.size(), expect.data.size());
+          for (size_t i = 0; i < expect.data.size(); ++i) {
+            EXPECT_EQ(got.output.data[i], expect.data[i])
                 << scheme_name(scheme) << " stride=" << g.stride
                 << " pad=" << g.pad << " threads=" << threads << " elt " << i;
           }
-          EXPECT_EQ(engine.stats().cycles, ref_cycles)
+          EXPECT_EQ(got.totals.cycles, ref_cycles)
               << scheme_name(scheme) << " stride=" << g.stride
               << " pad=" << g.pad << " threads=" << threads;
         }
@@ -452,24 +410,20 @@ TEST(PreparedConv, SparseAblationConvMatchesPerOp) {
   Ipu ipu(TemporalOnly(cfg));
   SerialIpu serial(SerialOnly(cfg));
   SpatialIpu spatial(SpatialOnly(cfg));
-  PerOpRef ref = make_ref(cfg.scheme, ipu, serial, spatial);
   int64_t ref_cycles = 0;
-  const Tensor expect = per_op_conv_fp16(
-      ref, [&] { return Fp32::round_from_fixed(ref.raw()).to_double(); },
-      cfg.n_inputs, input, filters, spec, &ref_cycles);
+  const Tensor expect =
+      per_op_conv_fp16(make_ref(cfg.scheme, ipu, serial, spatial), cfg.n_inputs,
+                       AccumKind::kFp32, input, filters, spec, &ref_cycles);
 
-  ConvEngineConfig ec;
-  ec.datapath = cfg;
-  ec.accum = AccumKind::kFp32;
-  ec.threads = 1;
-  ConvEngine engine(ec);
-  const Tensor got = engine.conv_fp16(input, filters, spec);
-  for (size_t i = 0; i < got.data.size(); ++i) {
-    EXPECT_EQ(got.data[i], expect.data[i]) << i;
+  const RunReport got =
+      run_compiled_conv(cfg, PrecisionPolicy::all_fp16(AccumKind::kFp32), 1,
+                        input, filters, spec);
+  for (size_t i = 0; i < expect.data.size(); ++i) {
+    EXPECT_EQ(got.output.data[i], expect.data[i]) << i;
   }
-  EXPECT_EQ(engine.stats().cycles, ref_cycles);
-  EXPECT_EQ(engine.stats().skipped_iterations, ipu.stats().skipped_iterations);
-  EXPECT_GT(engine.stats().skipped_iterations, 0);
+  EXPECT_EQ(got.totals.cycles, ref_cycles);
+  EXPECT_EQ(got.totals.skipped_iterations, ipu.stats().skipped_iterations);
+  EXPECT_GT(got.totals.skipped_iterations, 0);
 }
 
 TEST(PreparedConv, IntConvMatchesPerOpQuantizedLoop) {
@@ -482,80 +436,20 @@ TEST(PreparedConv, IntConvMatchesPerOpQuantizedLoop) {
   for (auto scheme :
        {DecompositionScheme::kTemporal, DecompositionScheme::kSerial}) {
     const DatapathConfig cfg = base_config(scheme, 16, 28);
-
-    // Per-op reference: quantize once, gather per pixel, INT-accumulate per
-    // op through the direct units.
-    const QuantParams qa = fit_symmetric(input.data, 8);
-    const QuantParams qw = fit_symmetric(filters.data, 8);
-    const std::vector<int32_t> in_q = quantize(input.data, qa);
-    const std::vector<int32_t> flt_q = quantize(filters.data, qw);
     Ipu ipu(TemporalOnly(cfg));
     SerialIpu serial(SerialOnly(cfg));
-    const int ho = spec.out_dim(input.h, filters.kh);
-    const int wo = spec.out_dim(input.w, filters.kw);
-    Tensor expect(filters.cout, ho, wo);
-    std::vector<int32_t> pa, pb;
-    for (int y = 0; y < ho; ++y) {
-      for (int x = 0; x < wo; ++x) {
-        pa.clear();
-        std::vector<int32_t> filter_off;
-        for (int ky = 0; ky < filters.kh; ++ky) {
-          for (int kx = 0; kx < filters.kw; ++kx) {
-            const int iy = y * spec.stride + ky - spec.pad;
-            const int ix = x * spec.stride + kx - spec.pad;
-            if (iy < 0 || iy >= input.h || ix < 0 || ix >= input.w) continue;
-            for (int c = 0; c < input.c; ++c) {
-              pa.push_back(in_q[(static_cast<size_t>(c) * input.h + iy) *
-                                    static_cast<size_t>(input.w) +
-                                ix]);
-              filter_off.push_back(static_cast<int32_t>(
-                  (static_cast<size_t>(c) * filters.kh + ky) *
-                      static_cast<size_t>(filters.kw) +
-                  kx));
-            }
-          }
-        }
-        const int len = static_cast<int>(pa.size());
-        const size_t block =
-            static_cast<size_t>(filters.cin) * filters.kh * filters.kw;
-        for (int co = 0; co < filters.cout; ++co) {
-          pb.resize(static_cast<size_t>(len));
-          for (int t = 0; t < len; ++t) {
-            pb[static_cast<size_t>(t)] =
-                flt_q[static_cast<size_t>(co) * block +
-                      static_cast<size_t>(filter_off[static_cast<size_t>(t)])];
-          }
-          int64_t acc = 0;
-          for (int c0 = 0; c0 < len; c0 += cfg.n_inputs) {
-            const auto chunk =
-                static_cast<size_t>(std::min(cfg.n_inputs, len - c0));
-            const auto sa =
-                std::span<const int32_t>(pa).subspan(static_cast<size_t>(c0), chunk);
-            const auto sb =
-                std::span<const int32_t>(pb).subspan(static_cast<size_t>(c0), chunk);
-            if (scheme == DecompositionScheme::kTemporal) {
-              ipu.reset_accumulator();
-              ipu.int_accumulate(sa, sb, 8, 8);
-              acc += ipu.read_int();
-            } else {
-              serial.reset_accumulator();
-              serial.int_accumulate(sa, sb, 8, 8);
-              acc += serial.read_int();
-            }
-          }
-          expect.at(co, y, x) = dequantize_accumulator(acc, qa, qw);
-        }
-      }
-    }
+    int64_t ref_cycles = 0;
+    const Tensor expect =
+        per_op_conv_int(make_int_ref(scheme, ipu, serial, 8, 8), cfg.n_inputs,
+                        8, 8, input, filters, spec, &ref_cycles);
 
-    ConvEngineConfig ec;
-    ec.datapath = cfg;
-    ec.threads = 2;
-    ConvEngine engine(ec);
-    const Tensor got = engine.conv_int(input, filters, spec, 8, 8);
-    for (size_t i = 0; i < got.data.size(); ++i) {
-      EXPECT_EQ(got.data[i], expect.data[i]) << scheme_name(scheme) << " " << i;
+    const RunReport got = run_compiled_conv(
+        cfg, PrecisionPolicy::all_int(8), 2, input, filters, spec);
+    ASSERT_EQ(got.output.data.size(), expect.data.size());
+    for (size_t i = 0; i < expect.data.size(); ++i) {
+      EXPECT_EQ(got.output.data[i], expect.data[i]) << scheme_name(scheme) << " " << i;
     }
+    EXPECT_EQ(got.totals.cycles, ref_cycles) << scheme_name(scheme);
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for the high-level Session/RunSpec API (src/api):
 //
-//  * Session::run is bit-exact vs the equivalent hand-wired ConvEngine
-//    layer chain (the facade adds no numeric behaviour of its own);
+//  * Session::run is bit-exact vs the equivalent layer chain hand-wired on
+//    the per-op oracle (per_op_conv.h) -- the facade adds no numeric
+//    behaviour of its own;
 //  * run_batch determinism: 1 thread and N threads produce identical
 //    output tensors and identical stats reductions;
 //  * PrecisionPolicy dispatch: INT layers on the FP-only spatial datapath
@@ -17,6 +18,7 @@
 
 #include "api/session.h"
 #include "common/rng.h"
+#include "per_op_conv.h"
 
 namespace mpipu {
 namespace {
@@ -54,7 +56,7 @@ PrecisionPolicy mixed_policy() {
   return policy;
 }
 
-TEST(SessionRun, BitExactVsHandWiredConvEngineChain) {
+TEST(SessionRun, BitExactVsHandWiredPerOpChain) {
   Rng rng(21);
   const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
@@ -66,22 +68,18 @@ TEST(SessionRun, BitExactVsHandWiredConvEngineChain) {
   Session session(spec);
   const RunReport report = session.run(model, input);
 
-  // The equivalent hand-wired chain on one ConvEngine.
-  ConvEngineConfig ec;
-  ec.datapath = spec.datapath;
-  ec.accum = AccumKind::kFp32;
-  ec.threads = 1;
-  ConvEngine engine(ec);
+  // The equivalent hand-wired chain on one per-op oracle.
+  PerOpOracle oracle(spec.datapath);
   const std::vector<GraphNode>& n = model.nodes();  // n[0] is the input
-  Tensor x = relu(engine.conv_fp16(input, n[1].filters, n[1].spec));
-  x = maxpool2(relu(engine.conv_int(x, n[2].filters, n[2].spec, 8, 8)));
-  x = engine.conv_fp16(x, n[3].filters, n[3].spec);
+  Tensor x = relu(oracle.conv_fp16(input, n[1].filters, n[1].spec));
+  x = maxpool2(relu(oracle.conv_int(x, n[2].filters, n[2].spec, 8, 8)));
+  x = oracle.conv_fp16(x, n[3].filters, n[3].spec);
 
   ASSERT_EQ(report.output.data.size(), x.data.size());
   for (size_t i = 0; i < x.data.size(); ++i) {
     EXPECT_EQ(report.output.data[i], x.data[i]) << "elt " << i;
   }
-  EXPECT_EQ(report.totals, engine.stats());
+  EXPECT_EQ(report.totals, oracle.stats());
   ASSERT_EQ(report.layers.size(), 3u);
   EXPECT_EQ(report.layers[0].precision, "fp16+fp32acc");
   EXPECT_EQ(report.layers[1].precision, "int8x8");
