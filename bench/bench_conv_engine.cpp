@@ -3,9 +3,10 @@
 //
 //   * the seed's legacy single-threaded per-pixel loop (re-created here
 //     verbatim as the "before everything" baseline; temporal scheme only),
-//   * the per-op loop (per-pixel patch gather of Fp16 values, per-op
-//     decode + decompose + allocating EHU inside each scheme's original
-//     fp_accumulate entry point),
+//   * the per-op loop -- tests/per_op_conv.h, the oracle the tests check
+//     against (per-pixel patch gather of Fp16 values), driving each
+//     scheme's original fp_accumulate entry point (per-op decode +
+//     decompose + allocating EHU),
 //   * the compiled path -- the conv as a one-layer GraphModel through
 //     CompiledModel::compile + run (filter preparation, plan build and one
 //     prepared-operand execution, all timed) on a caller-owned pool of 1
@@ -39,6 +40,7 @@
 #include "core/simd/simd.h"
 #include "core/spatial_ipu.h"
 #include "nn/conv.h"
+#include "per_op_conv.h"
 
 namespace mpipu {
 namespace {
@@ -90,48 +92,26 @@ Tensor legacy_seed_conv_fp16(const Tensor& input, const FilterBank& filters,
 
 // --- Per-op loop, the per-scheme baseline ------------------------------------
 
-/// Patch geometry of one output pixel: flat input indices
-/// and filter-block offsets in the canonical ky -> kx -> ci order.
-struct PatchIndices {
-  std::vector<int32_t> input;
-  std::vector<int32_t> filter_off;
-
-  void build(const Tensor& input_t, const FilterBank& f, const ConvSpec& spec,
-             int y, int x) {
-    input.clear();
-    filter_off.clear();
-    for (int ky = 0; ky < f.kh; ++ky) {
-      for (int kx = 0; kx < f.kw; ++kx) {
-        const int iy = y * spec.stride + ky - spec.pad;
-        const int ix = x * spec.stride + kx - spec.pad;
-        if (iy < 0 || iy >= input_t.h || ix < 0 || ix >= input_t.w) continue;
-        for (int ci = 0; ci < input_t.c; ++ci) {
-          input.push_back(
-              static_cast<int32_t>((static_cast<size_t>(ci) * input_t.h + iy) *
-                                       static_cast<size_t>(input_t.w) +
-                                   ix));
-          filter_off.push_back(static_cast<int32_t>(
-              (static_cast<size_t>(ci) * f.kh + ky) * static_cast<size_t>(f.kw) +
-              kx));
-        }
-      }
-    }
-  }
-};
-
-/// One per-op unit: reset / accumulate-a-chunk / read, plus the counters
-/// the bit-identity check compares against the compiled path.  Owns the
-/// underlying scheme instance (only the scheme under test is constructed).
-struct PerOpUnit {
-  std::shared_ptr<void> holder;
-  std::function<void()> reset;
-  std::function<void(std::span<const Fp16>, std::span<const Fp16>)> accumulate;
-  std::function<double()> read_fp32;
-  std::function<int64_t()> cycles;
+/// The per-op baseline unit for tests/per_op_conv.h: the scheme's original
+/// fp_accumulate entry point (per-op decode + decompose + allocating EHU) on
+/// a directly constructed instance, plus that instance's op count for the
+/// bit-identity check.
+struct DirectUnit {
+  Fp16PerOpUnit unit;
   std::function<int64_t()> fp_ops;
 };
 
-PerOpUnit make_per_op_unit(const DatapathConfig& cfg) {
+template <typename Scheme, typename Accumulate>
+DirectUnit bind_direct(std::shared_ptr<Scheme> u, Accumulate accumulate) {
+  return {{[u] { u->reset_accumulator(); },
+           [u, accumulate](std::span<const Fp16> a, std::span<const Fp16> b) {
+             return accumulate(*u, a, b);
+           },
+           [u] { return u->read_raw(); }},
+          [u] { return u->stats().fp_ops; }};
+}
+
+DirectUnit make_direct_unit(const DatapathConfig& cfg) {
   switch (cfg.scheme) {
     case DecompositionScheme::kTemporal: {
       IpuConfig c;
@@ -140,15 +120,10 @@ PerOpUnit make_per_op_unit(const DatapathConfig& cfg) {
       c.software_precision = cfg.software_precision;
       c.multi_cycle = cfg.multi_cycle;
       c.skip_empty_bands = cfg.skip_empty_bands;
-      auto ipu = std::make_shared<Ipu>(c);
-      return {ipu,
-              [ipu] { ipu->reset_accumulator(); },
-              [ipu](std::span<const Fp16> a, std::span<const Fp16> b) {
-                ipu->fp_accumulate<kFp16Format>(a, b);
-              },
-              [ipu] { return ipu->read_fp<kFp32Format>().to_double(); },
-              [ipu] { return ipu->stats().cycles; },
-              [ipu] { return ipu->stats().fp_ops; }};
+      return bind_direct(std::make_shared<Ipu>(c),
+                         [](Ipu& u, auto a, auto b) {
+                           return u.fp_accumulate<kFp16Format>(a, b);
+                         });
     }
     case DecompositionScheme::kSerial: {
       SerialIpuConfig c;
@@ -156,15 +131,10 @@ PerOpUnit make_per_op_unit(const DatapathConfig& cfg) {
       c.adder_tree_width = cfg.effective_adder_tree_width();
       c.software_precision = cfg.software_precision;
       c.multi_cycle = cfg.multi_cycle;
-      auto ipu = std::make_shared<SerialIpu>(c);
-      return {ipu,
-              [ipu] { ipu->reset_accumulator(); },
-              [ipu](std::span<const Fp16> a, std::span<const Fp16> b) {
-                ipu->fp_accumulate(a, b);
-              },
-              [ipu] { return ipu->read_fp<kFp32Format>().to_double(); },
-              [ipu] { return ipu->stats().cycles; },
-              [ipu] { return ipu->stats().fp_ops; }};
+      return bind_direct(std::make_shared<SerialIpu>(c),
+                         [](SerialIpu& u, auto a, auto b) {
+                           return u.fp_accumulate(a, b);
+                         });
     }
     case DecompositionScheme::kSpatial: {
       SpatialIpuConfig c;
@@ -173,71 +143,13 @@ PerOpUnit make_per_op_unit(const DatapathConfig& cfg) {
       c.software_precision = cfg.software_precision;
       c.multi_cycle = cfg.multi_cycle;
       c.skip_empty_bands = cfg.skip_empty_bands;
-      auto ipu = std::make_shared<SpatialIpu>(c);
-      return {ipu,
-              [ipu] { ipu->reset_accumulator(); },
-              [ipu](std::span<const Fp16> a, std::span<const Fp16> b) {
-                ipu->fp_accumulate<kFp16Format>(a, b);
-              },
-              [ipu] { return ipu->read_fp<kFp32Format>().to_double(); },
-              [ipu] { return ipu->stats().cycles; },
-              [ipu] { return ipu->stats().fp_ops; }};
+      return bind_direct(std::make_shared<SpatialIpu>(c),
+                         [](SpatialIpu& u, auto a, auto b) {
+                           return u.fp_accumulate<kFp16Format>(a, b);
+                         });
     }
   }
   return {};
-}
-
-/// The per-op loop, single-threaded: tensors rounded to FP16 once, every
-/// pixel's operand stream gathered through PatchIndices, every chunk run
-/// through the scheme's original per-op entry point (per-op decode +
-/// decompose + allocating EHU).
-Tensor per_op_conv_fp16(const PerOpUnit& unit, int n_inputs, const Tensor& input,
-                        const FilterBank& filters, const ConvSpec& spec) {
-  std::vector<Fp16> in16(input.data.size());
-  for (size_t i = 0; i < input.data.size(); ++i) {
-    in16[i] = Fp16::from_double(input.data[i]);
-  }
-  std::vector<Fp16> flt16(filters.data.size());
-  for (size_t i = 0; i < filters.data.size(); ++i) {
-    flt16[i] = Fp16::from_double(filters.data[i]);
-  }
-
-  const int ho = spec.out_dim(input.h, filters.kh);
-  const int wo = spec.out_dim(input.w, filters.kw);
-  Tensor out(filters.cout, ho, wo);
-  const size_t filter_block =
-      static_cast<size_t>(filters.cin) * filters.kh * filters.kw;
-  PatchIndices patch;
-  std::vector<Fp16> pa, pb;
-  for (int64_t p = 0; p < static_cast<int64_t>(ho) * wo; ++p) {
-    const int y = static_cast<int>(p / wo);
-    const int x = static_cast<int>(p % wo);
-    patch.build(input, filters, spec, y, x);
-    const int len = static_cast<int>(patch.input.size());
-    pa.resize(static_cast<size_t>(len));
-    pb.resize(static_cast<size_t>(len));
-    for (int t = 0; t < len; ++t) {
-      pa[static_cast<size_t>(t)] =
-          in16[static_cast<size_t>(patch.input[static_cast<size_t>(t)])];
-    }
-    for (int co = 0; co < filters.cout; ++co) {
-      const size_t base = static_cast<size_t>(co) * filter_block;
-      for (int t = 0; t < len; ++t) {
-        pb[static_cast<size_t>(t)] =
-            flt16[base +
-                  static_cast<size_t>(patch.filter_off[static_cast<size_t>(t)])];
-      }
-      unit.reset();
-      for (int c0 = 0; c0 < len; c0 += n_inputs) {
-        const auto chunk = static_cast<size_t>(std::min(n_inputs, len - c0));
-        unit.accumulate(
-            std::span<const Fp16>(pa).subspan(static_cast<size_t>(c0), chunk),
-            std::span<const Fp16>(pb).subspan(static_cast<size_t>(c0), chunk));
-      }
-      out.at(co, y, x) = unit.read_fp32();
-    }
-  }
-  return out;
 }
 
 /// The compiled path for one conv: compile (filter preparation + plan
@@ -351,11 +263,14 @@ int main(int argc, char** argv) {
     cfg.multi_cycle = true;
 
     // A direct scheme instance behind the per-op baseline.
-    const PerOpUnit unit = make_per_op_unit(cfg);
-
+    const DirectUnit direct = make_direct_unit(cfg);
+    int64_t per_op_cycles = 0;
     Tensor per_op_out;
     const double t_per_op = time_seconds(
-        [&] { return per_op_conv_fp16(unit, cfg.n_inputs, input, filters, spec); },
+        [&] {
+          return per_op_conv_fp16(direct.unit, cfg.n_inputs, AccumKind::kFp32,
+                                  input, filters, spec, &per_op_cycles);
+        },
         &per_op_out);
 
     RunSpec run_spec;
@@ -367,8 +282,8 @@ int main(int argc, char** argv) {
         [&] { return compiled_conv(model, run_spec, input, pool1); }, &prep1);
 
     bool identical = tensors_identical(per_op_out, prep1.output) &&
-                     unit.cycles() == prep1.totals.cycles &&
-                     unit.fp_ops() == prep1.totals.fp_ops;
+                     per_op_cycles == prep1.totals.cycles &&
+                     direct.fp_ops() == prep1.totals.fp_ops;
     double t_prephw = 0.0;
     if (run_hw) {
       ThreadPool poolhw(hw);

@@ -37,7 +37,7 @@ struct RunReport {
   std::string model;
   std::string scheme;  ///< scheme_name() of the datapath that ran
   /// simd::backend_name() of the kernel backend the run executed on
-  /// ("scalar", "avx2" or "neon") -- records which serve-loop
+  /// ("scalar" or "avx2") -- records which serve-loop
   /// implementation produced the (bit-identical) outputs.
   std::string kernel_backend;
   int threads = 1;

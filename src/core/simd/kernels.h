@@ -1,8 +1,8 @@
 // Internal declarations of the per-backend kernel tables (src/core/simd).
-// The scalar table always exists; the vector tables return nullptr when
-// their ISA is not compiled into this build (the MPIPU_NATIVE gate).
-// tests/test_simd_kernels.cpp includes this header to pin each vector
-// backend against the scalar reference kernel-by-kernel.
+// The scalar table always exists.  avx2_kernel_table() is null on non-x86
+// builds; on x86-64 it is compiled in always, but its kernels need an AVX2
+// CPU, so everything outside simd.cpp goes through kernels_for(), which
+// checks the CPU first.
 #pragma once
 
 #include "core/simd/simd.h"
@@ -10,7 +10,6 @@
 namespace mpipu::simd {
 
 const KernelTable* scalar_kernel_table();  // never null
-const KernelTable* avx2_kernel_table();    // null unless __AVX2__
-const KernelTable* neon_kernel_table();    // null unless AArch64 NEON
+const KernelTable* avx2_kernel_table();    // null unless __x86_64__
 
 }  // namespace mpipu::simd

@@ -1,8 +1,18 @@
 // AVX2 implementations of the SIMD kernel set (see simd.h for contracts).
 //
-// Compiled only when the build targets an AVX2-capable host (the
-// MPIPU_NATIVE CMake gate passes -march=native); otherwise this TU is empty
-// and avx2_kernel_table() reports the backend as unavailable.
+// Compiled into every x86-64 build, and the one TU of the library built
+// with -mavx2 (a per-file flag in CMakeLists.txt).  simd.cpp hands out
+// avx2_kernel_table() only after __builtin_cpu_supports("avx2"), so the
+// binary still runs on x86-64 CPUs without AVX2.  On other hosts this TU
+// is empty and avx2_kernel_table() returns nullptr.
+//
+// ISA isolation: every function this TU emits may contain AVX2
+// instructions.  An inline or template function from a shared header (say
+// std::max<int>, emitted as a weak symbol at -O0) could be picked by the
+// linker for scalar callers elsewhere and fault on a CPU without AVX2.  So
+// the TU includes only <immintrin.h>, <cstddef>, <cstdint> and core/simd
+// headers, and uses no std:: names: min/max/copy are the local helpers
+// below.  tools/lint (rule isa-isolation) enforces this.
 //
 // Bit-identity notes:
 //   * every kernel processes floor(n / V) whole vectors and finishes with
@@ -18,17 +28,31 @@
 //   * band = align / sp uses the magic-multiply m = ceil(2^32 / sp):
 //     floor(x * m / 2^32) == floor(x / sp) exactly for all 0 <= x < 2^16,
 //     2 <= sp < 2^16 (sp == 1 short-circuits to a copy).
-#if defined(__AVX2__)
+#if defined(__x86_64__)
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <cstring>
+#include <cstddef>
+#include <cstdint>
 
 #include "core/simd/kernels.h"
 
 namespace mpipu::simd {
 namespace {
+
+template <typename T>
+inline T min_of(T a, T b) {
+  return b < a ? b : a;
+}
+
+template <typename T>
+inline T max_of(T a, T b) {
+  return a < b ? b : a;
+}
+
+inline void copy_bytes(void* dst, const void* src, size_t n) {
+  __builtin_memcpy(dst, src, n);
+}
 
 inline int32_t hsum8_i32(__m256i v) {
   __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
@@ -123,8 +147,8 @@ void sum_minmax_i32(const int32_t* a, const int32_t* b, int32_t* sum, size_t n,
   for (; k < n; ++k) {
     const int32_t s = a[k] + b[k];
     sum[k] = s;
-    smx = std::max(smx, s);
-    smn = std::min(smn, s);
+    smx = max_of(smx, s);
+    smn = min_of(smn, s);
   }
   *mx = smx;
   *mn = smn;
@@ -209,7 +233,7 @@ void serve_shifts_i32(const int32_t* align, const int32_t* band, size_t n,
       continue;
     }
     const int32_t local =
-        single_cycle ? std::min(align[k], window) : align[k] - band[k] * sp;
+        single_cycle ? min_of(align[k], window) : align[k] - band[k] * sp;
     const int32_t net = guard - local;
     serve_band[k] = single_cycle ? 0 : band[k];
     up[k] = net >= 0 ? net : 0;
@@ -510,11 +534,11 @@ void diag_bands_i32(const int32_t* align, const int32_t* ehu_band, size_t n,
       const int32_t c = shift / sp;
       bd_out[k] = c;
       up_out[k] = guard - (shift - c * sp);
-      mb = std::max(mb, c);
-      occ |= 1u << std::min(c, 31);
+      mb = max_of(mb, c);
+      occ |= 1u << min_of(c, 31);
     }
   }
-  *max_band = std::max(mb, hmax8_i32(mb_acc));
+  *max_band = max_of(mb, hmax8_i32(mb_acc));
   *occupancy = occ | static_cast<uint32_t>(hor8_i32(occ_acc));
 }
 
@@ -605,8 +629,8 @@ bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
   for (; k < n; ++k) {
     const int32_t s = ea[k] + eb[k];
     align[k] = s;
-    mx = std::max(mx, s);
-    mn = std::min(mn, s);
+    mx = max_of(mx, s);
+    mn = min_of(mn, s);
   }
   if (soft >= 65536 ||
       static_cast<int64_t>(mx) - static_cast<int64_t>(mn) >= 65536) {
@@ -653,9 +677,9 @@ bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
     }
     const int32_t c = al / sp;
     band[k] = c;
-    occ |= 1u << std::min(c, 31);
-    mb = std::max(mb, c);
-    mal = std::max(mal, al);
+    occ |= 1u << min_of(c, 31);
+    mb = max_of(mb, c);
+    mal = max_of(mal, al);
   }
   *max_exp = mx;
   *occupancy = occ;
@@ -683,8 +707,8 @@ void nibble_fused3x3_i16(const int8_t* a, size_t a_stride, const int8_t* b,
     alignas(16) int8_t abuf[3][kFusedLanes] = {};
     alignas(16) int8_t bbuf[3][kFusedLanes] = {};
     for (int i = 0; i < 3; ++i) {
-      std::memcpy(abuf[i], a + static_cast<size_t>(i) * a_stride, n);
-      std::memcpy(bbuf[i], b + static_cast<size_t>(i) * b_stride, n);
+      copy_bytes(abuf[i], a + static_cast<size_t>(i) * a_stride, n);
+      copy_bytes(bbuf[i], b + static_cast<size_t>(i) * b_stride, n);
     }
     for (int i = 0; i < 3; ++i) {
       a16[i] = _mm256_cvtepi8_epi16(
@@ -785,7 +809,7 @@ int64_t dot_i8(const int8_t* a, const int8_t* b, size_t n) {
   int64_t total = 0;
   size_t k = 0;
   while (k + 16 <= n) {
-    const size_t chunk_end = std::min(n, k + (size_t{1} << 20));
+    const size_t chunk_end = min_of(n, k + (size_t{1} << 20));
     __m256i acc = _mm256_setzero_si256();
     for (; k + 16 <= chunk_end; k += 16) {
       const __m256i va = _mm256_cvtepi8_epi16(
@@ -809,7 +833,7 @@ int64_t bit_masked_sum_i32(const int32_t* a, const int32_t* b, int t,
   int64_t total = 0;
   size_t k = 0;
   while (k + 8 <= n) {
-    const size_t chunk_end = std::min(n, k + (size_t{1} << 18));
+    const size_t chunk_end = min_of(n, k + (size_t{1} << 18));
     __m256i acc = _mm256_setzero_si256();
     for (; k + 8 <= chunk_end; k += 8) {
       const __m256i vb =
@@ -858,7 +882,7 @@ const KernelTable* avx2_kernel_table() {
 
 }  // namespace mpipu::simd
 
-#else  // !__AVX2__
+#else  // !__x86_64__
 
 #include "core/simd/kernels.h"
 

@@ -10,36 +10,43 @@
 namespace mpipu::simd {
 namespace {
 
+/// The AVX2 table when this CPU can run it.  kernels_avx2.cpp is the one
+/// TU built with -mavx2; this file is not, so the CPU check runs in baseline
+/// code and no AVX2 instruction executes before it passes.
+const KernelTable* avx2_table_if_supported() {
+#if defined(__x86_64__)
+  // __builtin_cpu_init: this may run from a static initializer, before
+  // libgcc has filled in the CPU model __builtin_cpu_supports reads.
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  if (supported) return avx2_kernel_table();
+#endif
+  return nullptr;
+}
+
 const KernelTable* table_for(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return scalar_kernel_table();
     case Backend::kAvx2:
-      return avx2_kernel_table();
-    case Backend::kNeon:
-      return neon_kernel_table();
+      return avx2_table_if_supported();
   }
   return nullptr;
 }
 
 /// Startup choice: the MPIPU_KERNEL environment variable if it names a
-/// compiled-in backend (unknown or unavailable names fall through to auto),
-/// otherwise the best vector backend this binary carries.
+/// backend this CPU runs (unknown or unavailable names fall through to
+/// auto), otherwise AVX2 when available, else scalar.
 Backend select_default() {
   // Read-only env probe at first use, no concurrent setenv in this process.
   if (const char* env = std::getenv("MPIPU_KERNEL")) {  // NOLINT(concurrency-mt-unsafe)
     if (std::strcmp(env, "scalar") == 0) return Backend::kScalar;
-    if (std::strcmp(env, "avx2") == 0 && avx2_kernel_table() != nullptr) {
-      return Backend::kAvx2;
-    }
-    if (std::strcmp(env, "neon") == 0 && neon_kernel_table() != nullptr) {
-      return Backend::kNeon;
-    }
-    // "auto" or unrecognized: fall through.
+    // "avx2", "auto" or unrecognized: fall through.
   }
-  if (avx2_kernel_table() != nullptr) return Backend::kAvx2;
-  if (neon_kernel_table() != nullptr) return Backend::kNeon;
-  return Backend::kScalar;
+  return avx2_table_if_supported() != nullptr ? Backend::kAvx2
+                                              : Backend::kScalar;
 }
 
 Backend default_backend() {
@@ -80,8 +87,6 @@ const char* backend_name(Backend b) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
   }
   return "scalar";
 }

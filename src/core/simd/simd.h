@@ -4,18 +4,18 @@
 // core/spatial_ipu.h) keep their scalar serve loops verbatim as the oracle;
 // this layer provides drop-in vector kernels that compute the exact same
 // integer sums, shifts and band assignments -- byte-identical outputs,
-// stats and cycle counts -- just faster.  Three backends:
+// stats and cycle counts -- just faster.  Two backends:
 //
 //   * scalar -- plain-C++ reference implementations, always available; also
 //     the oracle the equality tests (tests/test_simd_kernels.cpp) pin the
-//     vector backends against.
-//   * avx2   -- x86-64, compiled only when the build enables -march=native
-//     (the MPIPU_NATIVE CMake gate) on an AVX2-capable host.
-//   * neon   -- AArch64, compiled under the same gate on ARM hosts.
+//     AVX2 backend against, and the only backend on non-x86 hosts.
+//   * avx2   -- compiled into every x86-64 build (kernels_avx2.cpp is the
+//     one TU built with -mavx2) and handed out only when the CPU reports
+//     AVX2 at run time.
 //
-// Backend selection happens once at startup (best compiled-in backend) and
-// can be overridden by the MPIPU_KERNEL environment variable
-// ("scalar"/"avx2"/"neon"/"auto") or programmatically via force_backend()
+// Backend selection happens once at startup (avx2 when the CPU has it,
+// else scalar) and can be overridden by the MPIPU_KERNEL environment
+// variable ("scalar"/"avx2"/"auto") or programmatically via force_backend()
 // (the hook the differential tests use to run both backends in one
 // process).  When the active backend is kScalar the schemes take their
 // scalar oracle paths and this layer is never consulted for values.
@@ -65,7 +65,7 @@ inline constexpr size_t kFusedLanes = 16;
 /// serial kernel hard-codes this many per-step sums.
 inline constexpr int kSerialSteps = 12;
 
-enum class Backend { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Backend { kScalar = 0, kAvx2 = 1 };
 
 /// Function-pointer table of every kernel, one instance per backend.  The
 /// scheme hot loops fetch the active table once per op; entries a vector
@@ -209,22 +209,24 @@ Backend active_backend();
 /// Kernel table of the active backend (kernels_for(active_backend())).
 const KernelTable& kernels();
 
-/// Table for a specific backend; nullptr when not compiled into this build.
+/// Table for a specific backend; nullptr when this binary or this CPU
+/// cannot run it.
 const KernelTable* kernels_for(Backend b);
 
-/// True when `b`'s kernels are compiled into this binary.
+/// True when `b`'s kernels are compiled into this binary and this CPU runs
+/// them (kAvx2: an x86-64 build on a CPU with AVX2).
 bool backend_compiled(Backend b);
 
 /// Force the active backend (tests / debugging).  Returns false -- and
-/// leaves the selection unchanged -- when `b` is not compiled in.
+/// leaves the selection unchanged -- when !backend_compiled(b).
 bool force_backend(Backend b);
 
-/// Reset to the startup selection (best compiled backend, unless the
-/// MPIPU_KERNEL environment variable pinned one).
+/// Reset to the startup selection (avx2 when available, unless the
+/// MPIPU_KERNEL environment variable pinned scalar).
 void reset_backend();
 
 const char* backend_name(Backend b);
-/// Name of the active backend ("scalar" / "avx2" / "neon").
+/// Name of the active backend ("scalar" / "avx2").
 const char* backend_name();
 
 }  // namespace mpipu::simd

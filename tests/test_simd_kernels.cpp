@@ -2,22 +2,24 @@
 //
 // Two walls, both pinned against the scalar reference implementations:
 //
-//  * kernel-level: every KernelTable entry of every compiled vector backend
-//    must produce byte-identical outputs to the scalar table over ragged
-//    view lengths (vector body + scalar tail), empty bands, all-masked
-//    lanes and all-zero operand planes;
-//  * datapath-level: a scheme unit running with a vector backend forced
+//  * kernel-level: every KernelTable entry of the AVX2 backend must
+//    produce byte-identical outputs to the scalar table over ragged view
+//    lengths (vector body + scalar tail), empty bands, all-masked lanes
+//    and all-zero operand planes;
+//  * datapath-level: a scheme unit running with the AVX2 backend forced
 //    must produce bit-identical accumulator values, per-op cycle counts
 //    and stats to the same unit running scalar-forced, across scheme x
 //    {FP16, INT8, INT4} x adder-tree width x mode sweeps (including the
 //    configs that route through the fused whole-op kernels and the ones
 //    that fall back to the scalar oracle).
 //
-// When only the scalar backend is compiled in (the default build without
-// MPIPU_NATIVE) the differential tests skip -- there is nothing to diff.
+// Every x86-64 build carries the AVX2 backend, so the differential tests
+// skip only on hosts without AVX2 (a non-x86 build, or an x86-64 CPU that
+// lacks it) -- there is nothing to diff there.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -31,13 +33,10 @@ namespace {
 using simd::Backend;
 using simd::KernelTable;
 
-/// Every vector backend compiled into this binary.
+/// The vector backend this binary runs on this CPU: AVX2, or none.
 std::vector<Backend> vector_backends() {
-  std::vector<Backend> v;
-  for (Backend b : {Backend::kAvx2, Backend::kNeon}) {
-    if (simd::backend_compiled(b)) v.push_back(b);
-  }
-  return v;
+  if (simd::backend_compiled(Backend::kAvx2)) return {Backend::kAvx2};
+  return {};
 }
 
 /// Restores the startup backend selection on scope exit.
@@ -79,11 +78,31 @@ std::vector<int32_t> random_i32(Rng& rng, size_t n, int64_t lo, int64_t hi,
   return v;
 }
 
+// --- backend selection -------------------------------------------------------
+
+// The AVX2 backend is part of every x86-64 build: on an AVX2 CPU it must be
+// available and, unless MPIPU_KERNEL pins scalar, selected at startup.
+TEST(SimdBackend, Avx2AvailableAndSelectedOnAvx2Cpus) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "this CPU has no AVX2";
+  EXPECT_TRUE(simd::backend_compiled(Backend::kAvx2));
+  BackendGuard guard;
+  simd::reset_backend();
+  const char* env = std::getenv("MPIPU_KERNEL");
+  const bool pinned_scalar = env != nullptr && std::strcmp(env, "scalar") == 0;
+  EXPECT_EQ(simd::active_backend(),
+            pinned_scalar ? Backend::kScalar : Backend::kAvx2);
+#else
+  GTEST_SKIP() << "not an x86-64 build";
+#endif
+}
+
 // --- kernel-level equality ---------------------------------------------------
 
 TEST(SimdKernels, EhuStagesMatchScalar) {
   const auto vecs = vector_backends();
-  if (vecs.empty()) GTEST_SKIP() << "only the scalar backend is compiled in";
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   const KernelTable& S = *simd::kernels_for(Backend::kScalar);
   Rng rng(11);
   for (Backend b : vecs) {
@@ -133,7 +152,7 @@ TEST(SimdKernels, EhuStagesMatchScalar) {
 
 TEST(SimdKernels, EhuFusedMatchesScalar) {
   const auto vecs = vector_backends();
-  if (vecs.empty()) GTEST_SKIP() << "only the scalar backend is compiled in";
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   const KernelTable& S = *simd::kernels_for(Backend::kScalar);
   Rng rng(12);
   for (Backend b : vecs) {
@@ -173,7 +192,7 @@ TEST(SimdKernels, EhuFusedMatchesScalar) {
 
 TEST(SimdKernels, NibbleBandSumsMatchScalar) {
   const auto vecs = vector_backends();
-  if (vecs.empty()) GTEST_SKIP() << "only the scalar backend is compiled in";
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   const KernelTable& S = *simd::kernels_for(Backend::kScalar);
   Rng rng(13);
   for (Backend b : vecs) {
@@ -206,7 +225,7 @@ TEST(SimdKernels, NibbleBandSumsMatchScalar) {
 
 TEST(SimdKernels, NibbleFused3x3MatchesScalar) {
   const auto vecs = vector_backends();
-  if (vecs.empty()) GTEST_SKIP() << "only the scalar backend is compiled in";
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   const KernelTable& S = *simd::kernels_for(Backend::kScalar);
   Rng rng(14);
   constexpr size_t kStride = 32;
@@ -240,7 +259,9 @@ TEST(SimdKernels, NibbleFused3x3MatchesScalar) {
         for (int i = 0; i < 9 * simd::kMaxBands; ++i) {
           EXPECT_EQ(s_s[i], s_v[i]) << "slot " << i << " n=" << n;
         }
-        if (zero_planes) EXPECT_EQ(nz_s, 0u);
+        if (zero_planes) {
+          EXPECT_EQ(nz_s, 0u);
+        }
       }
     }
   }
@@ -248,7 +269,7 @@ TEST(SimdKernels, NibbleFused3x3MatchesScalar) {
 
 TEST(SimdKernels, SerialKernelsMatchScalar) {
   const auto vecs = vector_backends();
-  if (vecs.empty()) GTEST_SKIP() << "only the scalar backend is compiled in";
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   const KernelTable& S = *simd::kernels_for(Backend::kScalar);
   Rng rng(15);
   for (Backend b : vecs) {
@@ -297,7 +318,7 @@ TEST(SimdKernels, SerialKernelsMatchScalar) {
 
 TEST(SimdKernels, SerialFusedMatchesScalar) {
   const auto vecs = vector_backends();
-  if (vecs.empty()) GTEST_SKIP() << "only the scalar backend is compiled in";
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   const KernelTable& S = *simd::kernels_for(Backend::kScalar);
   Rng rng(16);
   for (Backend b : vecs) {
@@ -328,7 +349,7 @@ TEST(SimdKernels, SerialFusedMatchesScalar) {
 
 TEST(SimdKernels, SpatialKernelsMatchScalar) {
   const auto vecs = vector_backends();
-  if (vecs.empty()) GTEST_SKIP() << "only the scalar backend is compiled in";
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   const KernelTable& S = *simd::kernels_for(Backend::kScalar);
   Rng rng(17);
   constexpr int kPlanes = 5;
@@ -403,7 +424,7 @@ TEST(SimdKernels, SpatialKernelsMatchScalar) {
 
 TEST(SimdKernels, IntKernelsMatchScalar) {
   const auto vecs = vector_backends();
-  if (vecs.empty()) GTEST_SKIP() << "only the scalar backend is compiled in";
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   const KernelTable& S = *simd::kernels_for(Backend::kScalar);
   Rng rng(18);
   for (Backend b : vecs) {
@@ -482,7 +503,7 @@ void diff_fp16_config(const DatapathConfig& cfg, Backend vec, uint64_t seed) {
 
 TEST(SimdDatapath, Fp16BitIdenticalAcrossBackends) {
   const auto vecs = vector_backends();
-  if (vecs.empty()) GTEST_SKIP() << "only the scalar backend is compiled in";
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   uint64_t seed = 100;
   for (Backend vec : vecs) {
     for (auto scheme : kAllSchemes) {
@@ -504,7 +525,7 @@ TEST(SimdDatapath, Fp16BitIdenticalAcrossBackends) {
 
 TEST(SimdDatapath, Fp16SkipFlagsBitIdentical) {
   const auto vecs = vector_backends();
-  if (vecs.empty()) GTEST_SKIP() << "only the scalar backend is compiled in";
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   uint64_t seed = 900;
   for (Backend vec : vecs) {
     for (auto scheme : kAllSchemes) {
@@ -524,7 +545,7 @@ TEST(SimdDatapath, Fp16SkipFlagsBitIdentical) {
 
 TEST(SimdDatapath, IntModesBitIdenticalAcrossBackends) {
   const auto vecs = vector_backends();
-  if (vecs.empty()) GTEST_SKIP() << "only the scalar backend is compiled in";
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   Rng rng(200);
   for (Backend vec : vecs) {
     for (auto scheme : kAllSchemes) {

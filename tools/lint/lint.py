@@ -17,6 +17,10 @@ Rules:
   kernel-purity    no throw/try/heap allocation in src/core/simd/kernels_*.cpp
   scalar-oracle    kernels_scalar.cpp matches the committed content hash
                    (update only via --update-scalar-baseline)
+  isa-isolation    kernels_avx2.cpp (the one -mavx2 TU) and the core/simd
+                   headers it includes pull in only <immintrin.h>,
+                   <cstddef>, <cstdint> and core/simd/* headers, and use no
+                   std:: names
   include-hygiene  quoted includes in src/ resolve from the src/ root, no
                    `..` segments, every src/ header opens with #pragma once
   bench-schema     the committed BENCH_*.json artifacts parse, carry their
@@ -248,6 +252,51 @@ def check_scalar_oracle(root):
 
 
 # --------------------------------------------------------------------------
+# Rule: isa-isolation
+# --------------------------------------------------------------------------
+
+ISA_TU = Path("src/core/simd/kernels_avx2.cpp")
+ISA_SYSTEM_HEADERS = {"immintrin.h", "cstddef", "cstdint"}
+INCLUDE_RE = re.compile(r'\s*#\s*include\s*([<"])([^>"]+)[>"]')
+
+
+def check_isa_isolation(root):
+    """Walk the AVX2 TU and every core/simd header it reaches."""
+    violations = []
+    todo, seen = [ISA_TU], set()
+    while todo:
+        rel = todo.pop()
+        if rel in seen or not (root / rel).exists():
+            continue
+        seen.add(rel)
+        text = (root / rel).read_text()
+        for lineno, line in enumerate(text.splitlines(), 1):
+            m = INCLUDE_RE.match(line)
+            if not m:
+                continue
+            quoted, inc = m.group(1) == '"', m.group(2)
+            shown = f'"{inc}"' if quoted else f"<{inc}>"
+            if quoted and inc.startswith("core/simd/"):
+                todo.append(Path("src") / inc)
+            elif quoted or inc not in ISA_SYSTEM_HEADERS:
+                violations.append(Violation(
+                    "isa-isolation", rel, lineno,
+                    f"includes {shown}: the -mavx2 TU may pull in"
+                    " only <immintrin.h>, <cstddef>, <cstdint> and"
+                    " core/simd/* headers (any inline function it"
+                    " instantiates is AVX2 code the linker may share)"))
+        code = strip_comments_and_strings(text)
+        for lineno, line in enumerate(code.splitlines(), 1):
+            if re.search(r"\bstd::", line):
+                violations.append(Violation(
+                    "isa-isolation", rel, lineno,
+                    "std:: name in the -mavx2 TU: a library template"
+                    " instantiated here is emitted as AVX2 code the linker"
+                    " may pick for scalar callers -- use a local helper"))
+    return violations
+
+
+# --------------------------------------------------------------------------
 # Rule: include-hygiene
 # --------------------------------------------------------------------------
 
@@ -356,6 +405,7 @@ ALL_RULES = [
     check_serve_throw,
     check_kernel_purity,
     check_scalar_oracle,
+    check_isa_isolation,
     check_include_hygiene,
     check_bench_schema,
 ]

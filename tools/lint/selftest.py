@@ -36,6 +36,13 @@ def make_tree(root):
         "  for (int i = 0; i < n; ++i) p[i] += 1.0f;\n}\n")
     (root / "tools" / "lint" / "scalar_oracle.sha256").write_text(
         lint.scalar_oracle_digest(root) + "  kernels_scalar.cpp\n")
+    (root / "src" / "core" / "simd" / "kernels.h").write_text(
+        "#pragma once\n#include <cstdint>\nint32_t k2(int32_t a);\n")
+    (root / "src" / "core" / "simd" / "kernels_avx2.cpp").write_text(
+        "#include <immintrin.h>\n#include \"core/simd/kernels.h\"\n"
+        "namespace { int32_t max_of(int32_t a, int32_t b) {"
+        " return a < b ? b : a; } }\n"
+        "int32_t k2(int32_t a) { return max_of(a, 0); }  // not std::max\n")
 
     (root / "BENCH_accuracy.json").write_text(json.dumps(
         {"bench": "accuracy", "points": [{"conserved": True}]}))
@@ -119,6 +126,21 @@ def main():
         (root / "src" / "core" / "simd" / "kernels_scalar.cpp").write_text(
             "// \"cleaned up\" oracle\nvoid k(float* p, int n) {}\n")
     )), "scalar-oracle", "kernels_scalar.cpp")
+
+    # isa-isolation: a std:: call in the -mavx2 TU.
+    def seed_std_call(root):
+        p = root / "src" / "core" / "simd" / "kernels_avx2.cpp"
+        p.write_text(p.read_text().replace("max_of(a, 0)", "std::max(a, 0)"))
+    expect("isa-isolation (std:: call)", in_fresh_tree(seed_std_call),
+           "isa-isolation", "kernels_avx2.cpp")
+
+    # isa-isolation: a disallowed system header reached through a
+    # core/simd header the TU includes.
+    def seed_header(root):
+        p = root / "src" / "core" / "simd" / "kernels.h"
+        p.write_text(p.read_text().replace("<cstdint>", "<algorithm>"))
+    expect("isa-isolation (transitive include)", in_fresh_tree(seed_header),
+           "isa-isolation", "kernels.h")
 
     # include-hygiene: a quoted include that does not resolve under src/.
     expect("include-hygiene", in_fresh_tree(lambda root: (
