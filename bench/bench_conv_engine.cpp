@@ -12,7 +12,8 @@
 //     prepared-operand execution, all timed) on a caller-owned pool of 1
 //     and hardware_concurrency threads,
 //
-// for every decomposition scheme.  Verifies all paths produce bit-identical
+// for every decomposition scheme, at MC-IPU(16) and at the paper's default
+// w = 28.  Verifies all paths produce bit-identical
 // tensors and matching cycle/op counts before timing them, and exits 1 on
 // any mismatch (ctest runs `--smoke`).
 //
@@ -29,6 +30,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/compiled_model.h"
@@ -194,8 +196,9 @@ int main(int argc, char** argv) {
 
   bench::title("Compiled conv (prepared operands) vs per-op loop vs legacy seed loop");
 
-  // Quickstart-style workload (MC-IPU(16), FP32-grade software precision);
-  // --smoke shrinks it so CI can afford every scheme on every push.
+  // Quickstart-style workload (FP32-grade software precision) at two
+  // adder-tree widths; --smoke shrinks it so CI can afford every scheme on
+  // every push.
   Rng rng(42);
   const int ci = smoke ? 6 : 16, hw_dim = smoke ? 12 : 32, co = smoke ? 6 : 16;
   const Tensor input =
@@ -237,104 +240,119 @@ int main(int argc, char** argv) {
         "duplicate the 1-thread measurement)\n\n");
   }
 
-  bench::Table table({"scheme", "path", "wall seconds", "speedup vs per-op"});
+  bench::Table table(
+      {"scheme", "w", "path", "wall seconds", "speedup vs per-op"});
   bool all_identical = true;
   int rc = 0;
+  std::vector<std::pair<int, double>> legacy_seconds;
 
-  // Legacy seed loop: temporal only (the seed had no other scheme).
-  IpuConfig icfg;
-  icfg.n_inputs = 16;
-  icfg.adder_tree_width = 16;
-  icfg.software_precision = 28;
-  icfg.multi_cycle = true;
-  Tensor legacy_out;
-  const double t_legacy = time_seconds(
-      [&] {
-        return legacy_seed_conv_fp16(input, filters, spec, icfg, AccumKind::kFp32);
-      },
-      &legacy_out);
-
-  for (auto scheme : {DecompositionScheme::kTemporal, DecompositionScheme::kSerial,
-                      DecompositionScheme::kSpatial}) {
-    DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
-    cfg.n_inputs = 16;
-    cfg.adder_tree_width = 16;
-    cfg.software_precision = 28;
-    cfg.multi_cycle = true;
-
-    // A direct scheme instance behind the per-op baseline.
-    const DirectUnit direct = make_direct_unit(cfg);
-    int64_t per_op_cycles = 0;
-    Tensor per_op_out;
-    const double t_per_op = time_seconds(
+  // MC-IPU(16), the seed's config, and the paper's default FP32-accumulation
+  // datapath (w = 28).
+  for (int w : {16, 28}) {
+    // Legacy seed loop: temporal only (the seed had no other scheme).
+    IpuConfig icfg;
+    icfg.n_inputs = 16;
+    icfg.adder_tree_width = w;
+    icfg.software_precision = 28;
+    icfg.multi_cycle = true;
+    Tensor legacy_out;
+    const double t_legacy = time_seconds(
         [&] {
-          return per_op_conv_fp16(direct.unit, cfg.n_inputs, AccumKind::kFp32,
-                                  input, filters, spec, &per_op_cycles);
+          return legacy_seed_conv_fp16(input, filters, spec, icfg, AccumKind::kFp32);
         },
-        &per_op_out);
+        &legacy_out);
+    legacy_seconds.emplace_back(w, t_legacy);
 
-    RunSpec run_spec;
-    run_spec.datapath = cfg;
-    run_spec.policy = PrecisionPolicy::all_fp16(AccumKind::kFp32);
-    RunReport prep1, prephw;
-    ThreadPool pool1(1);
-    const double t_prep1 = time_seconds(
-        [&] { return compiled_conv(model, run_spec, input, pool1); }, &prep1);
+    for (auto scheme :
+         {DecompositionScheme::kTemporal, DecompositionScheme::kSerial,
+          DecompositionScheme::kSpatial}) {
+      DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
+      cfg.n_inputs = 16;
+      cfg.adder_tree_width = w;
+      cfg.software_precision = 28;
+      cfg.multi_cycle = true;
 
-    bool identical = tensors_identical(per_op_out, prep1.output) &&
-                     per_op_cycles == prep1.totals.cycles &&
-                     direct.fp_ops() == prep1.totals.fp_ops;
-    double t_prephw = 0.0;
-    if (run_hw) {
-      ThreadPool poolhw(hw);
-      t_prephw = time_seconds(
-          [&] { return compiled_conv(model, run_spec, input, poolhw); }, &prephw);
-      identical = identical && tensors_identical(per_op_out, prephw.output) &&
-                  prep1.totals == prephw.totals;
-    }
-    if (scheme == DecompositionScheme::kTemporal) {
-      identical = identical && tensors_identical(legacy_out, prep1.output);
-    }
-    if (!identical) {
-      std::printf("BIT MISMATCH on %s scheme\n", scheme_name(scheme));
-      all_identical = false;
-      rc = 1;
-    }
+      // A direct scheme instance behind the per-op baseline.
+      const DirectUnit direct = make_direct_unit(cfg);
+      int64_t per_op_cycles = 0;
+      Tensor per_op_out;
+      const double t_per_op = time_seconds(
+          [&] {
+            return per_op_conv_fp16(direct.unit, cfg.n_inputs, AccumKind::kFp32,
+                                    input, filters, spec, &per_op_cycles);
+          },
+          &per_op_out);
 
-    table.add_row({scheme_name(scheme), "per-op loop, 1 thread",
-                   bench::fmt(t_per_op, 3), "1.00x"});
-    table.add_row({scheme_name(scheme), "compiled, 1 thread",
-                   bench::fmt(t_prep1, 3),
-                   bench::fmt(t_per_op / t_prep1, 2) + "x"});
-    if (run_hw) {
-      table.add_row({scheme_name(scheme),
-                     "compiled, hw threads (" + std::to_string(hw) + ")",
-                     bench::fmt(t_prephw, 3),
-                     bench::fmt(t_per_op / t_prephw, 2) + "x"});
-    }
+      RunSpec run_spec;
+      run_spec.datapath = cfg;
+      run_spec.policy = PrecisionPolicy::all_fp16(AccumKind::kFp32);
+      RunReport prep1, prephw;
+      ThreadPool pool1(1);
+      const double t_prep1 = time_seconds(
+          [&] { return compiled_conv(model, run_spec, input, pool1); }, &prep1);
 
-    Json s = Json::object();
-    s.set("scheme", scheme_name(scheme));
-    s.set("per_op_1t_seconds", t_per_op);
-    s.set("prepared_1t_seconds", t_prep1);
-    s.set("speedup_prepared_1t_vs_per_op", t_per_op / t_prep1);
-    if (run_hw) {
-      s.set("prepared_hw_seconds", t_prephw);
-      s.set("speedup_prepared_hw_vs_per_op", t_per_op / t_prephw);
+      bool identical = tensors_identical(per_op_out, prep1.output) &&
+                       per_op_cycles == prep1.totals.cycles &&
+                       direct.fp_ops() == prep1.totals.fp_ops;
+      double t_prephw = 0.0;
+      if (run_hw) {
+        ThreadPool poolhw(hw);
+        t_prephw = time_seconds(
+            [&] { return compiled_conv(model, run_spec, input, poolhw); },
+            &prephw);
+        identical = identical && tensors_identical(per_op_out, prephw.output) &&
+                    prep1.totals == prephw.totals;
+      }
+      if (scheme == DecompositionScheme::kTemporal) {
+        identical = identical && tensors_identical(legacy_out, prep1.output);
+      }
+      if (!identical) {
+        std::printf("BIT MISMATCH on %s scheme, w=%d\n", scheme_name(scheme),
+                    w);
+        all_identical = false;
+        rc = 1;
+      }
+
+      const std::string ws = std::to_string(w);
+      table.add_row({scheme_name(scheme), ws, "per-op loop, 1 thread",
+                     bench::fmt(t_per_op, 3), "1.00x"});
+      table.add_row({scheme_name(scheme), ws, "compiled, 1 thread",
+                     bench::fmt(t_prep1, 3),
+                     bench::fmt(t_per_op / t_prep1, 2) + "x"});
+      if (run_hw) {
+        table.add_row({scheme_name(scheme), ws,
+                       "compiled, hw threads (" + std::to_string(hw) + ")",
+                       bench::fmt(t_prephw, 3),
+                       bench::fmt(t_per_op / t_prephw, 2) + "x"});
+      }
+
+      Json s = Json::object();
+      s.set("scheme", scheme_name(scheme));
+      s.set("adder_tree_width", w);
+      s.set("per_op_1t_seconds", t_per_op);
+      s.set("prepared_1t_seconds", t_prep1);
+      s.set("speedup_prepared_1t_vs_per_op", t_per_op / t_prep1);
+      if (run_hw) {
+        s.set("prepared_hw_seconds", t_prephw);
+        s.set("speedup_prepared_hw_vs_per_op", t_per_op / t_prephw);
+      }
+      if (scheme == DecompositionScheme::kTemporal) {
+        s.set("legacy_seed_seconds", t_legacy);
+        s.set("speedup_prepared_1t_vs_legacy", t_legacy / t_prep1);
+      }
+      s.set("bit_identical", identical);
+      schemes_json.push(std::move(s));
     }
-    if (scheme == DecompositionScheme::kTemporal) {
-      s.set("legacy_seed_seconds", t_legacy);
-      s.set("speedup_prepared_1t_vs_legacy", t_legacy / t_prep1);
-    }
-    s.set("bit_identical", identical);
-    schemes_json.push(std::move(s));
   }
 
   std::printf("all paths bit-identical (tensors, cycles, op counts): %s\n\n",
               all_identical ? "yes" : "NO");
   table.print();
-  std::printf("\nlegacy seed loop (temporal, 1 thread): %s s\n",
-              bench::fmt(t_legacy, 3).c_str());
+  for (const auto& [w, t] : legacy_seconds) {
+    std::printf("\nlegacy seed loop (temporal, w=%d, 1 thread): %s s", w,
+                bench::fmt(t, 3).c_str());
+  }
+  std::printf("\n");
 
   root.set("schemes", std::move(schemes_json));
   if (!json_path.empty()) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/simd/simd.h"
-
 namespace mpipu {
 
 namespace {
@@ -68,52 +66,6 @@ void run_ehu(std::span<const int32_t> a_exp, std::span<const int32_t> b_exp,
   assert(a_exp.size() == b_exp.size());
   const size_t n = a_exp.size();
   out.product_exp.resize(n);
-
-  // Prepared-path fast lane: exponent planes are contiguous int32, so
-  // stages 1-3 (and usually 4-5) run through the SIMD kernels.  Values are
-  // identical to the scalar stages by construction (elementwise adds,
-  // exact max/min reductions, exact magic-multiply division).
-  if (simd::active_backend() != simd::Backend::kScalar && n > 0) {
-    const simd::KernelTable& K = simd::kernels();
-    int32_t mx = 0, mn = 0;
-    K.sum_minmax_i32(a_exp.data(), b_exp.data(), out.product_exp.data(), n,
-                     &mx, &mn);
-    out.max_exp = mx;
-    out.align.resize(n);
-    K.rsub_i32(mx, out.product_exp.data(), out.align.data(), n);
-    // The vector band kernel divides by sp via a magic multiply that is
-    // exact for alignments below 2^16 (max alignment = mx - mn); fall back
-    // to the scalar stages 4-5 on wider spreads.
-    if (opts.safe_precision < 65536 &&
-        static_cast<int64_t>(mx) - static_cast<int64_t>(mn) < 65536) {
-      out.masked.resize(n);
-      out.band.resize(n);
-      K.mask_and_band_i32(out.align.data(), n, opts.software_precision,
-                          opts.safe_precision, out.band.data(),
-                          out.masked.data());
-      // Occupancy / cycle-count wrap-up, exactly as mask_and_band derives
-      // them from the band plane.
-      out.band_used.clear();
-      int max_band = 0;
-      for (size_t k = 0; k < n; ++k) {
-        const int c = out.band[k];
-        if (c < 0) continue;
-        max_band = std::max(max_band, c);
-        if (static_cast<size_t>(c) >= out.band_used.size()) {
-          out.band_used.resize(static_cast<size_t>(c) + 1, 0);
-        }
-        out.band_used[static_cast<size_t>(c)] = 1;
-      }
-      out.mc_cycles = max_band + 1;
-      out.mc_cycles_skip_empty = static_cast<int>(
-          std::count(out.band_used.begin(), out.band_used.end(), uint8_t{1}));
-      if (out.mc_cycles_skip_empty == 0) out.mc_cycles_skip_empty = 1;
-    } else {
-      mask_and_band(out, opts);
-    }
-    return;
-  }
-
   for (size_t k = 0; k < n; ++k) out.product_exp[k] = a_exp[k] + b_exp[k];
   alignment_from_product_exps(out);
   mask_and_band(out, opts);

@@ -173,102 +173,15 @@ int Ipu::run_prepared_fp16(const PreparedFp16View& a, const PreparedFp16View& b)
   return cycles;
 }
 
-template <bool kNarrow>
-int Ipu::run_prepared_fp16_simd(const PreparedFp16View& a,
-                                const PreparedFp16View& b) {
-  const size_t n = a.n;
-  constexpr FpFormat F = kFp16Format;
-  constexpr int kn = fp_nibble_count(F);
-  constexpr int z = fp_pad_bits(F);
-  const simd::KernelTable& K = simd::kernels();
-
-  EhuOptions eopts;
-  eopts.software_precision = cfg_.software_precision;
-  eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
-  eopts.skip_empty_bands = cfg_.skip_empty_bands;
-  run_ehu(std::span<const int32_t>(a.exp, n), std::span<const int32_t>(b.exp, n),
-          eopts, ehu_);
-
-  const int sp = cfg_.safe_precision();
-  const bool single_cycle = !cfg_.multi_cycle;
-  const int bands = single_cycle ? 1 : ehu_.mc_cycles;
-  // One vector accumulator per band; wider alignment spreads take the
-  // scalar oracle (same results -- the EHU re-run lands in the same
-  // scratch).
-  if (bands > simd::kMaxBands) return run_prepared_fp16<int64_t>(a, b);
-
-  serve_band_.resize(n);
-  up_.resize(n);
-  down_.resize(n);
-  K.serve_shifts_i32(ehu_.align.data(), ehu_.band.data(), n,
-                     cfg_.window_guard(), sp, single_cycle ? 1 : 0,
-                     cfg_.adder_tree_width, serve_band_.data(), up_.data(),
-                     down_.data());
-
-  const int cycles_per_iter =
-      single_cycle ? 1
-                   : (cfg_.skip_empty_bands ? ehu_.mc_cycles_skip_empty
-                                            : ehu_.mc_cycles);
-  const int frac_bits = acc_.config().frac_bits;
-  const int guard = cfg_.window_guard();
-
-  int cycles = 0;
-  for (int i = 0; i < kn; ++i) {
-    for (int j = 0; j < kn; ++j) {
-      const int8_t* an = a.nib_plane(i);
-      const int8_t* bn = b.nib_plane(j);
-      if (cfg_.skip_zero_iterations) {
-        bool all_zero = true;
-        for (size_t k = 0; k < n; ++k) {
-          if (serve_band_[k] >= 0 && an[k] != 0 && bn[k] != 0) {
-            all_zero = false;
-            break;
-          }
-        }
-        if (all_zero) {
-          ++stats_.skipped_iterations;
-          continue;
-        }
-      }
-      int64_t sums[simd::kMaxBands] = {0};
-      if constexpr (kNarrow) {
-        K.nibble_band_sums_i32(an, bn, serve_band_.data(), up_.data(),
-                               down_.data(), n, bands, sums);
-      } else {
-        K.nibble_band_sums_i64(an, bn, serve_band_.data(), up_.data(),
-                               down_.data(), n, bands, sums);
-      }
-      const int wi = 4 * i - z;
-      const int wj = 4 * j - z;
-      const int base_rescale = wi + wj - 2 * F.man_bits - guard + frac_bits;
-      const bool fast = acc_.fast64_ok(kNarrow ? 31 : 62, base_rescale);
-      for (int c = 0; c < bands; ++c) {
-        const int rescale = base_rescale - (single_cycle ? 0 : c * sp);
-        if (fast) {
-          acc_.add_tree64(sums[c], rescale, ehu_.max_exp);
-          continue;
-        }
-        const auto tree128 = static_cast<int128>(sums[c]);
-        acc_.add(rescale >= 0 ? shl(tree128, rescale) : asr(tree128, -rescale),
-                 ehu_.max_exp);
-      }
-      cycles += cycles_per_iter;
-      if (cycles_per_iter > 1) ++stats_.multi_cycle_iterations;
-    }
-  }
-
-  ++stats_.fp_ops;
-  stats_.nibble_iterations += kn * kn;
-  stats_.cycles += cycles;
-  for (size_t k = 0; k < n; ++k) {
-    if (ehu_.masked[k]) {
-      ++stats_.masked_products;
-    } else {
-      stats_.max_alignment_seen =
-          std::max(stats_.max_alignment_seen, ehu_.align[k]);
-    }
-  }
-  return cycles;
+int Ipu::run_prepared_fp16_oracle(const PreparedFp16View& a,
+                                  const PreparedFp16View& b) {
+  // 9-bit lane products shifted up to window_guard and summed over n lanes:
+  // stay in int64 whenever that bound fits, spill to int128 otherwise
+  // (identical results either way; the adder tree is exact integer math).
+  const int tree_bits = std::max(cfg_.window_guard(), 0) + 9 +
+                        ceil_log2(std::max(cfg_.n_inputs, 1)) + 1;
+  return tree_bits <= 62 ? run_prepared_fp16<int64_t>(a, b)
+                         : run_prepared_fp16<int128>(a, b);
 }
 
 int Ipu::run_prepared_fp16_fused(const PreparedFp16View& a,
@@ -281,6 +194,7 @@ int Ipu::run_prepared_fp16_fused(const PreparedFp16View& a,
 
   const int sp = cfg_.safe_precision();
   const int guard = cfg_.window_guard();
+  const bool single_cycle = !cfg_.multi_cycle;
 
   falign_.resize(simd::kFusedLanes);
   fband_.resize(simd::kFusedLanes);
@@ -291,10 +205,11 @@ int Ipu::run_prepared_fp16_fused(const PreparedFp16View& a,
                        &occ, &max_band, &n_masked, &max_align)) {
     // Alignment spread or software precision past the magic-divide bound:
     // take the scalar oracle (which re-runs the EHU into its own scratch).
-    return run_prepared_fp16<int64_t>(a, b);
+    return run_prepared_fp16_oracle(a, b);
   }
-  const int bands = std::max(max_band, 0) + 1;
-  if (bands > simd::kMaxBands) return run_prepared_fp16<int64_t>(a, b);
+  // Single-cycle mode serves every unmasked lane in one band.
+  const int bands = single_cycle ? 1 : std::max(max_band, 0) + 1;
+  if (bands > simd::kMaxBands) return run_prepared_fp16_oracle(a, b);
 
   // Serve planes padded through kFusedLanes (band -1, shifts 0) so the
   // fused band-sum kernel can run whole 16-lane registers.
@@ -306,16 +221,21 @@ int Ipu::run_prepared_fp16_fused(const PreparedFp16View& a,
   up_.resize(simd::kFusedLanes);
   down_.resize(simd::kFusedLanes);
   K.serve_shifts_i32(falign_.data(), fband_.data(), simd::kFusedLanes, guard,
-                     sp, 0, cfg_.adder_tree_width, serve_band_.data(),
-                     up_.data(), down_.data());
+                     sp, single_cycle ? 1 : 0, cfg_.adder_tree_width,
+                     serve_band_.data(), up_.data(), down_.data());
 
   int64_t sums[9 * simd::kMaxBands];
   uint32_t nz = 0;
-  K.nibble_fused3x3_i16(a.nib, a.nib_stride, b.nib, b.nib_stride,
-                        serve_band_.data(), up_.data(), n, bands, sums, &nz);
+  K.nibble_fused3x3_i32(a.nib, a.nib_stride, b.nib, b.nib_stride,
+                        serve_band_.data(), up_.data(), down_.data(), n, bands,
+                        sums, &nz);
 
   const int cycles_per_iter =
-      cfg_.skip_empty_bands ? (occ ? std::popcount(occ) : 1) : bands;
+      single_cycle ? 1
+                   : (cfg_.skip_empty_bands ? (occ ? std::popcount(occ) : 1)
+                                            : bands);
+  // |sum| <= kFusedLanes * 225 * 2^max(guard, 0) < 2^(12 + max(guard, 0)).
+  const int sum_bits = 12 + std::max(guard, 0);
   const int frac_bits = acc_.config().frac_bits;
   int cycles = 0;
   for (int i = 0; i < 3; ++i) {
@@ -327,15 +247,15 @@ int Ipu::run_prepared_fp16_fused(const PreparedFp16View& a,
       }
       const int base_rescale =
           (4 * i - z) + (4 * j - z) - 2 * F.man_bits - guard + frac_bits;
-      const bool fast = acc_.fast64_ok(31, base_rescale);
-      const int64_t* s = sums + static_cast<size_t>(it) * simd::kMaxBands;
+      const bool fast = acc_.fast64_ok(sum_bits, base_rescale);
       for (int c = 0; c < bands; ++c) {
-        const int rescale = base_rescale - c * sp;
+        const int rescale = base_rescale - (single_cycle ? 0 : c * sp);
+        const int64_t tree = sums[c * 9 + it];
         if (fast) {
-          acc_.add_tree64(s[c], rescale, max_exp);
+          acc_.add_tree64(tree, rescale, max_exp);
           continue;
         }
-        const auto tree128 = static_cast<int128>(s[c]);
+        const auto tree128 = static_cast<int128>(tree);
         acc_.add(rescale >= 0 ? shl(tree128, rescale) : asr(tree128, -rescale),
                  max_exp);
       }
@@ -358,28 +278,15 @@ int Ipu::fp16_accumulate_prepared(const PreparedFp16View& a,
                                   const PreparedFp16View& b) {
   assert(a.n == b.n);
   assert(static_cast<int>(a.n) <= cfg_.n_inputs);
-  // 9-bit lane products shifted up to window_guard and summed over n lanes:
-  // stay in int64 whenever that bound fits, spill to int128 otherwise
-  // (identical results either way; the adder tree is exact integer math).
-  const int tree_bits =
-      std::max(cfg_.window_guard(), 0) + 9 + ceil_log2(std::max(cfg_.n_inputs, 1)) + 1;
-  if (simd::active_backend() != simd::Backend::kScalar) {
-    // Whole-op fused kernels: MC mode guarantees up-only window shifts of
-    // at most guard, and guard <= 7 keeps every shifted product in int16
-    // (|a*b| <= 225, 225 << 7 < 2^15); 16 lanes of those stay far inside
-    // int32, so the madd-based band sums are exact.
-    if (cfg_.multi_cycle && guard_in_fused_range() && a.n >= 1 &&
-        a.n <= simd::kFusedLanes) {
-      return run_prepared_fp16_fused(a, b);
-    }
-    // Any subset of the lane products is bounded by the same tree bound
-    // (sum of absolute values), so the per-band vector partial sums stay
-    // exact in int32 lanes whenever the bound fits 31 bits.
-    if (tree_bits <= 31) return run_prepared_fp16_simd<true>(a, b);
-    if (tree_bits <= 62) return run_prepared_fp16_simd<false>(a, b);
+  // Two paths: the fused whole-op kernels when the op fits their lanes and
+  // every shifted lane product fits int32 (simd.h derives the guard bound),
+  // else the scalar oracle.
+  if (simd::active_backend() != simd::Backend::kScalar && a.n >= 1 &&
+      a.n <= simd::kFusedLanes &&
+      cfg_.window_guard() <= simd::kNibbleFusedMaxGuard) {
+    return run_prepared_fp16_fused(a, b);
   }
-  return tree_bits <= 62 ? run_prepared_fp16<int64_t>(a, b)
-                         : run_prepared_fp16<int128>(a, b);
+  return run_prepared_fp16_oracle(a, b);
 }
 
 int Ipu::int_accumulate_prepared(const PreparedIntView& a,

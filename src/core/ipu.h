@@ -170,30 +170,26 @@ class Ipu {
     return true;
   }
 
-  /// Serve loop of the prepared fast path; TreeInt is the adder-tree sum
-  /// type (int64_t whenever the window bound fits, int128 otherwise).
+  // The prepared FP16 fast path has two serve paths, picked per op by
+  // fp16_accumulate_prepared: the fused whole-op kernels (core/simd) or
+  // the verbatim scalar oracle.
+
+  /// Scalar oracle serve loop; TreeInt is the adder-tree sum type.
   template <typename TreeInt>
   int run_prepared_fp16(const PreparedFp16View& a, const PreparedFp16View& b);
 
-  /// Vectorized serve loop (core/simd): same outputs, stats and cycles as
-  /// run_prepared_fp16, computed through the active kernel backend.
-  /// kNarrow selects int32 vector accumulators (tree bound <= 31 bits).
-  template <bool kNarrow>
-  int run_prepared_fp16_simd(const PreparedFp16View& a,
-                             const PreparedFp16View& b);
+  /// The scalar oracle at its sum type: int64_t whenever the window bound
+  /// fits, int128 otherwise.
+  int run_prepared_fp16_oracle(const PreparedFp16View& a,
+                               const PreparedFp16View& b);
 
   /// Whole-op fused path: one EHU kernel call and one 3x3 band-sum kernel
-  /// call per op (core/simd fused kernels).  Requires MC mode, a window
-  /// guard the int16 lane bound covers, and at most kFusedLanes lanes;
-  /// falls back to the scalar oracle when the EHU spread is too wide.
+  /// call per op, in either alignment regime.  Requires 1 <= n <=
+  /// kFusedLanes and window_guard() <= kNibbleFusedMaxGuard; falls back to
+  /// the scalar oracle when the EHU spread is past the magic-divide bound
+  /// or the op needs more than kMaxBands bands.
   int run_prepared_fp16_fused(const PreparedFp16View& a,
                               const PreparedFp16View& b);
-
-  /// True when the fused kernels' int16 product bound holds: 0 <= guard <= 7
-  /// (every MC window shift is an up-shift of at most guard).
-  bool guard_in_fused_range() const {
-    return cfg_.window_guard() >= 0 && cfg_.window_guard() <= 7;
-  }
 
   IpuConfig cfg_;
   Accumulator acc_;
@@ -205,10 +201,9 @@ class Ipu {
   // Prepared-path scratch (EHU output + serve schedule), reused per op.
   EhuResult ehu_;
   BandSchedule sched_;
-  // Vectorized-path scratch: per-lane serve band and split window shifts.
-  std::vector<int32_t> serve_band_, up_, down_;
-  // Fused-path scratch: EHU align/band planes padded through kFusedLanes.
-  std::vector<int32_t> falign_, fband_;
+  // Fused-path scratch, padded through kFusedLanes: EHU align/band planes,
+  // per-lane serve band and split window shifts.
+  std::vector<int32_t> falign_, fband_, serve_band_, up_, down_;
 };
 
 // ---------------------------------------------------------------------------

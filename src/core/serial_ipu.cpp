@@ -133,80 +133,13 @@ int SerialIpu::run_prepared_fp16(const PreparedFp16View& a,
   return cycles;
 }
 
-template <bool kNarrow>
-int SerialIpu::run_prepared_fp16_simd(const PreparedFp16View& a,
-                                      const PreparedFp16View& b) {
-  const size_t n = a.n;
-  constexpr FpFormat F = kFp16Format;
-  constexpr int kSteps = 12;  // 11 magnitude bits + 1 pad (implicit shift)
-  const simd::KernelTable& K = simd::kernels();
-
-  EhuOptions eopts;
-  eopts.software_precision = cfg_.software_precision;
-  eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
-  run_ehu(std::span<const int32_t>(a.exp, n), std::span<const int32_t>(b.exp, n),
-          eopts, ehu_);
-
-  const int guard = cfg_.window_guard();
-  const int sp = cfg_.safe_precision();
-  const bool single_cycle = !cfg_.multi_cycle;
-  const int bands = single_cycle ? 1 : ehu_.mc_cycles;
-  if (bands > simd::kMaxBands) return run_prepared_fp16<int64_t>(a, b);
-
-  serve_band_.resize(n);
-  up_.resize(n);
-  down_.resize(n);
-  K.serve_shifts_i32(ehu_.align.data(), ehu_.band.data(), n, guard, sp,
-                     single_cycle ? 1 : 0, cfg_.adder_tree_width,
-                     serve_band_.data(), up_.data(), down_.data());
-
-  padded_mag_.resize(n);
-  lane_p_.resize(n);
-  K.serial_lanes_i32(a.signed_mag, b.signed_mag, n, padded_mag_.data(),
-                     lane_p_.data());
-
-  // The lane's net window shift is constant across all 12 bit steps, so the
-  // shifted multiplicand is precomputed once (masked lanes shift by 0 and
-  // are dropped by their -1 serve band in the band sums).
-  if constexpr (kNarrow) {
-    v32_.resize(n);
-    K.shifted_lanes_i32(lane_p_.data(), up_.data(), down_.data(), n,
-                        v32_.data());
-  } else {
-    v64_.resize(n);
-    K.shifted_lanes_i64(lane_p_.data(), up_.data(), down_.data(), n,
-                        v64_.data());
-  }
-
-  const int frac_bits = acc_.config().frac_bits;
-  const bool fast = acc_.fast64_ok(
-      kNarrow ? 31 : 62, (kSteps - 2) - 2 * F.man_bits - guard + frac_bits);
-  for (int t = 0; t < kSteps; ++t) {
-    int64_t sums[simd::kMaxBands] = {0};
-    if constexpr (kNarrow) {
-      K.serial_band_sums_i32(v32_.data(), padded_mag_.data(), t,
-                             serve_band_.data(), n, bands, sums);
-    } else {
-      K.serial_band_sums_i64(v64_.data(), padded_mag_.data(), t,
-                             serve_band_.data(), n, bands, sums);
-    }
-    const int base_rescale = (t - 1) - 2 * F.man_bits - guard + frac_bits;
-    for (int c = 0; c < bands; ++c) {
-      const int rescale = base_rescale - (single_cycle ? 0 : c * sp);
-      if (fast) {
-        acc_.add_tree64(sums[c], rescale, ehu_.max_exp);
-        continue;
-      }
-      const auto tree128 = static_cast<int128>(sums[c]);
-      acc_.add(rescale >= 0 ? shl(tree128, rescale) : asr(tree128, -rescale),
-               ehu_.max_exp);
-    }
-  }
-
-  const int cycles = kSteps * bands;
-  ++stats_.fp_ops;
-  stats_.cycles += cycles;
-  return cycles;
+int SerialIpu::run_prepared_fp16_oracle(const PreparedFp16View& a,
+                                        const PreparedFp16View& b) {
+  // 12-bit multiplicands shifted up to window_guard and summed over n lanes.
+  const int tree_bits = std::max(cfg_.window_guard(), 0) + 12 +
+                        ceil_log2(std::max(cfg_.n_inputs, 1)) + 1;
+  return tree_bits <= 62 ? run_prepared_fp16<int64_t>(a, b)
+                         : run_prepared_fp16<int128>(a, b);
 }
 
 int SerialIpu::run_prepared_fp16_fused(const PreparedFp16View& a,
@@ -218,6 +151,7 @@ int SerialIpu::run_prepared_fp16_fused(const PreparedFp16View& a,
 
   const int guard = cfg_.window_guard();
   const int sp = cfg_.safe_precision();
+  const bool single_cycle = !cfg_.multi_cycle;
 
   falign_.resize(simd::kFusedLanes);
   fband_.resize(simd::kFusedLanes);
@@ -226,10 +160,11 @@ int SerialIpu::run_prepared_fp16_fused(const PreparedFp16View& a,
   if (!K.ehu_fused_i32(a.exp, b.exp, n, cfg_.software_precision,
                        std::max(sp, 1), falign_.data(), fband_.data(), &max_exp,
                        &occ, &max_band, &n_masked, &max_align)) {
-    return run_prepared_fp16<int64_t>(a, b);
+    return run_prepared_fp16_oracle(a, b);
   }
-  const int bands = std::max(max_band, 0) + 1;
-  if (bands > simd::kMaxBands) return run_prepared_fp16<int64_t>(a, b);
+  // Single-cycle mode serves every unmasked lane in one band.
+  const int bands = single_cycle ? 1 : std::max(max_band, 0) + 1;
+  if (bands > simd::kMaxBands) return run_prepared_fp16_oracle(a, b);
 
   // Serve planes padded through kFusedLanes (band -1, values 0) so the
   // fused kernel can run whole 16-lane registers.
@@ -241,8 +176,8 @@ int SerialIpu::run_prepared_fp16_fused(const PreparedFp16View& a,
   up_.resize(simd::kFusedLanes);
   down_.resize(simd::kFusedLanes);
   K.serve_shifts_i32(falign_.data(), fband_.data(), simd::kFusedLanes, guard,
-                     sp, 0, cfg_.adder_tree_width, serve_band_.data(),
-                     up_.data(), down_.data());
+                     sp, single_cycle ? 1 : 0, cfg_.adder_tree_width,
+                     serve_band_.data(), up_.data(), down_.data());
 
   padded_mag_.resize(simd::kFusedLanes);
   lane_p_.resize(simd::kFusedLanes);
@@ -252,21 +187,26 @@ int SerialIpu::run_prepared_fp16_fused(const PreparedFp16View& a,
     padded_mag_[k] = 0;
     lane_p_[k] = 0;
   }
+  // The lane's net window shift is constant across all 12 bit steps, so the
+  // shifted multiplicand is computed once; guard <= kSerialFusedMaxGuard
+  // keeps it in int32.
   v32_.resize(simd::kFusedLanes);
   K.shifted_lanes_i32(lane_p_.data(), up_.data(), down_.data(),
                       simd::kFusedLanes, v32_.data());
 
   int64_t sums[simd::kMaxBands * kSteps];
-  K.serial_fused_i16(v32_.data(), padded_mag_.data(), serve_band_.data(), n,
+  K.serial_fused_i32(v32_.data(), padded_mag_.data(), serve_band_.data(), n,
                      bands, sums);
 
+  // |sum| <= kFusedLanes * 2047 * 2^max(guard, 0) < 2^(15 + max(guard, 0)).
+  const int sum_bits = 15 + std::max(guard, 0);
   const int frac_bits = acc_.config().frac_bits;
   const bool fast = acc_.fast64_ok(
-      31, (kSteps - 2) - 2 * F.man_bits - guard + frac_bits);
+      sum_bits, (kSteps - 2) - 2 * F.man_bits - guard + frac_bits);
   for (int t = 0; t < kSteps; ++t) {
     const int base_rescale = (t - 1) - 2 * F.man_bits - guard + frac_bits;
     for (int c = 0; c < bands; ++c) {
-      const int rescale = base_rescale - c * sp;
+      const int rescale = base_rescale - (single_cycle ? 0 : c * sp);
       const int64_t tree = sums[static_cast<size_t>(c) * kSteps + t];
       if (fast) {
         acc_.add_tree64(tree, rescale, max_exp);
@@ -288,23 +228,15 @@ int SerialIpu::fp16_accumulate_prepared(const PreparedFp16View& a,
                                         const PreparedFp16View& b) {
   assert(a.n == b.n);
   assert(static_cast<int>(a.n) <= cfg_.n_inputs);
-  // 12-bit multiplicands shifted up to window_guard and summed over n lanes.
-  const int tree_bits = std::max(cfg_.window_guard(), 0) + 12 +
-                        ceil_log2(std::max(cfg_.n_inputs, 1)) + 1;
-  if (simd::active_backend() != simd::Backend::kScalar) {
-    // Whole-op fused kernel: MC mode makes every window shift an up-shift
-    // of at most guard, and guard <= 4 keeps |p << guard| <= 2047 << 4 in
-    // int16; 16 lanes of those stay far inside int32.
-    const int guard = cfg_.window_guard();
-    if (cfg_.multi_cycle && guard >= 0 && guard <= 4 && a.n >= 1 &&
-        a.n <= simd::kFusedLanes) {
-      return run_prepared_fp16_fused(a, b);
-    }
-    if (tree_bits <= 31) return run_prepared_fp16_simd<true>(a, b);
-    if (tree_bits <= 62) return run_prepared_fp16_simd<false>(a, b);
+  // Two paths: the fused whole-op kernels when the op fits their lanes and
+  // every shifted multiplicand fits int32 (simd.h derives the guard bound),
+  // else the scalar oracle.
+  if (simd::active_backend() != simd::Backend::kScalar && a.n >= 1 &&
+      a.n <= simd::kFusedLanes &&
+      cfg_.window_guard() <= simd::kSerialFusedMaxGuard) {
+    return run_prepared_fp16_fused(a, b);
   }
-  return tree_bits <= 62 ? run_prepared_fp16<int64_t>(a, b)
-                         : run_prepared_fp16<int128>(a, b);
+  return run_prepared_fp16_oracle(a, b);
 }
 
 int SerialIpu::int_accumulate(std::span<const int32_t> a, std::span<const int32_t> b,

@@ -79,20 +79,24 @@ class SerialIpu {
   int64_t read_int() const { return int_acc_; }
 
  private:
+  // The prepared FP16 fast path has two serve paths, picked per op by
+  // fp16_accumulate_prepared: the fused whole-op kernels (core/simd) or
+  // the verbatim scalar oracle.
+
+  /// Scalar oracle serve loop; TreeInt is the adder-tree sum type.
   template <typename TreeInt>
   int run_prepared_fp16(const PreparedFp16View& a, const PreparedFp16View& b);
 
-  /// Vectorized serve loop (core/simd): same outputs, stats and cycles as
-  /// run_prepared_fp16.  kNarrow selects int32 vector accumulators (tree
-  /// bound <= 31 bits).
-  template <bool kNarrow>
-  int run_prepared_fp16_simd(const PreparedFp16View& a,
-                             const PreparedFp16View& b);
+  /// The scalar oracle at its sum type: int64_t whenever the window bound
+  /// fits, int128 otherwise.
+  int run_prepared_fp16_oracle(const PreparedFp16View& a,
+                               const PreparedFp16View& b);
 
   /// Whole-op fused path: one EHU kernel call and one 12-step band-sum
-  /// kernel call per op.  Requires MC mode, 0 <= guard <= 4 (the int16 lane
-  /// bound: |p| <= 2047 shifted up by at most guard) and at most kFusedLanes
-  /// lanes; falls back to the scalar oracle on wide EHU spreads.
+  /// kernel call per op, in either alignment regime.  Requires 1 <= n <=
+  /// kFusedLanes and window_guard() <= kSerialFusedMaxGuard (|p| <= 2047
+  /// shifted up by at most guard stays in int32); falls back to the scalar
+  /// oracle on wide EHU spreads or more than kMaxBands bands.
   int run_prepared_fp16_fused(const PreparedFp16View& a,
                               const PreparedFp16View& b);
 
@@ -106,12 +110,10 @@ class SerialIpu {
   BandSchedule sched_;
   std::vector<uint32_t> padded_mag_;  ///< weight magnitude << 1 per lane
   std::vector<int32_t> lane_p_;       ///< weight-sign-applied multiplicand
-  // Vectorized-path scratch: serve bands, split window shifts, and the
-  // per-lane pre-shifted multiplicands (constant across the 12 bit steps).
-  std::vector<int32_t> serve_band_, up_, down_, v32_;
-  std::vector<int64_t> v64_;
-  // Fused-path scratch: EHU align/band planes padded through kFusedLanes.
-  std::vector<int32_t> falign_, fband_;
+  // Fused-path scratch, padded through kFusedLanes: EHU align/band planes,
+  // serve bands, split window shifts and the per-lane pre-shifted
+  // multiplicands (constant across the 12 bit steps).
+  std::vector<int32_t> falign_, fband_, serve_band_, up_, down_, v32_;
 };
 
 }  // namespace mpipu

@@ -23,8 +23,11 @@
 //   * masked lanes carry band == -1 (never equal to a served band) and
 //     up == down == 0 (shift counts stay in range), so their lane values
 //     are computed and then discarded by the band mask;
-//   * the _i32 band-sum kernels rely on the callers' tree-bits bound
-//     (tree_bits <= 31): every partial sum of shifted products fits int32;
+//   * the spatial _i32 band-sum kernel relies on its caller's tree-bits
+//     bound (tree_bits <= 31): every partial sum of shifted products fits
+//     int32; the fused temporal/serial kernels hold int32 lane values
+//     (exact under the drivers' guard bounds) and sum their 16-bit halves
+//     in int32, recombined into exact int64 band sums;
 //   * band = align / sp uses the magic-multiply m = ceil(2^32 / sp):
 //     floor(x * m / 2^32) == floor(x / sp) exactly for all 0 <= x < 2^16,
 //     2 <= sp < 2^16 (sp == 1 short-circuits to a copy).
@@ -99,7 +102,11 @@ inline __m256i pack32_16(__m256i lo, __m256i hi) {
   return _mm256_permute4x64_epi64(_mm256_packs_epi32(lo, hi), 0xD8);
 }
 
-/// Transposed reduction of four 8-lane i32 accumulators:
+inline __m256i load8(const void* p) {
+  return _mm256_loadu_si256(static_cast<const __m256i*>(p));
+}
+
+/// Transposed reduction of four 8-lane i32 vectors:
 /// returns [hsum(r0), hsum(r1), hsum(r2), hsum(r3)].
 inline __m128i red4_i32(__m256i r0, __m256i r1, __m256i r2, __m256i r3) {
   const __m256i h01 = _mm256_hadd_epi32(r0, r1);
@@ -107,6 +114,52 @@ inline __m128i red4_i32(__m256i r0, __m256i r1, __m256i r2, __m256i r3) {
   const __m256i h = _mm256_hadd_epi32(h01, h23);
   return _mm_add_epi32(_mm256_castsi256_si128(h),
                        _mm256_extracti128_si256(h, 1));
+}
+
+/// Band sums of `sets` 16-lane int32 value sets (lo[s] = lanes 0-7, hi[s] =
+/// lanes 8-15): out[c*sets + s] = sum over lanes with band == c, c < bands,
+/// exact in int64 for any int32 lane values.  With one band every lane is
+/// summed, so callers zero the masked lanes' values first.  Each lane splits
+/// exactly as v = (v >> 16) * 2^16 + (v & 0xFFFF); sixteen of either half
+/// sum in int32 without overflow (|high sum| <= 2^19, low sum < 2^20), so
+/// both halves reduce in int32 and only the recombination is int64.  Writes
+/// out through bands*sets rounded up to a multiple of 4;
+/// bands*sets <= kMaxBands*kSerialSteps.
+inline void band_sums16(const __m256i* lo, const __m256i* hi, int sets,
+                        __m256i band_lo, __m256i band_hi, int bands,
+                        int64_t* out) {
+  const __m256i low16 = _mm256_set1_epi32(0xFFFF);
+  __m256i rh[kMaxBands * kSerialSteps + 3], rl[kMaxBands * kSerialSteps + 3];
+  int count = 0;
+  for (int c = 0; c < bands; ++c) {
+    const __m256i vc = _mm256_set1_epi32(c);
+    const __m256i m_lo = _mm256_cmpeq_epi32(band_lo, vc);
+    const __m256i m_hi = _mm256_cmpeq_epi32(band_hi, vc);
+    for (int s = 0; s < sets; ++s) {
+      __m256i x = lo[s], y = hi[s];
+      if (bands > 1) {
+        x = _mm256_and_si256(x, m_lo);
+        y = _mm256_and_si256(y, m_hi);
+      }
+      rh[count] = _mm256_add_epi32(_mm256_srai_epi32(x, 16),
+                                   _mm256_srai_epi32(y, 16));
+      rl[count] = _mm256_add_epi32(_mm256_and_si256(x, low16),
+                                   _mm256_and_si256(y, low16));
+      ++count;
+    }
+  }
+  while (count % 4 != 0) {
+    rh[count] = rl[count] = _mm256_setzero_si256();
+    ++count;
+  }
+  for (int k = 0; k < count; k += 4) {
+    const __m256i h = _mm256_cvtepi32_epi64(
+        red4_i32(rh[k], rh[k + 1], rh[k + 2], rh[k + 3]));
+    const __m256i l = _mm256_cvtepi32_epi64(
+        red4_i32(rl[k], rl[k + 1], rl[k + 2], rl[k + 3]));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k),
+                        _mm256_add_epi64(_mm256_slli_epi64(h, 16), l));
+  }
 }
 
 /// floor(x / d) for 8 unsigned lanes < 2^16, 2 <= d < 2^16, via the magic
@@ -129,67 +182,6 @@ inline uint32_t magic_for(int32_t d) {
 }  // namespace
 
 namespace avx2 {
-
-void sum_minmax_i32(const int32_t* a, const int32_t* b, int32_t* sum, size_t n,
-                    int32_t* mx, int32_t* mn) {
-  size_t k = 0;
-  __m256i vmx = _mm256_set1_epi32(INT32_MIN);
-  __m256i vmn = _mm256_set1_epi32(INT32_MAX);
-  for (; k + 8 <= n; k += 8) {
-    const __m256i s = _mm256_add_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + k)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sum + k), s);
-    vmx = _mm256_max_epi32(vmx, s);
-    vmn = _mm256_min_epi32(vmn, s);
-  }
-  int32_t smx = hmax8_i32(vmx), smn = hmin8_i32(vmn);
-  for (; k < n; ++k) {
-    const int32_t s = a[k] + b[k];
-    sum[k] = s;
-    smx = max_of(smx, s);
-    smn = min_of(smn, s);
-  }
-  *mx = smx;
-  *mn = smn;
-}
-
-void rsub_i32(int32_t c, const int32_t* x, int32_t* out, size_t n) {
-  const __m256i vc = _mm256_set1_epi32(c);
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + k),
-        _mm256_sub_epi32(vc, _mm256_loadu_si256(
-                                 reinterpret_cast<const __m256i*>(x + k))));
-  }
-  for (; k < n; ++k) out[k] = c - x[k];
-}
-
-void mask_and_band_i32(const int32_t* align, size_t n, int32_t soft,
-                       int32_t sp, int32_t* band, uint8_t* masked) {
-  const __m256i vsoft = _mm256_set1_epi32(soft);
-  const __m256i neg1 = _mm256_set1_epi32(-1);
-  const __m256i vm =
-      sp >= 2 ? _mm256_set1_epi32(static_cast<int32_t>(magic_for(sp)))
-              : _mm256_setzero_si256();
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m256i al =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(align + k));
-    const __m256i msk = _mm256_cmpgt_epi32(al, vsoft);
-    const __m256i q = sp >= 2 ? divq_u32(al, vm) : al;
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(band + k),
-                        _mm256_blendv_epi8(q, neg1, msk));
-    const int bits = _mm256_movemask_ps(_mm256_castsi256_ps(msk));
-    for (int t = 0; t < 8; ++t) masked[k + static_cast<size_t>(t)] = (bits >> t) & 1;
-  }
-  for (; k < n; ++k) {
-    const bool m = align[k] > soft;
-    masked[k] = m ? 1 : 0;
-    band[k] = m ? -1 : align[k] / sp;
-  }
-}
 
 void serve_shifts_i32(const int32_t* align, const int32_t* band, size_t n,
                       int32_t guard, int32_t sp, int single_cycle,
@@ -241,80 +233,6 @@ void serve_shifts_i32(const int32_t* align, const int32_t* band, size_t n,
   }
 }
 
-void nibble_band_sums_i32(const int8_t* pa, const int8_t* pb,
-                          const int32_t* band, const int32_t* up,
-                          const int32_t* down, size_t n, int bands,
-                          int64_t* sums) {
-  __m256i acc[kMaxBands];
-  for (int c = 0; c < bands; ++c) acc[c] = _mm256_setzero_si256();
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m256i a = _mm256_cvtepi8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(pa + k)));
-    const __m256i b = _mm256_cvtepi8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(pb + k)));
-    __m256i p = _mm256_mullo_epi32(a, b);
-    p = _mm256_srav_epi32(
-        p, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(down + k)));
-    p = _mm256_sllv_epi32(
-        p, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(up + k)));
-    const __m256i bd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(band + k));
-    for (int c = 0; c < bands; ++c) {
-      const __m256i m = _mm256_cmpeq_epi32(bd, _mm256_set1_epi32(c));
-      acc[c] = _mm256_add_epi32(acc[c], _mm256_and_si256(p, m));
-    }
-  }
-  for (int c = 0; c < bands; ++c) sums[c] += hsum8_i32(acc[c]);
-  for (; k < n; ++k) {
-    if (band[k] < 0) continue;
-    int32_t p = static_cast<int32_t>(pa[k]) * static_cast<int32_t>(pb[k]);
-    p = (p >> down[k]) << up[k];
-    sums[band[k]] += p;
-  }
-}
-
-void nibble_band_sums_i64(const int8_t* pa, const int8_t* pb,
-                          const int32_t* band, const int32_t* up,
-                          const int32_t* down, size_t n, int bands,
-                          int64_t* sums) {
-  __m256i acc[kMaxBands];
-  for (int c = 0; c < bands; ++c) acc[c] = _mm256_setzero_si256();
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m256i a = _mm256_cvtepi8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(pa + k)));
-    const __m256i b = _mm256_cvtepi8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(pb + k)));
-    const __m256i p32 = _mm256_srav_epi32(
-        _mm256_mullo_epi32(a, b),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(down + k)));
-    const __m256i up32 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(up + k));
-    const __m256i bd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(band + k));
-    const __m256i p0 = _mm256_sllv_epi64(
-        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(p32)),
-        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(up32)));
-    const __m256i p1 = _mm256_sllv_epi64(
-        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(p32, 1)),
-        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(up32, 1)));
-    for (int c = 0; c < bands; ++c) {
-      const __m256i m = _mm256_cmpeq_epi32(bd, _mm256_set1_epi32(c));
-      const __m256i m0 = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(m));
-      const __m256i m1 = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(m, 1));
-      acc[c] = _mm256_add_epi64(acc[c], _mm256_and_si256(p0, m0));
-      acc[c] = _mm256_add_epi64(acc[c], _mm256_and_si256(p1, m1));
-    }
-  }
-  for (int c = 0; c < bands; ++c) sums[c] += hsum4_i64(acc[c]);
-  for (; k < n; ++k) {
-    if (band[k] < 0) continue;
-    const int32_t p = static_cast<int32_t>(pa[k]) * static_cast<int32_t>(pb[k]);
-    sums[band[k]] += static_cast<int64_t>(p >> down[k]) << up[k];
-  }
-}
-
 void serial_lanes_i32(const int32_t* a_sm, const int32_t* b_sm, size_t n,
                       uint32_t* mag, int32_t* lane_p) {
   size_t k = 0;
@@ -351,82 +269,6 @@ void shifted_lanes_i32(const int32_t* p, const int32_t* up, const int32_t* down,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(v + k), x);
   }
   for (; k < n; ++k) v[k] = (p[k] >> down[k]) << up[k];
-}
-
-void shifted_lanes_i64(const int32_t* p, const int32_t* up, const int32_t* down,
-                       size_t n, int64_t* v) {
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128i x32 = _mm_srav_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + k)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(down + k)));
-    const __m256i x = _mm256_sllv_epi64(
-        _mm256_cvtepi32_epi64(x32),
-        _mm256_cvtepi32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(up + k))));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(v + k), x);
-  }
-  for (; k < n; ++k) v[k] = static_cast<int64_t>(p[k] >> down[k]) << up[k];
-}
-
-void serial_band_sums_i32(const int32_t* v, const uint32_t* mag, int t,
-                          const int32_t* band, size_t n, int bands,
-                          int64_t* sums) {
-  __m256i acc[kMaxBands];
-  for (int c = 0; c < bands; ++c) acc[c] = _mm256_setzero_si256();
-  const __m128i lsh = _mm_cvtsi32_si128(31 - t);
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m256i m =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mag + k));
-    // -1 where bit t of mag is set: (mag << (31 - t)) >> 31 arithmetically.
-    const __m256i bit =
-        _mm256_srai_epi32(_mm256_sll_epi32(m, lsh), 31);
-    const __m256i p = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + k)), bit);
-    const __m256i bd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(band + k));
-    for (int c = 0; c < bands; ++c) {
-      const __m256i bm = _mm256_cmpeq_epi32(bd, _mm256_set1_epi32(c));
-      acc[c] = _mm256_add_epi32(acc[c], _mm256_and_si256(p, bm));
-    }
-  }
-  for (int c = 0; c < bands; ++c) sums[c] += hsum8_i32(acc[c]);
-  for (; k < n; ++k) {
-    if (band[k] < 0) continue;
-    if (((mag[k] >> t) & 1u) == 0) continue;
-    sums[band[k]] += v[k];
-  }
-}
-
-void serial_band_sums_i64(const int64_t* v, const uint32_t* mag, int t,
-                          const int32_t* band, size_t n, int bands,
-                          int64_t* sums) {
-  __m256i acc[kMaxBands];
-  for (int c = 0; c < bands; ++c) acc[c] = _mm256_setzero_si256();
-  const __m128i lsh = _mm_cvtsi32_si128(31 - t);
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128i m =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(mag + k));
-    const __m128i bit = _mm_srai_epi32(_mm_sll_epi32(m, lsh), 31);
-    const __m128i bd =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(band + k));
-    const __m256i p = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + k)),
-        _mm256_cvtepi32_epi64(bit));
-    for (int c = 0; c < bands; ++c) {
-      const __m128i bm = _mm_cmpeq_epi32(bd, _mm_set1_epi32(c));
-      acc[c] = _mm256_add_epi64(
-          acc[c], _mm256_and_si256(p, _mm256_cvtepi32_epi64(bm)));
-    }
-  }
-  for (int c = 0; c < bands; ++c) sums[c] += hsum4_i64(acc[c]);
-  for (; k < n; ++k) {
-    if (band[k] < 0) continue;
-    if (((mag[k] >> t) & 1u) == 0) continue;
-    sums[band[k]] += v[k];
-  }
 }
 
 void fp16_diag_products(const int8_t* a, size_t a_stride, const int8_t* b,
@@ -689,10 +531,10 @@ bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
   return true;
 }
 
-void nibble_fused3x3_i16(const int8_t* a, size_t a_stride, const int8_t* b,
+void nibble_fused3x3_i32(const int8_t* a, size_t a_stride, const int8_t* b,
                          size_t b_stride, const int32_t* band,
-                         const int32_t* up, size_t n, int bands, int64_t* sums,
-                         uint32_t* nz) {
+                         const int32_t* up, const int32_t* down, size_t n,
+                         int bands, int64_t* sums, uint32_t* nz) {
   // Operand planes are only readable through n (bytes past the view are
   // live neighbor data); short views go through zero-filled staging.
   __m256i a16[3], b16[3];
@@ -717,90 +559,61 @@ void nibble_fused3x3_i16(const int8_t* a, size_t a_stride, const int8_t* b,
           _mm_load_si128(reinterpret_cast<const __m128i*>(bbuf[i])));
     }
   }
-  const __m256i band_lo =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(band));
-  const __m256i band_hi =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(band + 8));
-  const __m256i one32 = _mm256_set1_epi32(1);
-  const __m256i upmul = pack32_16(
-      _mm256_sllv_epi32(one32, _mm256_loadu_si256(
-                                   reinterpret_cast<const __m256i*>(up))),
-      _mm256_sllv_epi32(one32, _mm256_loadu_si256(
-                                   reinterpret_cast<const __m256i*>(up + 8))));
+  const __m256i band_lo = load8(band), band_hi = load8(band + 8);
+  const __m256i up_lo = load8(up), up_hi = load8(up + 8);
+  const __m256i down_lo = load8(down), down_hi = load8(down + 8);
+  // Zero the masked lanes' a operands: their products then drop out of
+  // every sum and of the skip-zero predicate.
   const __m256i neg1 = _mm256_set1_epi32(-1);
   const __m256i live = pack32_16(_mm256_cmpgt_epi32(band_lo, neg1),
                                  _mm256_cmpgt_epi32(band_hi, neg1));
-  __m256i bm[kMaxBands];
-  for (int c = 0; c < bands; ++c) {
-    bm[c] = pack32_16(_mm256_cmpeq_epi32(band_lo, _mm256_set1_epi32(c)),
-                      _mm256_cmpeq_epi32(band_hi, _mm256_set1_epi32(c)));
-  }
-  const __m256i ones16 = _mm256_set1_epi16(1);
-  const __m256i vzero = _mm256_setzero_si256();
+  for (int i = 0; i < 3; ++i) a16[i] = _mm256_and_si256(a16[i], live);
+
+  __m256i lo[9], hi[9];
   uint32_t nzm = 0;
   for (int i = 0; i < 3; ++i) {
-    // (a << up) * b == (a * b) << up exactly: |a| <= 15, up <= 7 keeps the
-    // shifted factor in int16; the product tops out at 1920 * 15 = 28800.
-    const __m256i ash = _mm256_mullo_epi16(a16[i], upmul);
     for (int j = 0; j < 3; ++j) {
-      const __m256i p = _mm256_mullo_epi16(ash, b16[j]);
-      const __m256i pl = _mm256_and_si256(p, live);
-      if (!_mm256_testz_si256(pl, pl)) nzm |= 1u << (i * 3 + j);
-      int64_t* s = sums + static_cast<size_t>(i * 3 + j) * kMaxBands;
-      for (int g = 0; g < kMaxBands; g += 4) {
-        if (g >= bands) {
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(s + g), vzero);
-          continue;
-        }
-        __m256i r[4];
-        for (int c = 0; c < 4; ++c) {
-          r[c] = g + c < bands
-                     ? _mm256_madd_epi16(_mm256_and_si256(p, bm[g + c]), ones16)
-                     : vzero;
-        }
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(s + g),
-            _mm256_cvtepi32_epi64(red4_i32(r[0], r[1], r[2], r[3])));
-      }
+      // |a_i * b_j| <= 225 is exact in int16; the shifted product is exact
+      // in int32 under the driver's guard bound.
+      const int it = i * 3 + j;
+      const __m256i p = _mm256_mullo_epi16(a16[i], b16[j]);
+      if (!_mm256_testz_si256(p, p)) nzm |= 1u << it;
+      lo[it] = _mm256_sllv_epi32(
+          _mm256_srav_epi32(_mm256_cvtepi16_epi32(_mm256_castsi256_si128(p)),
+                            down_lo),
+          up_lo);
+      hi[it] = _mm256_sllv_epi32(
+          _mm256_srav_epi32(
+              _mm256_cvtepi16_epi32(_mm256_extracti128_si256(p, 1)), down_hi),
+          up_hi);
     }
   }
+  band_sums16(lo, hi, 9, band_lo, band_hi, bands, sums);
   *nz = nzm;
 }
 
-void serial_fused_i16(const int32_t* v, const uint32_t* mag,
+void serial_fused_i32(const int32_t* v, const uint32_t* mag,
                       const int32_t* band, size_t n, int bands, int64_t* sums) {
   static_cast<void>(n);  // serve planes are driver-padded through kFusedLanes
-  const __m256i v16 = pack32_16(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v)),
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + 8)));
-  const __m256i m16 = pack32_16(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mag)),
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mag + 8)));
-  const __m256i band_lo =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(band));
-  const __m256i band_hi =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(band + 8));
-  const __m256i ones16 = _mm256_set1_epi16(1);
-  __m256i bit[kSerialSteps];
+  const __m256i band_lo = load8(band), band_hi = load8(band + 8);
+  // Masked lanes (band -1) drop out here, so one band needs no band mask.
+  const __m256i neg1 = _mm256_set1_epi32(-1);
+  const __m256i v_lo =
+      _mm256_and_si256(load8(v), _mm256_cmpgt_epi32(band_lo, neg1));
+  const __m256i v_hi =
+      _mm256_and_si256(load8(v + 8), _mm256_cmpgt_epi32(band_hi, neg1));
+  const __m256i m_lo = load8(mag), m_hi = load8(mag + 8);
+  // x[t] = v on the lanes whose mag bit t is set: -1 masks from
+  // (mag << (31 - t)) >> 31 arithmetically.
+  __m256i x_lo[kSerialSteps], x_hi[kSerialSteps];
   for (int t = 0; t < kSerialSteps; ++t) {
-    bit[t] = _mm256_srai_epi16(_mm256_slli_epi16(m16, 15 - t), 15);
+    const __m128i lsh = _mm_cvtsi32_si128(31 - t);
+    x_lo[t] = _mm256_and_si256(
+        v_lo, _mm256_srai_epi32(_mm256_sll_epi32(m_lo, lsh), 31));
+    x_hi[t] = _mm256_and_si256(
+        v_hi, _mm256_srai_epi32(_mm256_sll_epi32(m_hi, lsh), 31));
   }
-  for (int c = 0; c < bands; ++c) {
-    const __m256i bmc =
-        pack32_16(_mm256_cmpeq_epi32(band_lo, _mm256_set1_epi32(c)),
-                  _mm256_cmpeq_epi32(band_hi, _mm256_set1_epi32(c)));
-    const __m256i vc = _mm256_and_si256(v16, bmc);
-    int64_t* s = sums + static_cast<size_t>(c) * kSerialSteps;
-    for (int g = 0; g < kSerialSteps; g += 4) {
-      const __m128i t4 = red4_i32(
-          _mm256_madd_epi16(_mm256_and_si256(vc, bit[g + 0]), ones16),
-          _mm256_madd_epi16(_mm256_and_si256(vc, bit[g + 1]), ones16),
-          _mm256_madd_epi16(_mm256_and_si256(vc, bit[g + 2]), ones16),
-          _mm256_madd_epi16(_mm256_and_si256(vc, bit[g + 3]), ones16));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(s + g),
-                          _mm256_cvtepi32_epi64(t4));
-    }
-  }
+  band_sums16(x_lo, x_hi, kSerialSteps, band_lo, band_hi, bands, sums);
 }
 
 int64_t dot_i8(const int8_t* a, const int8_t* b, size_t n) {
@@ -856,24 +669,16 @@ int64_t bit_masked_sum_i32(const int32_t* a, const int32_t* b, int t,
 
 const KernelTable* avx2_kernel_table() {
   static const KernelTable t = {
-      .sum_minmax_i32 = avx2::sum_minmax_i32,
-      .rsub_i32 = avx2::rsub_i32,
-      .mask_and_band_i32 = avx2::mask_and_band_i32,
       .serve_shifts_i32 = avx2::serve_shifts_i32,
-      .nibble_band_sums_i32 = avx2::nibble_band_sums_i32,
-      .nibble_band_sums_i64 = avx2::nibble_band_sums_i64,
       .serial_lanes_i32 = avx2::serial_lanes_i32,
       .shifted_lanes_i32 = avx2::shifted_lanes_i32,
-      .shifted_lanes_i64 = avx2::shifted_lanes_i64,
-      .serial_band_sums_i32 = avx2::serial_band_sums_i32,
-      .serial_band_sums_i64 = avx2::serial_band_sums_i64,
       .fp16_diag_products = avx2::fp16_diag_products,
       .diag_bands_i32 = avx2::diag_bands_i32,
       .diag_band_sums_planes_i32 = avx2::diag_band_sums_planes_i32,
       .diag_band_sums_planes_i64 = avx2::diag_band_sums_planes_i64,
       .ehu_fused_i32 = avx2::ehu_fused_i32,
-      .nibble_fused3x3_i16 = avx2::nibble_fused3x3_i16,
-      .serial_fused_i16 = avx2::serial_fused_i16,
+      .nibble_fused3x3_i32 = avx2::nibble_fused3x3_i32,
+      .serial_fused_i32 = avx2::serial_fused_i32,
       .dot_i8 = avx2::dot_i8,
       .bit_masked_sum_i32 = avx2::bit_masked_sum_i32,
   };

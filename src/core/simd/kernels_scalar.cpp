@@ -8,32 +8,6 @@
 namespace mpipu::simd {
 namespace scalar {
 
-void sum_minmax_i32(const int32_t* a, const int32_t* b, int32_t* sum, size_t n,
-                    int32_t* mx, int32_t* mn) {
-  int32_t smx = INT32_MIN, smn = INT32_MAX;
-  for (size_t k = 0; k < n; ++k) {
-    const int32_t s = a[k] + b[k];
-    sum[k] = s;
-    smx = std::max(smx, s);
-    smn = std::min(smn, s);
-  }
-  *mx = smx;
-  *mn = smn;
-}
-
-void rsub_i32(int32_t c, const int32_t* x, int32_t* out, size_t n) {
-  for (size_t k = 0; k < n; ++k) out[k] = c - x[k];
-}
-
-void mask_and_band_i32(const int32_t* align, size_t n, int32_t soft, int32_t sp,
-                       int32_t* band, uint8_t* masked) {
-  for (size_t k = 0; k < n; ++k) {
-    const bool m = align[k] > soft;
-    masked[k] = m ? 1 : 0;
-    band[k] = m ? -1 : align[k] / sp;
-  }
-}
-
 void serve_shifts_i32(const int32_t* align, const int32_t* band, size_t n,
                       int32_t guard, int32_t sp, int single_cycle,
                       int32_t window, int32_t* serve_band, int32_t* up,
@@ -54,31 +28,6 @@ void serve_shifts_i32(const int32_t* align, const int32_t* band, size_t n,
   }
 }
 
-void nibble_band_sums_i32(const int8_t* pa, const int8_t* pb,
-                          const int32_t* band, const int32_t* up,
-                          const int32_t* down, size_t n, int bands,
-                          int64_t* sums) {
-  static_cast<void>(bands);
-  for (size_t k = 0; k < n; ++k) {
-    if (band[k] < 0) continue;
-    int32_t p = static_cast<int32_t>(pa[k]) * static_cast<int32_t>(pb[k]);
-    p = (p >> down[k]) << up[k];
-    sums[band[k]] += p;
-  }
-}
-
-void nibble_band_sums_i64(const int8_t* pa, const int8_t* pb,
-                          const int32_t* band, const int32_t* up,
-                          const int32_t* down, size_t n, int bands,
-                          int64_t* sums) {
-  static_cast<void>(bands);
-  for (size_t k = 0; k < n; ++k) {
-    if (band[k] < 0) continue;
-    const int32_t p = static_cast<int32_t>(pa[k]) * static_cast<int32_t>(pb[k]);
-    sums[band[k]] += static_cast<int64_t>(p >> down[k]) << up[k];
-  }
-}
-
 void serial_lanes_i32(const int32_t* a_sm, const int32_t* b_sm, size_t n,
                       uint32_t* mag, int32_t* lane_p) {
   for (size_t k = 0; k < n; ++k) {
@@ -91,35 +40,6 @@ void serial_lanes_i32(const int32_t* a_sm, const int32_t* b_sm, size_t n,
 void shifted_lanes_i32(const int32_t* p, const int32_t* up, const int32_t* down,
                        size_t n, int32_t* v) {
   for (size_t k = 0; k < n; ++k) v[k] = (p[k] >> down[k]) << up[k];
-}
-
-void shifted_lanes_i64(const int32_t* p, const int32_t* up, const int32_t* down,
-                       size_t n, int64_t* v) {
-  for (size_t k = 0; k < n; ++k) {
-    v[k] = static_cast<int64_t>(p[k] >> down[k]) << up[k];
-  }
-}
-
-void serial_band_sums_i32(const int32_t* v, const uint32_t* mag, int t,
-                          const int32_t* band, size_t n, int bands,
-                          int64_t* sums) {
-  static_cast<void>(bands);
-  for (size_t k = 0; k < n; ++k) {
-    if (band[k] < 0) continue;
-    if (((mag[k] >> t) & 1u) == 0) continue;
-    sums[band[k]] += v[k];
-  }
-}
-
-void serial_band_sums_i64(const int64_t* v, const uint32_t* mag, int t,
-                          const int32_t* band, size_t n, int bands,
-                          int64_t* sums) {
-  static_cast<void>(bands);
-  for (size_t k = 0; k < n; ++k) {
-    if (band[k] < 0) continue;
-    if (((mag[k] >> t) & 1u) == 0) continue;
-    sums[band[k]] += v[k];
-  }
 }
 
 void fp16_diag_products(const int8_t* a, size_t a_stride, const int8_t* b,
@@ -234,31 +154,30 @@ bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
   return true;
 }
 
-void nibble_fused3x3_i16(const int8_t* a, size_t a_stride, const int8_t* b,
+void nibble_fused3x3_i32(const int8_t* a, size_t a_stride, const int8_t* b,
                          size_t b_stride, const int32_t* band,
-                         const int32_t* up, size_t n, int bands, int64_t* sums,
-                         uint32_t* nz) {
-  static_cast<void>(bands);
+                         const int32_t* up, const int32_t* down, size_t n,
+                         int bands, int64_t* sums, uint32_t* nz) {
   uint32_t nzm = 0;
+  for (int c = 0; c < 9 * bands; ++c) sums[c] = 0;
   for (int i = 0; i < 3; ++i) {
     const int8_t* pa = a + static_cast<size_t>(i) * a_stride;
     for (int j = 0; j < 3; ++j) {
       const int8_t* pb = b + static_cast<size_t>(j) * b_stride;
-      int64_t* s = sums + static_cast<size_t>(i * 3 + j) * kMaxBands;
-      for (int c = 0; c < kMaxBands; ++c) s[c] = 0;
+      const int it = i * 3 + j;
       for (size_t k = 0; k < n; ++k) {
         if (band[k] < 0) continue;
         const int32_t p =
             static_cast<int32_t>(pa[k]) * static_cast<int32_t>(pb[k]);
-        if (p != 0) nzm |= 1u << (i * 3 + j);
-        s[band[k]] += p << up[k];
+        if (p != 0) nzm |= 1u << it;
+        sums[band[k] * 9 + it] += (p >> down[k]) << up[k];
       }
     }
   }
   *nz = nzm;
 }
 
-void serial_fused_i16(const int32_t* v, const uint32_t* mag,
+void serial_fused_i32(const int32_t* v, const uint32_t* mag,
                       const int32_t* band, size_t n, int bands, int64_t* sums) {
   for (int c = 0; c < bands; ++c) {
     for (int t = 0; t < kSerialSteps; ++t) sums[c * kSerialSteps + t] = 0;
@@ -293,24 +212,16 @@ int64_t bit_masked_sum_i32(const int32_t* a, const int32_t* b, int t,
 
 const KernelTable* scalar_kernel_table() {
   static const KernelTable t = {
-      .sum_minmax_i32 = scalar::sum_minmax_i32,
-      .rsub_i32 = scalar::rsub_i32,
-      .mask_and_band_i32 = scalar::mask_and_band_i32,
       .serve_shifts_i32 = scalar::serve_shifts_i32,
-      .nibble_band_sums_i32 = scalar::nibble_band_sums_i32,
-      .nibble_band_sums_i64 = scalar::nibble_band_sums_i64,
       .serial_lanes_i32 = scalar::serial_lanes_i32,
       .shifted_lanes_i32 = scalar::shifted_lanes_i32,
-      .shifted_lanes_i64 = scalar::shifted_lanes_i64,
-      .serial_band_sums_i32 = scalar::serial_band_sums_i32,
-      .serial_band_sums_i64 = scalar::serial_band_sums_i64,
       .fp16_diag_products = scalar::fp16_diag_products,
       .diag_bands_i32 = scalar::diag_bands_i32,
       .diag_band_sums_planes_i32 = scalar::diag_band_sums_planes_i32,
       .diag_band_sums_planes_i64 = scalar::diag_band_sums_planes_i64,
       .ehu_fused_i32 = scalar::ehu_fused_i32,
-      .nibble_fused3x3_i16 = scalar::nibble_fused3x3_i16,
-      .serial_fused_i16 = scalar::serial_fused_i16,
+      .nibble_fused3x3_i32 = scalar::nibble_fused3x3_i32,
+      .serial_fused_i32 = scalar::serial_fused_i32,
       .dot_i8 = scalar::dot_i8,
       .bit_masked_sum_i32 = scalar::bit_masked_sum_i32,
   };

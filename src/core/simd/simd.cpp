@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "core/simd/kernels.h"
 
@@ -36,21 +38,12 @@ const KernelTable* table_for(Backend b) {
   return nullptr;
 }
 
-/// Startup choice: the MPIPU_KERNEL environment variable if it names a
-/// backend this CPU runs (unknown or unavailable names fall through to
-/// auto), otherwise AVX2 when available, else scalar.
-Backend select_default() {
-  // Read-only env probe at first use, no concurrent setenv in this process.
-  if (const char* env = std::getenv("MPIPU_KERNEL")) {  // NOLINT(concurrency-mt-unsafe)
-    if (std::strcmp(env, "scalar") == 0) return Backend::kScalar;
-    // "avx2", "auto" or unrecognized: fall through.
-  }
-  return avx2_table_if_supported() != nullptr ? Backend::kAvx2
-                                              : Backend::kScalar;
-}
-
+/// Startup choice, made on first use.  An invalid MPIPU_KERNEL throws out
+/// of the first active_backend() call.
 Backend default_backend() {
-  static const Backend b = select_default();
+  // Read-only env probe at first use, no concurrent setenv in this process.
+  static const Backend b =
+      backend_from_env(std::getenv("MPIPU_KERNEL"));  // NOLINT(concurrency-mt-unsafe)
   return b;
 }
 
@@ -75,6 +68,20 @@ bool force_backend(Backend b) {
   if (table_for(b) == nullptr) return false;
   active_slot().store(b, std::memory_order_relaxed);
   return true;
+}
+
+Backend backend_from_env(const char* value) {
+  if (value != nullptr && std::strcmp(value, "scalar") == 0) {
+    return Backend::kScalar;
+  }
+  if (value != nullptr && *value != '\0' && std::strcmp(value, "avx2") != 0 &&
+      std::strcmp(value, "auto") != 0) {
+    throw std::invalid_argument(std::string("MPIPU_KERNEL=") + value +
+                                ": expected scalar|avx2|auto");
+  }
+  // avx2 on a CPU without it falls back to scalar, like auto.
+  return avx2_table_if_supported() != nullptr ? Backend::kAvx2
+                                              : Backend::kScalar;
 }
 
 void reset_backend() {

@@ -15,9 +15,9 @@
 //
 // Backend selection happens once at startup (avx2 when the CPU has it,
 // else scalar) and can be overridden by the MPIPU_KERNEL environment
-// variable ("scalar"/"avx2"/"auto") or programmatically via force_backend()
-// (the hook the differential tests use to run both backends in one
-// process).  When the active backend is kScalar the schemes take their
+// variable ("scalar"/"avx2"/"auto"; anything else is an error) or
+// programmatically via force_backend() (the hook the differential tests
+// use to run both backends in one process).  When the active backend is kScalar the schemes take their
 // scalar oracle paths and this layer is never consulted for values.
 //
 // PADDING / ALIGNMENT CONTRACT -- what core/prepared.h guarantees:
@@ -35,15 +35,15 @@
 // planes, so the zero pads are a layout/alignment guarantee, not a
 // correctness dependency.
 //
-// FUSED WHOLE-OP KERNELS -- the serve loops issue one kernel call per op
-// where possible (ops are small -- typically n_inputs <= 16 lanes -- so
-// per-call fixed costs dominate the emulation wall clock).  The fused
-// kernels additionally require their integer inputs to fit 16-bit lanes
-// (the drivers check the config-derived bounds before dispatching) and,
-// for the band-sum kernels, that the driver-owned serve planes are padded
-// to kFusedLanes entries (band pad -1, shift/value pads 0).  Operand
-// planes are still never read past n: the vector backends stage short
-// views through zero-filled local buffers.
+// FUSED WHOLE-OP KERNELS -- the temporal and serial serve loops issue one
+// EHU call and one band-sum call per op (ops are small -- typically
+// n_inputs <= 16 lanes -- so per-call fixed costs dominate the emulation
+// wall clock).  The band-sum kernels hold one int32 value per lane and sum
+// bands in int64; the drivers check the config-derived lane bound
+// (kNibbleFusedMaxGuard / kSerialFusedMaxGuard) and n <= kFusedLanes before
+// dispatching, and own serve planes padded to kFusedLanes entries (band pad
+// -1, shift/value pads 0).  Operand planes are still never read past n: the
+// vector backends stage short views through zero-filled local buffers.
 #pragma once
 
 #include <cstddef>
@@ -51,15 +51,26 @@
 
 namespace mpipu::simd {
 
-/// Serve-band cap for the vector band-sum kernels: one vector accumulator
-/// per band, so ops needing more bands than this fall back to the scalar
+/// Serve-band cap for the band-sum kernels: one vector accumulator per
+/// band, so ops needing more bands than this fall back to the scalar
 /// oracle (bit-identical either way; alignment spreads that wide are rare).
 inline constexpr int kMaxBands = 8;
 
-/// Lane capacity of the fused whole-op band-sum kernels: one op fits one
-/// 16-bit-lane vector register.  Ops with more lanes use the per-stage
-/// kernels instead (bit-identical either way).
+/// Lane capacity of the fused whole-op band-sum kernels: one op fits two
+/// 8-lane int32 vector registers.  Ops with more lanes take the scalar
+/// oracle (bit-identical either way).
 inline constexpr size_t kFusedLanes = 16;
+
+/// Largest window guard (w - 10) the temporal fused kernel admits.  Every
+/// window shift is an up-shift of at most max(guard, 0) or a down-shift, so
+/// a lane value |((a_i*b_j) >> down) << up| <= 225 * 2^guard, which fits
+/// int32 for guard <= 23 (225 * 2^23 < 2^31 <= 225 * 2^24): w <= 33.
+inline constexpr int kNibbleFusedMaxGuard = 23;
+
+/// Largest window guard (w - 13) the serial fused path admits: a shifted
+/// multiplicand |v| <= 2047 * 2^guard fits int32 for guard <= 20
+/// (2047 * 2^20 < 2^31 <= 2047 * 2^21): w <= 33.
+inline constexpr int kSerialFusedMaxGuard = 20;
 
 /// Bit steps of the serial scheme (11 magnitude bits + 1 pad); the fused
 /// serial kernel hard-codes this many per-step sums.
@@ -70,19 +81,9 @@ enum class Backend { kScalar = 0, kAvx2 = 1 };
 /// Function-pointer table of every kernel, one instance per backend.  The
 /// scheme hot loops fetch the active table once per op; entries a vector
 /// backend does not implement point at the scalar reference functions.
+/// Every entry has a caller outside core/simd (tools/lint rule
+/// kernel-table-live).
 struct KernelTable {
-  // --- EHU alignment stages (core/ehu.cpp, prepared exponent planes) ---
-  /// sum[k] = a[k] + b[k]; *mx / *mn = max / min over k.  n >= 1.
-  void (*sum_minmax_i32)(const int32_t* a, const int32_t* b, int32_t* sum,
-                         size_t n, int32_t* mx, int32_t* mn);
-  /// out[k] = c - x[k].
-  void (*rsub_i32)(int32_t c, const int32_t* x, int32_t* out, size_t n);
-  /// Stages 4-5 per lane: masked[k] = align[k] > soft;
-  /// band[k] = masked ? -1 : align[k] / sp.
-  /// Exact for 0 <= align[k] < 65536 and 1 <= sp < 65536 (caller checks).
-  void (*mask_and_band_i32)(const int32_t* align, size_t n, int32_t soft,
-                            int32_t sp, int32_t* band, uint8_t* masked);
-
   // --- serve-loop constant planes (temporal + serial schemes) ---
   /// serve_band[k] = -1 for masked lanes (band[k] < 0), else 0 in
   /// single-cycle mode or band[k] in MC mode; up/down[k] = the split net
@@ -92,19 +93,6 @@ struct KernelTable {
                            int32_t window, int32_t* serve_band, int32_t* up,
                            int32_t* down);
 
-  // --- temporal scheme: per-band adder-tree sums of one nibble iteration ---
-  /// sums[c] += sum over k with band[k]==c of
-  ///            ((int32)pa[k]*pb[k] >> down[k]) << up[k].
-  /// _i32: every partial sum fits int32 (tree_bits <= 31).  bands <= kMaxBands.
-  void (*nibble_band_sums_i32)(const int8_t* pa, const int8_t* pb,
-                               const int32_t* band, const int32_t* up,
-                               const int32_t* down, size_t n, int bands,
-                               int64_t* sums);
-  void (*nibble_band_sums_i64)(const int8_t* pa, const int8_t* pb,
-                               const int32_t* band, const int32_t* up,
-                               const int32_t* down, size_t n, int bands,
-                               int64_t* sums);
-
   // --- serial scheme ---
   /// mag[k] = |b_sm[k]| << 1 (the padded weight magnitude);
   /// lane_p[k] = b_sm[k] < 0 ? -a_sm[k] : a_sm[k].
@@ -113,15 +101,6 @@ struct KernelTable {
   /// v[k] = (p[k] >> down[k]) << up[k], precomputed once per op.
   void (*shifted_lanes_i32)(const int32_t* p, const int32_t* up,
                             const int32_t* down, size_t n, int32_t* v);
-  void (*shifted_lanes_i64)(const int32_t* p, const int32_t* up,
-                            const int32_t* down, size_t n, int64_t* v);
-  /// sums[c] += sum over k with band[k]==c and bit t of mag[k] set of v[k].
-  void (*serial_band_sums_i32)(const int32_t* v, const uint32_t* mag, int t,
-                               const int32_t* band, size_t n, int bands,
-                               int64_t* sums);
-  void (*serial_band_sums_i64)(const int64_t* v, const uint32_t* mag, int t,
-                               const int32_t* band, size_t n, int bands,
-                               int64_t* sums);
 
   // --- spatial scheme ---
   /// Diagonal pre-sums of the 3x3 FP16 nibble products:
@@ -172,26 +151,27 @@ struct KernelTable {
                         int32_t* max_band, int32_t* n_masked,
                         int32_t* max_align);
   /// All nine temporal FP16 nibble iterations of one op in a single call:
-  /// sums[(i*3 + j)*kMaxBands + c] = sum over k with band[k]==c of
-  /// ((int32)a_i[k] * b_j[k]) << up[k], and bit (i*3 + j) of *nz is set
-  /// when any lane with band[k] >= 0 has a_i[k] != 0 && b_j[k] != 0 (the
-  /// skip-zero-iteration predicate).  SET semantics on all kMaxBands sums
-  /// slots per iteration (slots at c >= bands are zeroed).  Preconditions
-  /// (the temporal driver checks): MC serve
-  /// shifts (every down shift is zero), 0 <= up[k] <= 7 so each shifted
-  /// product fits int16 (|a*b| <= 225, 225 << 7 < 2^15), n <= kFusedLanes,
-  /// bands <= kMaxBands, band/up readable and padded through kFusedLanes.
-  void (*nibble_fused3x3_i16)(const int8_t* a, size_t a_stride,
+  /// sums[c*9 + i*3 + j] = sum over k with band[k]==c of
+  /// (((int32)a_i[k] * b_j[k]) >> down[k]) << up[k], and bit (i*3 + j) of
+  /// *nz is set when any lane with band[k] >= 0 has a_i[k] != 0 &&
+  /// b_j[k] != 0 (the skip-zero-iteration predicate).  SET semantics for
+  /// c < bands.  Each shifted product must fit int32 (the temporal driver
+  /// checks guard <= kNibbleFusedMaxGuard); sums are exact int64.  Also
+  /// n <= kFusedLanes, bands <= kMaxBands, 0 <= down[k] <= 31,
+  /// band/up/down readable and padded through kFusedLanes, and sums sized
+  /// 9 * kMaxBands (slots past 9 * bands may be overwritten).
+  void (*nibble_fused3x3_i32)(const int8_t* a, size_t a_stride,
                               const int8_t* b, size_t b_stride,
-                              const int32_t* band, const int32_t* up, size_t n,
-                              int bands, int64_t* sums, uint32_t* nz);
+                              const int32_t* band, const int32_t* up,
+                              const int32_t* down, size_t n, int bands,
+                              int64_t* sums, uint32_t* nz);
   /// All kSerialSteps serial bit-steps of one op in a single call:
   /// sums[c*kSerialSteps + t] = sum over k with band[k]==c and bit t of
-  /// mag[k] set of v[k].  SET semantics for c < bands.  Preconditions:
-  /// |v[k]| < 2^15 (the driver checks guard <= 4: |v| <= 2047 << 4),
-  /// mag[k] < 2^13, n <= kFusedLanes, bands <= kMaxBands, v/mag/band
-  /// readable and padded through kFusedLanes (v/mag pads 0, band pads -1).
-  void (*serial_fused_i16)(const int32_t* v, const uint32_t* mag,
+  /// mag[k] set of v[k], exact int64 for any int32 v.  SET semantics for
+  /// c < bands.  Preconditions: n <= kFusedLanes, bands <= kMaxBands,
+  /// v/mag/band readable and padded through kFusedLanes (v/mag pads 0,
+  /// band pads -1).
+  void (*serial_fused_i32)(const int32_t* v, const uint32_t* mag,
                            const int32_t* band, size_t n, int bands,
                            int64_t* sums);
 
@@ -221,8 +201,14 @@ bool backend_compiled(Backend b);
 /// leaves the selection unchanged -- when !backend_compiled(b).
 bool force_backend(Backend b);
 
-/// Reset to the startup selection (avx2 when available, unless the
-/// MPIPU_KERNEL environment variable pinned scalar).
+/// The startup backend an MPIPU_KERNEL value selects: "scalar" pins the
+/// scalar backend; "avx2", "auto", an empty value and null (unset) pick
+/// AVX2 when this CPU runs it, else scalar.  Any other value (a typo, a
+/// different case, a removed backend) throws std::invalid_argument naming
+/// scalar|avx2|auto, so it cannot silently select the vector kernels.
+Backend backend_from_env(const char* value);
+
+/// Reset to the startup selection: backend_from_env(MPIPU_KERNEL).
 void reset_backend();
 
 const char* backend_name(Backend b);

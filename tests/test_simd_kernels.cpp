@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -98,9 +100,31 @@ TEST(SimdBackend, Avx2AvailableAndSelectedOnAvx2Cpus) {
 #endif
 }
 
+// MPIPU_KERNEL parsing: the three documented values (and unset/empty)
+// select a backend; anything else is an error, never a silent AVX2 pick.
+TEST(SimdBackend, KernelEnvValueParsing) {
+  const Backend vec = simd::backend_compiled(Backend::kAvx2) ? Backend::kAvx2
+                                                             : Backend::kScalar;
+  EXPECT_EQ(simd::backend_from_env("scalar"), Backend::kScalar);
+  EXPECT_EQ(simd::backend_from_env("avx2"), vec);
+  EXPECT_EQ(simd::backend_from_env("auto"), vec);
+  EXPECT_EQ(simd::backend_from_env(""), vec);
+  EXPECT_EQ(simd::backend_from_env(nullptr), vec);
+  for (const char* bad : {"Scalar", "scalr", "neon", "AVX2", "scalar "}) {
+    try {
+      simd::backend_from_env(bad);
+      ADD_FAILURE() << "MPIPU_KERNEL=" << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("scalar|avx2|auto"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- kernel-level equality ---------------------------------------------------
 
-TEST(SimdKernels, EhuStagesMatchScalar) {
+TEST(SimdKernels, ServeShiftsMatchScalar) {
   const auto vecs = vector_backends();
   if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   const KernelTable& S = *simd::kernels_for(Backend::kScalar);
@@ -109,37 +133,21 @@ TEST(SimdKernels, EhuStagesMatchScalar) {
     const KernelTable& V = *simd::kernels_for(b);
     for (size_t n : kSizes) {
       for (int trial = 0; trial < 20; ++trial) {
-        const auto ea = random_i32(rng, n, -2000, 2000);
-        const auto eb = random_i32(rng, n, -2000, 2000);
-        std::vector<int32_t> sum_s(n), sum_v(n);
-        int32_t mx_s, mn_s, mx_v, mn_v;
-        S.sum_minmax_i32(ea.data(), eb.data(), sum_s.data(), n, &mx_s, &mn_s);
-        V.sum_minmax_i32(ea.data(), eb.data(), sum_v.data(), n, &mx_v, &mn_v);
-        EXPECT_EQ(sum_s, sum_v);
-        EXPECT_EQ(mx_s, mx_v);
-        EXPECT_EQ(mn_s, mn_v);
-
-        std::vector<int32_t> al_s(n), al_v(n);
-        S.rsub_i32(mx_s, sum_s.data(), al_s.data(), n);
-        V.rsub_i32(mx_s, sum_s.data(), al_v.data(), n);
-        EXPECT_EQ(al_s, al_v);
-
-        // mask_and_band needs 0 <= align < 2^16 and 1 <= sp < 2^16.
-        const auto align = random_i32(rng, n, 0, 65535);
+        // EHU-shaped input: band = align / sp, -1 past the software
+        // precision.
+        const auto align = random_i32(rng, n, 0, 100);
         const int32_t soft = static_cast<int32_t>(rng.uniform_int(0, 100));
         const int32_t sp = static_cast<int32_t>(rng.uniform_int(1, 40));
-        std::vector<int32_t> band_s(n), band_v(n);
-        std::vector<uint8_t> m_s(n), m_v(n);
-        S.mask_and_band_i32(align.data(), n, soft, sp, band_s.data(), m_s.data());
-        V.mask_and_band_i32(align.data(), n, soft, sp, band_v.data(), m_v.data());
-        EXPECT_EQ(band_s, band_v);
-        EXPECT_EQ(m_s, m_v);
-
-        std::vector<int32_t> sb_s(n), up_s(n), dn_s(n), sb_v(n), up_v(n), dn_v(n);
+        std::vector<int32_t> band(n);
+        for (size_t k = 0; k < n; ++k) {
+          band[k] = align[k] > soft ? -1 : align[k] / sp;
+        }
+        std::vector<int32_t> sb_s(n), up_s(n), dn_s(n);
+        std::vector<int32_t> sb_v(n), up_v(n), dn_v(n);
         for (int sc = 0; sc < 2; ++sc) {
-          S.serve_shifts_i32(align.data(), band_s.data(), n, sp - 1, sp, sc, 28,
+          S.serve_shifts_i32(align.data(), band.data(), n, sp - 1, sp, sc, 28,
                              sb_s.data(), up_s.data(), dn_s.data());
-          V.serve_shifts_i32(align.data(), band_s.data(), n, sp - 1, sp, sc, 28,
+          V.serve_shifts_i32(align.data(), band.data(), n, sp - 1, sp, sc, 28,
                              sb_v.data(), up_v.data(), dn_v.data());
           EXPECT_EQ(sb_s, sb_v);
           EXPECT_EQ(up_s, up_v);
@@ -190,35 +198,26 @@ TEST(SimdKernels, EhuFusedMatchesScalar) {
   }
 }
 
-TEST(SimdKernels, NibbleBandSumsMatchScalar) {
-  const auto vecs = vector_backends();
-  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
-  const KernelTable& S = *simd::kernels_for(Backend::kScalar);
-  Rng rng(13);
-  for (Backend b : vecs) {
-    const KernelTable& V = *simd::kernels_for(b);
-    for (size_t n : kSizes) {
-      for (int trial = 0; trial < 20; ++trial) {
-        const int bands = static_cast<int>(rng.uniform_int(1, simd::kMaxBands));
-        const bool zero_planes = trial == 0;
-        const auto pa = random_nibbles(rng, n, zero_planes);
-        const auto pb = random_nibbles(rng, n, zero_planes);
-        const auto band = random_bands(rng, n, bands, n, trial == 1);
-        const auto up = random_i32(rng, n, 0, 7);
-        const auto down = random_i32(rng, n, 0, trial % 2 == 0 ? 0 : 5);
-        int64_t s_s[simd::kMaxBands] = {0}, s_v[simd::kMaxBands] = {0};
-        S.nibble_band_sums_i32(pa.data(), pb.data(), band.data(), up.data(),
-                               down.data(), n, bands, s_s);
-        V.nibble_band_sums_i32(pa.data(), pb.data(), band.data(), up.data(),
-                               down.data(), n, bands, s_v);
-        for (int c = 0; c < bands; ++c) EXPECT_EQ(s_s[c], s_v[c]) << c;
-        int64_t l_s[simd::kMaxBands] = {0}, l_v[simd::kMaxBands] = {0};
-        S.nibble_band_sums_i64(pa.data(), pb.data(), band.data(), up.data(),
-                               down.data(), n, bands, l_s);
-        V.nibble_band_sums_i64(pa.data(), pb.data(), band.data(), up.data(),
-                               down.data(), n, bands, l_v);
-        for (int c = 0; c < bands; ++c) EXPECT_EQ(l_s[c], l_v[c]) << c;
-      }
+/// Runs the temporal fused kernel on both tables and asserts identical
+/// sums (slots c < bands of every iteration) and skip-zero masks.
+void expect_nibble_fused_equal(const KernelTable& S, const KernelTable& V,
+                               const int8_t* a, const int8_t* b, size_t stride,
+                               const std::vector<int32_t>& band,
+                               const std::vector<int32_t>& up,
+                               const std::vector<int32_t>& down, size_t n,
+                               int bands, int64_t* s_s, uint32_t* nz_s) {
+  int64_t s_v[9 * simd::kMaxBands];
+  uint32_t nz_v = 0;
+  S.nibble_fused3x3_i32(a, stride, b, stride, band.data(), up.data(),
+                        down.data(), n, bands, s_s, nz_s);
+  V.nibble_fused3x3_i32(a, stride, b, stride, band.data(), up.data(),
+                        down.data(), n, bands, s_v, &nz_v);
+  EXPECT_EQ(*nz_s, nz_v) << "n=" << n;
+  for (int it = 0; it < 9; ++it) {
+    for (int c = 0; c < bands; ++c) {
+      const int i = c * 9 + it;
+      EXPECT_EQ(s_s[i], s_v[i]) << "iteration " << it << " band " << c
+                                << " n=" << n;
     }
   }
 }
@@ -232,7 +231,7 @@ TEST(SimdKernels, NibbleFused3x3MatchesScalar) {
   for (Backend b : vecs) {
     const KernelTable& V = *simd::kernels_for(b);
     for (size_t n : kFusedSizes) {
-      for (int trial = 0; trial < 30; ++trial) {
+      for (int trial = 0; trial < 40; ++trial) {
         const int bands = static_cast<int>(rng.uniform_int(1, simd::kMaxBands));
         const bool zero_planes = trial == 0;
         // 3 nibble planes each, plane-major; pads past n are live-looking
@@ -248,20 +247,58 @@ TEST(SimdKernels, NibbleFused3x3MatchesScalar) {
         }
         const auto band =
             random_bands(rng, n, bands, simd::kFusedLanes, trial == 1);
-        auto up = random_i32(rng, n, 0, 7, simd::kFusedLanes);
-        int64_t s_s[9 * simd::kMaxBands], s_v[9 * simd::kMaxBands];
-        uint32_t nz_s = 0, nz_v = 0;
-        S.nibble_fused3x3_i16(a.data(), kStride, bb.data(), kStride,
-                              band.data(), up.data(), n, bands, s_s, &nz_s);
-        V.nibble_fused3x3_i16(a.data(), kStride, bb.data(), kStride,
-                              band.data(), up.data(), n, bands, s_v, &nz_v);
-        EXPECT_EQ(nz_s, nz_v) << "n=" << n << " trial " << trial;
-        for (int i = 0; i < 9 * simd::kMaxBands; ++i) {
-          EXPECT_EQ(s_s[i], s_v[i]) << "slot " << i << " n=" << n;
-        }
+        // Short up-shifts and the whole admitted range; odd trials add the
+        // single-cycle down-shifts (at most w - guard = 10).
+        const int max_up = trial % 3 == 0 ? 7 : simd::kNibbleFusedMaxGuard;
+        const auto up = random_i32(rng, n, 0, max_up, simd::kFusedLanes);
+        const auto down = random_i32(rng, n, 0, trial % 2 == 0 ? 0 : 10,
+                                     simd::kFusedLanes);
+        int64_t s_s[9 * simd::kMaxBands];
+        uint32_t nz_s = 0;
+        expect_nibble_fused_equal(S, V, a.data(), bb.data(), kStride, band, up,
+                                  down, n, bands, s_s, &nz_s);
         if (zero_planes) {
           EXPECT_EQ(nz_s, 0u);
         }
+      }
+    }
+  }
+}
+
+// Adversarial bound: 16 same-sign lanes at the largest nibble product (225)
+// shifted up by the largest guard the temporal driver admits.  Each lane
+// value sits just inside int32; the 16-lane sum does not, so it must come
+// back exact from the int64 band sums on every backend.
+TEST(SimdKernels, NibbleFused3x3ExactAtLaneBound) {
+  const auto vecs = vector_backends();
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
+  const KernelTable& S = *simd::kernels_for(Backend::kScalar);
+  constexpr size_t kStride = 32;
+  constexpr size_t n = simd::kFusedLanes;
+  constexpr int g = simd::kNibbleFusedMaxGuard;
+  for (Backend b : vecs) {
+    const KernelTable& V = *simd::kernels_for(b);
+    for (int sign : {1, -1}) {
+      for (int bands : {1, simd::kMaxBands}) {
+        std::vector<int8_t> a(3 * kStride, static_cast<int8_t>(15 * sign));
+        std::vector<int8_t> bb(3 * kStride, 15);
+        // Every lane in the last band, so the other slots must stay zero.
+        const std::vector<int32_t> band(n, bands - 1);
+        const std::vector<int32_t> up(n, g), down(n, 0);
+        int64_t s_s[9 * simd::kMaxBands];
+        uint32_t nz_s = 0;
+        expect_nibble_fused_equal(S, V, a.data(), bb.data(), kStride, band,
+                                  up, down, n, bands, s_s, &nz_s);
+        const int64_t lane = int64_t{225} << g;
+        ASSERT_LE(lane, int64_t{INT32_MAX});
+        for (int it = 0; it < 9; ++it) {
+          for (int c = 0; c < bands; ++c) {
+            EXPECT_EQ(s_s[c * 9 + it],
+                      c == bands - 1 ? sign * 16 * lane : 0)
+                << "iteration " << it << " band " << c;
+          }
+        }
+        EXPECT_EQ(nz_s, 0x1FFu);
       }
     }
   }
@@ -285,34 +322,29 @@ TEST(SimdKernels, SerialKernelsMatchScalar) {
         EXPECT_EQ(mag_s, mag_v);
         EXPECT_EQ(p_s, p_v);
 
-        const auto up = random_i32(rng, n, 0, 4);
-        const auto down = random_i32(rng, n, 0, trial % 2 == 0 ? 0 : 3);
+        const auto up = random_i32(rng, n, 0, simd::kSerialFusedMaxGuard);
+        const auto down = random_i32(rng, n, 0, trial % 2 == 0 ? 0 : 13);
         std::vector<int32_t> v_s(n), v_v(n);
         S.shifted_lanes_i32(p_s.data(), up.data(), down.data(), n, v_s.data());
         V.shifted_lanes_i32(p_s.data(), up.data(), down.data(), n, v_v.data());
         EXPECT_EQ(v_s, v_v);
-        std::vector<int64_t> w_s(n), w_v(n);
-        S.shifted_lanes_i64(p_s.data(), up.data(), down.data(), n, w_s.data());
-        V.shifted_lanes_i64(p_s.data(), up.data(), down.data(), n, w_v.data());
-        EXPECT_EQ(w_s, w_v);
-
-        const int bands = static_cast<int>(rng.uniform_int(1, simd::kMaxBands));
-        const auto band = random_bands(rng, n, bands, n, trial == 1);
-        const int t = static_cast<int>(rng.uniform_int(0, simd::kSerialSteps - 1));
-        int64_t s_s[simd::kMaxBands] = {0}, s_v[simd::kMaxBands] = {0};
-        S.serial_band_sums_i32(v_s.data(), mag_s.data(), t, band.data(), n,
-                               bands, s_s);
-        V.serial_band_sums_i32(v_s.data(), mag_s.data(), t, band.data(), n,
-                               bands, s_v);
-        for (int c = 0; c < bands; ++c) EXPECT_EQ(s_s[c], s_v[c]) << c;
-        int64_t l_s[simd::kMaxBands] = {0}, l_v[simd::kMaxBands] = {0};
-        S.serial_band_sums_i64(w_s.data(), mag_s.data(), t, band.data(), n,
-                               bands, l_s);
-        V.serial_band_sums_i64(w_s.data(), mag_s.data(), t, band.data(), n,
-                               bands, l_v);
-        for (int c = 0; c < bands; ++c) EXPECT_EQ(l_s[c], l_v[c]) << c;
       }
     }
+  }
+}
+
+/// Runs the serial fused kernel on both tables and asserts identical sums
+/// (slots of bands c < bands).
+void expect_serial_fused_equal(const KernelTable& S, const KernelTable& V,
+                               const std::vector<int32_t>& v,
+                               const std::vector<uint32_t>& mag,
+                               const std::vector<int32_t>& band, size_t n,
+                               int bands, int64_t* s_s) {
+  int64_t s_v[simd::kMaxBands * simd::kSerialSteps];
+  S.serial_fused_i32(v.data(), mag.data(), band.data(), n, bands, s_s);
+  V.serial_fused_i32(v.data(), mag.data(), band.data(), n, bands, s_v);
+  for (int i = 0; i < bands * simd::kSerialSteps; ++i) {
+    EXPECT_EQ(s_s[i], s_v[i]) << "slot " << i << " n=" << n;
   }
 }
 
@@ -326,9 +358,11 @@ TEST(SimdKernels, SerialFusedMatchesScalar) {
     for (size_t n : kFusedSizes) {
       for (int trial = 0; trial < 30; ++trial) {
         const int bands = static_cast<int>(rng.uniform_int(1, simd::kMaxBands));
-        // |v| < 2^15 (the guard <= 4 driver bound), mag < 2^13, zero pads.
-        const auto v =
-            random_i32(rng, n, -32752, 32752, simd::kFusedLanes);
+        // Lane values below 2^16 in magnitude on even trials, any int32
+        // on odd ones; mag < 2^13, zero pads.
+        const int64_t vmax = trial % 2 == 0 ? 0xFFFF : INT32_MAX;
+        const auto v = random_i32(rng, n, trial % 2 == 0 ? -vmax : INT32_MIN,
+                                  vmax, simd::kFusedLanes);
         std::vector<uint32_t> mag(simd::kFusedLanes, 0);
         for (size_t k = 0; k < n; ++k) {
           mag[k] = static_cast<uint32_t>(rng.uniform_int(0, (1 << 13) - 1));
@@ -336,11 +370,45 @@ TEST(SimdKernels, SerialFusedMatchesScalar) {
         const auto band =
             random_bands(rng, n, bands, simd::kFusedLanes, trial == 1);
         int64_t s_s[simd::kMaxBands * simd::kSerialSteps];
-        int64_t s_v[simd::kMaxBands * simd::kSerialSteps];
-        S.serial_fused_i16(v.data(), mag.data(), band.data(), n, bands, s_s);
-        V.serial_fused_i16(v.data(), mag.data(), band.data(), n, bands, s_v);
-        for (int i = 0; i < bands * simd::kSerialSteps; ++i) {
-          EXPECT_EQ(s_s[i], s_v[i]) << "slot " << i << " n=" << n;
+        expect_serial_fused_equal(S, V, v, mag, band, n, bands, s_s);
+      }
+    }
+  }
+}
+
+// Adversarial bound: 16 same-sign lanes at the largest serial multiplicand
+// (|p| = 2047) shifted up by the largest guard the serial driver admits,
+// with every weight bit set.  shifted_lanes_i32 must keep each lane exact
+// in int32 and the fused sums must carry the 16-lane total in int64.
+TEST(SimdKernels, SerialFusedExactAtLaneBound) {
+  const auto vecs = vector_backends();
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
+  const KernelTable& S = *simd::kernels_for(Backend::kScalar);
+  constexpr size_t n = simd::kFusedLanes;
+  constexpr int g = simd::kSerialFusedMaxGuard;
+  for (Backend b : vecs) {
+    const KernelTable& V = *simd::kernels_for(b);
+    for (int sign : {1, -1}) {
+      for (int bands : {1, simd::kMaxBands}) {
+        const std::vector<int32_t> p(n, sign * 2047), up(n, g), down(n, 0);
+        std::vector<int32_t> v(n), v_v(n);
+        S.shifted_lanes_i32(p.data(), up.data(), down.data(), n, v.data());
+        V.shifted_lanes_i32(p.data(), up.data(), down.data(), n, v_v.data());
+        EXPECT_EQ(v, v_v);
+        const int64_t lane = int64_t{2047} << g;
+        ASSERT_LE(lane, int64_t{INT32_MAX});
+        EXPECT_EQ(v[0], sign * lane);
+
+        const std::vector<uint32_t> mag(n, (1u << simd::kSerialSteps) - 1);
+        const std::vector<int32_t> band(n, bands - 1);
+        int64_t s_s[simd::kMaxBands * simd::kSerialSteps];
+        expect_serial_fused_equal(S, V, v, mag, band, n, bands, s_s);
+        for (int c = 0; c < bands; ++c) {
+          for (int t = 0; t < simd::kSerialSteps; ++t) {
+            EXPECT_EQ(s_s[c * simd::kSerialSteps + t],
+                      c == bands - 1 ? sign * 16 * lane : 0)
+                << "band " << c << " step " << t;
+          }
         }
       }
     }
@@ -507,7 +575,10 @@ TEST(SimdDatapath, Fp16BitIdenticalAcrossBackends) {
   uint64_t seed = 100;
   for (Backend vec : vecs) {
     for (auto scheme : kAllSchemes) {
-      for (int w : {10, 13, 16, 28, 38}) {
+      // 33 is the last width inside both fused kernels' lane bounds
+      // (temporal guard w - 10 <= 23, serial guard w - 13 <= 20), 34 the
+      // first outside: it takes the scalar oracle on both backends.
+      for (int w : {10, 13, 16, 28, 33, 34, 38}) {
         for (bool mc : {true, false}) {
           for (int sp : {16, 28}) {
             DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
@@ -519,6 +590,10 @@ TEST(SimdDatapath, Fp16BitIdenticalAcrossBackends) {
           }
         }
       }
+      // Ops of up to 32 lanes: those past kFusedLanes take the oracle.
+      DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
+      cfg.n_inputs = 32;
+      diff_fp16_config(cfg, vec, ++seed);
     }
   }
 }
@@ -530,14 +605,16 @@ TEST(SimdDatapath, Fp16SkipFlagsBitIdentical) {
   for (Backend vec : vecs) {
     for (auto scheme : kAllSchemes) {
       for (int w : {16, 28}) {
-        DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
-        cfg.n_inputs = 16;
-        cfg.adder_tree_width = w;
-        cfg.software_precision = 28;
-        cfg.multi_cycle = true;
-        cfg.skip_empty_bands = true;
-        cfg.skip_zero_iterations = scheme == DecompositionScheme::kTemporal;
-        diff_fp16_config(cfg, vec, ++seed);
+        for (bool mc : {true, false}) {
+          DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
+          cfg.n_inputs = 16;
+          cfg.adder_tree_width = w;
+          cfg.software_precision = 28;
+          cfg.multi_cycle = mc;
+          cfg.skip_empty_bands = true;
+          cfg.skip_zero_iterations = scheme == DecompositionScheme::kTemporal;
+          diff_fp16_config(cfg, vec, ++seed);
+        }
       }
     }
   }

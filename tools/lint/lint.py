@@ -21,6 +21,8 @@ Rules:
                    headers it includes pull in only <immintrin.h>,
                    <cstddef>, <cstdint> and core/simd/* headers, and use no
                    std:: names
+  kernel-table-live every KernelTable member declared in core/simd/simd.h
+                   is called somewhere in src/ outside core/simd/
   include-hygiene  quoted includes in src/ resolve from the src/ root, no
                    `..` segments, every src/ header opens with #pragma once
   bench-schema     the committed BENCH_*.json artifacts parse, carry their
@@ -297,6 +299,48 @@ def check_isa_isolation(root):
 
 
 # --------------------------------------------------------------------------
+# Rule: kernel-table-live
+# --------------------------------------------------------------------------
+
+SIMD_HEADER = Path("src/core/simd/simd.h")
+KERNEL_TABLE_RE = re.compile(r"\bstruct\s+KernelTable\s*\{(.*?)\n\};",
+                             re.DOTALL)
+KERNEL_MEMBER_RE = re.compile(r"\(\s*\*\s*(\w+)\s*\)\s*\(")
+
+
+def check_kernel_table_live(root):
+    """Every kernel-table entry needs a caller outside core/simd/."""
+    header = root / SIMD_HEADER
+    if not header.exists():
+        return []
+    code = strip_comments_and_strings(header.read_text())
+    table = KERNEL_TABLE_RE.search(code)
+    if not table:
+        return [Violation(
+            "kernel-table-live", SIMD_HEADER, 0,
+            "struct KernelTable not found: the rule cannot see the table")]
+    body_start = code[:table.start(1)].count("\n") + 1
+    members = []
+    for offset, line in enumerate(table.group(1).splitlines()):
+        for m in KERNEL_MEMBER_RE.finditer(line):
+            members.append((m.group(1), body_start + offset))
+    simd_dir = root / "src" / "core" / "simd"
+    callers = "\n".join(
+        strip_comments_and_strings(p.read_text())
+        for p in _src_files(root) if simd_dir not in p.parents)
+    violations = []
+    for name, lineno in members:
+        if not re.search(r"(\.|->)\s*" + name + r"\s*\(", callers):
+            violations.append(Violation(
+                "kernel-table-live", SIMD_HEADER, lineno,
+                f"KernelTable::{name} has no call site in src/ outside"
+                " core/simd/: a kernel no serve path calls is dead code"
+                " every backend must still implement -- delete it from"
+                " the table and every backend"))
+    return violations
+
+
+# --------------------------------------------------------------------------
 # Rule: include-hygiene
 # --------------------------------------------------------------------------
 
@@ -406,6 +450,7 @@ ALL_RULES = [
     check_kernel_purity,
     check_scalar_oracle,
     check_isa_isolation,
+    check_kernel_table_live,
     check_include_hygiene,
     check_bench_schema,
 ]

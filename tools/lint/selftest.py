@@ -38,6 +38,15 @@ def make_tree(root):
         lint.scalar_oracle_digest(root) + "  kernels_scalar.cpp\n")
     (root / "src" / "core" / "simd" / "kernels.h").write_text(
         "#pragma once\n#include <cstdint>\nint32_t k2(int32_t a);\n")
+    (root / "src" / "core" / "simd" / "simd.h").write_text(
+        "#pragma once\n#include <cstdint>\n"
+        "struct KernelTable {\n"
+        "  /// k2(a) = max(a, 0)\n"
+        "  int32_t (*k2)(int32_t a);\n"
+        "};\n")
+    (root / "src" / "core" / "user.cpp").write_text(
+        "#include \"core/simd/simd.h\"\n"
+        "int32_t use(const KernelTable& K) { return K.k2(1); }\n")
     (root / "src" / "core" / "simd" / "kernels_avx2.cpp").write_text(
         "#include <immintrin.h>\n#include \"core/simd/kernels.h\"\n"
         "namespace { int32_t max_of(int32_t a, int32_t b) {"
@@ -141,6 +150,18 @@ def main():
         p.write_text(p.read_text().replace("<cstdint>", "<algorithm>"))
     expect("isa-isolation (transitive include)", in_fresh_tree(seed_header),
            "isa-isolation", "kernels.h")
+
+    # kernel-table-live: a table entry no code outside core/simd calls
+    # (a call inside core/simd does not count).
+    def seed_dead_kernel(root):
+        p = root / "src" / "core" / "simd" / "simd.h"
+        p.write_text(p.read_text().replace(
+            "};\n", "  int32_t (*dead_i32)(int32_t a);\n};\n"))
+        (root / "src" / "core" / "simd" / "inner.cpp").write_text(
+            "#include \"core/simd/simd.h\"\n"
+            "int32_t inner(const KernelTable& K) { return K.dead_i32(1); }\n")
+    expect("kernel-table-live", in_fresh_tree(seed_dead_kernel),
+           "kernel-table-live", "simd.h")
 
     # include-hygiene: a quoted include that does not resolve under src/.
     expect("include-hygiene", in_fresh_tree(lambda root: (
