@@ -47,6 +47,10 @@ void dispatch_private(ThreadPool& pool, size_t count, const DatapathConfig& dp,
       });
 }
 
+std::string activation_context(const GraphNode& nd) {
+  return "CompiledModel::run: node '" + nd.name + "' input activation";
+}
+
 }  // namespace
 
 bool CompiledModel::matches(const GraphModel& model) const {
@@ -132,7 +136,9 @@ CompiledModel CompiledModel::compile_nodes(std::vector<GraphNode> nodes,
     cl.precision = p;
     cl.precision_label = p.to_string();
     if (p.kind == LayerPrecision::Kind::kFp16) {
-      const PreparedFp16 flt_planes = prepare_fp16_planes(nd.filters.data);
+      const PreparedFp16 flt_planes = prepare_fp16_planes(
+          nd.filters.data,
+          "CompiledModel::compile: layer '" + nd.name + "' weight");
       cl.fp16_plan.build(c, h, w, nd.filters, nd.spec, flt_planes);
     } else {
       cl.qw = fit_symmetric(nd.filters.data, p.w_bits);
@@ -242,7 +248,7 @@ void CompiledModel::exec_node(
       PreparedInt int_planes;
       QuantParams qa{};
       if (fp16) {
-        fp_planes = prepare_fp16_planes(x.data);
+        fp_planes = prepare_fp16_planes(x.data, activation_context(nd));
       } else {
         qa = fit_symmetric(x.data, cl.precision.a_bits);
         int_planes = prepare_int_planes(x.data, qa, cl.int_digits);
@@ -278,7 +284,8 @@ void CompiledModel::exec_node(
       DatapathStats before;
       for (const auto& u : units) before += u->stats();
       if (fp16) {
-        const PreparedFp16 in_planes = prepare_fp16_planes(x.data);
+        const PreparedFp16 in_planes =
+            prepare_fp16_planes(x.data, activation_context(nd));
         y = execute_fp16_plan(cl.fp16_plan, in_planes, pool, units,
                               spec_.datapath.n_inputs, cl.precision.accum);
       } else {

@@ -120,8 +120,9 @@ class CompiledModel {
     return precisions_;
   }
   /// Content fingerprint of the model this plan was compiled from
-  /// (graph_fingerprint of name, topology, specs, post-ops and weight
-  /// bytes).
+  /// (graph_fingerprint: FNV-1a over name, topology, specs and post-ops,
+  /// word-wise lanes over the weights).  In-process only -- never
+  /// persisted; matches() is the equality check.
   uint64_t fingerprint() const { return fingerprint_; }
   /// Exact node-list + tensor-statistics equality of `model` with the
   /// compiled source (the statistics feed the shape table estimate()

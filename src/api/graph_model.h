@@ -195,10 +195,15 @@ std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
                                             const Tensor& input);
 
 /// Order-sensitive content hash of a graph's name, topology, specs,
-/// post-ops and weight bytes -- a stable identity for logging / plan
-/// registries (what CompiledModel::fingerprint reports).  NOTE: it
-/// deliberately skips the tensor statistics; CompiledModel::matches is the
-/// exact-equality authority (and does compare them).
+/// post-ops and weights -- an in-process identity for logging / plan
+/// registries (what CompiledModel::fingerprint reports).  Structural fields
+/// go through FNV-1a; each conv's weights go through 4 multiply-xorshift
+/// lanes over their 64-bit words, folded with the count into the FNV
+/// state, so a change to any one weight word always changes the value.
+/// The value is persisted nowhere (no golden file or digest holds it) and
+/// may change between versions.  NOTE: it deliberately skips the tensor
+/// statistics; CompiledModel::matches is the exact-equality authority (and
+/// does compare them).
 uint64_t graph_fingerprint(const GraphModel& model);
 
 }  // namespace mpipu

@@ -5,7 +5,9 @@
 // slot executes depends only on (range, pool size) -- never on scheduling.
 // Slot 0 runs on the calling thread, so a pool of size 1 adds no threading
 // overhead at all (the body runs inline) and results are trivially
-// identical to a sequential loop.
+// identical to a sequential loop.  An exception thrown by any slice is
+// rethrown to the caller once every slice has finished (the first one
+// caught wins), so a throwing body never escapes a worker thread.
 //
 // Lock discipline (compile-time checked, common/annotated_mutex.h): the
 // job descriptor (job_, job_total_, pending_, generation_, stop_) is
@@ -14,8 +16,10 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/annotated_mutex.h"
@@ -54,6 +58,7 @@ class ThreadPool {
   /// Run `body(begin, end, slot)` over a static partition of [0, total):
   /// slot s gets the contiguous slice [s*total/size, (s+1)*total/size).
   /// Blocks until every slice is done.  Slot 0 executes on the caller.
+  /// Rethrows the first exception a slice threw.
   void parallel_for(int64_t total,
                     const std::function<void(int64_t, int64_t, int)>& body)
       MPIPU_EXCLUDES(mu_) {
@@ -71,19 +76,31 @@ class ThreadPool {
     }
     work_ready_.notify_all();
     run_slice(total, 0, body);
-    UniqueLock lock(mu_);
-    work_done_.wait(lock, [this]() MPIPU_REQUIRES(mu_) {
-      return pending_ == 0;
-    });
-    job_ = nullptr;
+    std::exception_ptr error;
+    {
+      UniqueLock lock(mu_);
+      work_done_.wait(lock, [this]() MPIPU_REQUIRES(mu_) {
+        return pending_ == 0;
+      });
+      job_ = nullptr;
+      error = std::exchange(error_, nullptr);
+    }
+    if (error) std::rethrow_exception(error);
   }
 
  private:
   void run_slice(int64_t total, int slot,
-                 const std::function<void(int64_t, int64_t, int)>& body) {
+                 const std::function<void(int64_t, int64_t, int)>& body)
+      MPIPU_EXCLUDES(mu_) {
     const int64_t begin = total * slot / size_;
     const int64_t end = total * (slot + 1) / size_;
-    if (begin < end) body(begin, end, slot);
+    if (begin >= end) return;
+    try {
+      body(begin, end, slot);
+    } catch (...) {
+      MutexLock lock(mu_);
+      if (!error_) error_ = std::current_exception();
+    }
   }
 
   void worker_loop(int slot) MPIPU_EXCLUDES(mu_) {
@@ -121,6 +138,7 @@ class ThreadPool {
   int pending_ MPIPU_GUARDED_BY(mu_) = 0;
   uint64_t generation_ MPIPU_GUARDED_BY(mu_) = 0;
   bool stop_ MPIPU_GUARDED_BY(mu_) = false;
+  std::exception_ptr error_ MPIPU_GUARDED_BY(mu_);
 };
 
 }  // namespace mpipu

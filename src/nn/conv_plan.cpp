@@ -1,12 +1,36 @@
 #include "nn/conv_plan.h"
 
+#include <cstdio>
+#include <stdexcept>
+#include <string>
+
 namespace mpipu {
 
-PreparedFp16 prepare_fp16_planes(std::span<const double> values) {
+namespace {
+
+[[noreturn]] void throw_non_finite_fp16(std::string_view context, size_t index,
+                                        double value) {
+  char v[32];
+  std::snprintf(v, sizeof(v), "%.17g", value);
+  throw std::invalid_argument(
+      std::string(context) + ": value " + v + " at index " +
+      std::to_string(index) +
+      " does not round to a finite FP16 value (the FP16 datapath has no "
+      "inf/NaN support; |v| must stay below 65520)");
+}
+
+}  // namespace
+
+PreparedFp16 prepare_fp16_planes(std::span<const double> values,
+                                 std::string_view context) {
   PreparedFp16 planes;
   planes.resize(values.size());
   for (size_t i = 0; i < values.size(); ++i) {
-    planes.set(i, Fp16::from_double(values[i]));
+    const Fp16 f = Fp16::from_double(values[i]);
+    if (!f.is_finite()) [[unlikely]] {
+      throw_non_finite_fp16(context, i, values[i]);
+    }
+    planes.set(i, f);
   }
   return planes;
 }

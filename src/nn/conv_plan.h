@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -231,8 +232,12 @@ Tensor run_conv_plan(const ConvPlan<Planes>& plan, const Planes& in_planes,
 // ---------------------------------------------------------------------------
 
 /// Round a double tensor to FP16 and decode + nibble-decompose it into
-/// prepared SoA planes (exactly once).
-PreparedFp16 prepare_fp16_planes(std::span<const double> values);
+/// prepared SoA planes (exactly once).  This is the one place workload
+/// values enter the FP16 datapath, which has no inf/NaN support: a value
+/// whose FP16 rounding is not finite (|v| >= 65520, inf, NaN) throws
+/// std::invalid_argument naming `context`, its index and its value.
+PreparedFp16 prepare_fp16_planes(std::span<const double> values,
+                                 std::string_view context);
 
 /// Quantize a double tensor to `params` and pack prepared INT planes.
 /// `with_digits` = false skips the radix-16 digit planes (the bit-serial

@@ -9,16 +9,22 @@
 //     E is the unbiased exponent (min_exp() for subnormals),
 //   * exact conversion to/from FixedPoint, and round-to-nearest-even
 //     encoding from an exact FixedPoint (used to round the accumulator back
-//     to FP16/FP32, and to convert workload doubles to FP16).
+//     to FP16/FP32),
+//   * round-to-nearest-even encoding of a host double (workload weights
+//     and activations).  It works on the double's bits directly
+//     (`round_double_to_bits`) and never builds a FixedPoint;
+//     `round_from_fixed` is its test oracle.
 //
 // No host floating point is used on any datapath path; `to_double` exists
 // only for reporting and test oracles.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 
@@ -27,6 +33,68 @@
 #include "softfloat/format.h"
 
 namespace mpipu {
+
+/// Round an IEEE binary64 value to format `F`'s encoding, round to
+/// nearest even, straight from the double's bits: one shift of the
+/// significand, with the carry into the next exponent and into infinity,
+/// overflow to +/-inf, underflow to subnormals or signed zero, and NaN to
+/// the positive quiet NaN.  Never inlined: it is the hot loop of
+/// CompiledModel::compile, and inlining it into every caller perturbs code
+/// layout elsewhere.  The library formats are instantiated once, in
+/// softfloat.cpp.
+template <FpFormat F>
+[[gnu::noinline]] uint32_t round_double_to_bits(double v) {
+  // Every target is narrower than binary64 in both fields, so one right
+  // shift of the 53-bit significand lands on the target quantum.
+  static_assert(F.man_bits < 52 && F.exp_bits < 11);
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  const uint32_t sign = static_cast<uint32_t>(bits >> 63)
+                        << (F.exp_bits + F.man_bits);
+  const uint32_t inf = F.exp_mask() << F.man_bits;
+  const int biased = static_cast<int>((bits >> 52) & 0x7FF);
+  const uint64_t frac = bits & ((uint64_t{1} << 52) - 1);
+
+  if (biased == 0x7FF) [[unlikely]] {
+    // NaN maps to the positive quiet NaN; infinities keep their sign.
+    return frac != 0 ? inf | (1u << (F.man_bits - 1)) : sign | inf;
+  }
+  const int e = biased - 1023;
+  if (e > F.max_exp()) [[unlikely]] return sign | inf;
+
+  // v = sig * 2^(e - 52).  The target quantum is 2^(e - man_bits) for a
+  // normal and the pinned 2^(min_exp - man_bits) below the normal range.
+  // Zero and double subnormals (biased == 0) get a wrong implicit bit
+  // here, but they sit far below half of every target's smallest
+  // subnormal, so the capped shift below rounds them to signed zero.
+  const uint64_t sig = frac | (uint64_t{1} << 52);
+  const bool subnormal = e < F.min_exp();
+  // sig < 2^53, so any shift past 53 leaves less than half a quantum; a
+  // shift of 63 rounds those to zero just the same and stays in range.
+  const int shift =
+      std::min(52 - F.man_bits + (subnormal ? F.min_exp() - e : 0), 63);
+  // Round to nearest even without a data-dependent branch: adding half a
+  // quantum minus one, plus the kept LSB, carries into the kept bits
+  // exactly when the dropped bits exceed half a quantum, or equal it with
+  // an odd LSB.  The dropped bits act as round and sticky bits at once.
+  const uint64_t q =
+      (sig + ((uint64_t{1} << (shift - 1)) - 1) + ((sig >> shift) & 1)) >>
+      shift;
+
+  // A normal's q carries the implicit bit, so it adds onto the exponent
+  // field minus one; a rounding carry (q == 2^(man_bits+1)) then bumps the
+  // exponent, and out of max_exp that is exactly the infinity encoding.
+  // A subnormal's q is the mantissa field, and q == 2^man_bits is the
+  // smallest normal.
+  const uint64_t base =
+      subnormal ? 0 : static_cast<uint64_t>(e + F.bias() - 1) << F.man_bits;
+  return sign | static_cast<uint32_t>(base + q);
+}
+
+extern template uint32_t round_double_to_bits<kFp16Format>(double v);
+extern template uint32_t round_double_to_bits<kBf16Format>(double v);
+extern template uint32_t round_double_to_bits<kTf32Format>(double v);
+extern template uint32_t round_double_to_bits<kFp32Format>(double v);
 
 /// Sign/exponent/magnitude view of a finite FP value.
 /// value = (-1)^sign * magnitude * 2^(exp - (sig_bits-1))
@@ -125,7 +193,7 @@ class Soft {
 
   /// Nearest representable value of a host double (RNE), used for workload
   /// synthesis.  NaN maps to quiet NaN, overflow saturates to inf.
-  static Soft from_double(double v);
+  static Soft from_double(double v) { return from_bits(round_double_to_bits<F>(v)); }
 
   friend constexpr bool operator==(Soft a, Soft b) { return a.bits_ == b.bits_; }
 
@@ -201,18 +269,6 @@ Soft<F> Soft<F>::round_from_fixed(const FixedPoint& fx) {
   assert(msb_index(sig) == F.man_bits);
   return from_fields(neg, static_cast<uint32_t>(exp + F.bias()),
                      static_cast<uint32_t>(sig & F.man_mask()));
-}
-
-template <FpFormat F>
-Soft<F> Soft<F>::from_double(double v) {
-  if (std::isnan(v)) return quiet_nan();
-  if (std::isinf(v)) return infinity(v < 0);
-  if (v == 0.0) return zero(std::signbit(v));
-  // Express the double exactly as FixedPoint (53-bit significand).
-  int e;
-  const double frac = std::frexp(v, &e);  // v = frac * 2^e, |frac| in [0.5,1)
-  const auto mant = static_cast<int64_t>(std::ldexp(frac, 53));
-  return round_from_fixed(FixedPoint(mant, e - 53));
 }
 
 template <FpFormat F>

@@ -13,7 +13,9 @@
 //    mismatches are all rejected with std::invalid_argument.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -274,6 +276,108 @@ TEST(CompiledModelTest, FingerprintAndMatchesTrackModelContent) {
   const GraphModel tweaked = GraphModel::from_nodes("tiny3", std::move(nodes));
   EXPECT_NE(graph_fingerprint(tweaked), compiled.fingerprint());
   EXPECT_FALSE(compiled.matches(tweaked));
+}
+
+/// One 1x1 conv, 4 -> 2 channels, every weight 0.5 except `weights[index]`.
+GraphModel one_by_one(size_t index, double weight) {
+  FilterBank f(2, 4, 1, 1);
+  for (double& v : f.data) v = 0.5;
+  f.data[index] = weight;
+  GraphModel::Builder b("one_by_one");
+  b.conv("pointwise", f, ConvSpec{}, b.input());
+  return b.build();
+}
+
+Tensor ones(int c, int h, int w) {
+  Tensor t(c, h, w);
+  for (double& v : t.data) v = 1.0;
+  return t;
+}
+
+/// Runs `fn`, which must throw std::invalid_argument, and returns what().
+template <typename Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected std::invalid_argument";
+  return {};
+}
+
+TEST(CompiledModelTest, NonFiniteFp16WeightsAreRejectedAtCompile) {
+  // The FP16 datapath has no inf/NaN support: a weight whose FP16 rounding
+  // is not finite used to decode as exponent 16 and compute 2^16-scaled
+  // garbage.  compile rejects it, naming the layer, index and value.
+  RunSpec spec;
+  spec.datapath = small_datapath(DecompositionScheme::kTemporal);
+  const struct {
+    double weight;
+    const char* shown;
+  } bad[] = {{70000.0, "70000"},
+             {65520.0, "65520"},  // the tie rounds to even: +inf
+             {std::numeric_limits<double>::quiet_NaN(), "nan"},
+             {-std::numeric_limits<double>::infinity(), "-inf"}};
+  for (const auto& c : bad) {
+    const GraphModel model = one_by_one(5, c.weight);
+    const std::string msg = invalid_argument_message(
+        [&] { (void)CompiledModel::compile(model, spec, {2, 2}); });
+    EXPECT_NE(msg.find("'pointwise'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("index 5"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(c.shown), std::string::npos) << msg;
+  }
+}
+
+TEST(CompiledModelTest, LargestFiniteFp16WeightsStillCompileAndRun) {
+  // 65504 is FP16's max finite value and 65519.99 rounds down to it: both
+  // stay legal operands.  Weights 65504 + 3 * 0.5 over an input of ones.
+  RunSpec spec;
+  spec.datapath = small_datapath(DecompositionScheme::kTemporal);
+  for (const double w : {65504.0, 65519.99, -65519.99}) {
+    const CompiledModel compiled =
+        CompiledModel::compile(one_by_one(1, w), spec, {2, 2});
+    const RunReport r = compiled.run(ones(4, 2, 2));
+    const double expect = (w > 0 ? 65504.0 : -65504.0) + 1.5;
+    EXPECT_EQ(r.output.at(0, 0, 0), expect) << w;
+    EXPECT_EQ(r.output.at(1, 1, 1), 2.0) << w;
+  }
+  // The same boundary on the activation side.
+  const CompiledModel compiled =
+      CompiledModel::compile(one_by_one(0, 0.5), spec, {2, 2});
+  Tensor x = ones(4, 2, 2);
+  x.data[3] = 65519.99;
+  EXPECT_NO_THROW(compiled.run(x));
+}
+
+TEST(CompiledModelTest, NonFiniteFp16ActivationIsRejectedAtRun) {
+  RunSpec spec;
+  spec.datapath = small_datapath(DecompositionScheme::kTemporal);
+  const CompiledModel compiled =
+      CompiledModel::compile(one_by_one(0, 0.5), spec, {2, 2});
+  Tensor x = ones(4, 2, 2);
+  x.data[6] = 1e6;
+  const std::string msg =
+      invalid_argument_message([&] { (void)compiled.run(x); });
+  EXPECT_NE(msg.find("'pointwise'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("index 6"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("1000000"), std::string::npos) << msg;
+
+  // Parallel branches run on pool workers: the error still reaches the
+  // caller (rethrown by the pool) instead of terminating the process.
+  FilterBank f(2, 4, 1, 1);
+  for (double& v : f.data) v = 0.25;
+  GraphModel::Builder b("branches");
+  const int in = b.input();
+  const int left = b.conv("left", f, ConvSpec{}, in);
+  const int right = b.conv("right", f, ConvSpec{}, in);
+  b.add("sum", left, right);
+  RunSpec threaded = spec;
+  threaded.threads = 2;
+  const CompiledModel branches =
+      CompiledModel::compile(b.build(), threaded, {2, 2});
+  EXPECT_THROW((void)branches.run(x), std::invalid_argument);
+  EXPECT_NO_THROW((void)branches.run(ones(4, 2, 2)));
 }
 
 TEST(CompiledModelTest, CacheDistinguishesModelsByShapeTableStats) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
@@ -279,6 +280,30 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
     });
     EXPECT_EQ(sum.load(), 99 * 100 / 2);
   }
+}
+
+TEST(ThreadPoolTest, ExceptionFromAnySliceReachesTheCaller) {
+  // A throw on a worker slot (or the caller's slot 0) is rethrown by
+  // parallel_for after every slice finished, and the pool stays usable.
+  ThreadPool pool(4);
+  for (int thrower : {0, 1, 3}) {
+    std::atomic<int> finished{0};
+    EXPECT_THROW(pool.parallel_for(4,
+                                   [&](int64_t, int64_t, int slot) {
+                                     if (slot == thrower) {
+                                       throw std::runtime_error("slice");
+                                     }
+                                     finished.fetch_add(1);
+                                   }),
+                 std::runtime_error)
+        << "thrower=" << thrower;
+    EXPECT_EQ(finished.load(), 3) << "thrower=" << thrower;
+  }
+  std::atomic<int64_t> sum{0};
+  pool.parallel_for(100, [&](int64_t begin, int64_t end, int) {
+    for (int64_t i = begin; i < end; ++i) sum.fetch_add(i);
+  });
+  EXPECT_EQ(sum.load(), 99 * 100 / 2);
 }
 
 }  // namespace

@@ -480,6 +480,27 @@ TEST(ServingFaults, BadBatchmateIsIsolatedNotPoisoning) {
   EXPECT_TRUE(m.conserved());
 }
 
+TEST(ServingFaults, NonFiniteFp16InputIsBadInputAtExecution) {
+  // The right geometry passes admission, but a value past FP16's range
+  // cannot enter the datapath: run rejects it, and the runtime resolves it
+  // as the client's bad input (the breaker stays closed).
+  Rng rng(7104);
+  const GraphModel fast = fast_model(rng);
+  ServingRuntime rt(serving_spec());
+  const ModelHandle h = rt.load(fast, 10, 10);
+  Tensor huge = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
+  huge.data[17] = 1e6;
+  const ServeResult r = rt.serve(h, huge);
+  EXPECT_EQ(r.rejected, RejectReason::kBadInput);
+  EXPECT_NE(r.error.find("finite FP16"), std::string::npos) << r.error;
+
+  const ServerMetrics m = rt.metrics();
+  EXPECT_EQ(m.shed_bad_input, 1u);
+  EXPECT_TRUE(m.conserved());
+  ASSERT_EQ(m.models.size(), 1u);
+  EXPECT_EQ(m.models[0].state, BreakerState::kClosed);
+}
+
 TEST(ServingFaults, ConservationInvariantHoldsMidFlight) {
   Rng rng(7103);
   const GraphModel slow = slow_model(rng);

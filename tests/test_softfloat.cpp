@@ -1,9 +1,14 @@
 // Unit and property tests for the soft floating point substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "softfloat/softfloat.h"
@@ -127,6 +132,15 @@ TEST(Fp16, FromDoubleMatchesHostRounding) {
       {2.98023223876953125e-08 * 1.0000001, 0x0001},
       {6.097555160522461e-05, 0x03FF},                // max subnormal
       {6.103515625e-05, 0x0400},                      // min normal
+      // Threshold neighbours, negative ties, double subnormals, NaN.
+      {std::nextafter(65520.0, 0.0), 0x7BFF},  {-65520.0, 0xFC00},
+      {std::nextafter(std::ldexp(1.0, -25), 1.0), 0x0001},
+      {std::nextafter(std::ldexp(1.0, -25), 0.0), 0x0000},
+      {-std::ldexp(1.0, -25), 0x8000},                // signed zero
+      {std::nextafter(std::ldexp(1.0, -14), 0.0), 0x0400},
+      {std::numeric_limits<double>::denorm_min(), 0x0000},
+      {-std::numeric_limits<double>::denorm_min(), 0x8000},
+      {-std::nan(""), 0x7E00},                        // NaN loses its sign
   };
   for (const auto& c : cases) {
     EXPECT_EQ(Fp16::from_double(c.in).raw_bits(), c.expect) << c.in;
@@ -250,6 +264,207 @@ TYPED_TEST(SoftFormatTest, OrderingOfMagnitudeMatchesDouble) {
     const double dd = a.to_double() - b.to_double();
     EXPECT_EQ(d.mantissa() > 0, dd > 0);
     EXPECT_EQ(d.mantissa() == 0, dd == 0);
+  }
+}
+
+// --- from_double against the FixedPoint oracle --------------------------------
+//
+// from_double rounds straight from the double's bits.  The oracle is the
+// exact FixedPoint route: the 53-bit frexp significand at 2^(e-53),
+// rounded by round_from_fixed (the accumulator read-back path).  FixedPoint
+// has no signed zero, inf or NaN, so those inputs are mapped directly.
+
+template <typename S>
+S oracle_from_double(double v) {
+  if (std::isnan(v)) return S::quiet_nan();
+  if (std::isinf(v)) return S::infinity(v < 0);
+  if (v == 0.0) return S::zero(std::signbit(v));
+  int e;
+  const double frac = std::frexp(v, &e);
+  return S::round_from_fixed(
+      FixedPoint(static_cast<int64_t>(std::ldexp(frac, 53)), e - 53));
+}
+
+double double_from_bits(uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+uint64_t bits_of(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Compares from_double with the oracle on every value fed to it; keeps
+/// the first few disagreements for the report.
+template <typename S>
+struct OracleCheck {
+  uint64_t checked = 0;
+  uint64_t mismatches = 0;
+  std::string first;
+
+  void operator()(double v) {
+    ++checked;
+    const uint32_t got = S::from_double(v).raw_bits();
+    const uint32_t want = oracle_from_double<S>(v).raw_bits();
+    if (got == want) return;
+    if (++mismatches <= 5) {
+      char line[96];
+      std::snprintf(line, sizeof(line),
+                    "  double 0x%016llx: got 0x%08x, oracle 0x%08x\n",
+                    static_cast<unsigned long long>(bits_of(v)), got, want);
+      first += line;
+    }
+  }
+
+  void expect_clean() const {
+    EXPECT_EQ(mismatches, 0u) << "of " << checked << " inputs:\n" << first;
+  }
+};
+
+/// Feeds every finite value of the 16-bit format G, the midpoint between
+/// each value and its next larger-magnitude neighbour (the one past
+/// max_finite included), and the doubles one ulp either side of both.
+template <typename G, typename Fn>
+void for_each_grid_point(Fn&& fn) {
+  const auto with_neighbours = [&](double x) {
+    fn(x);
+    fn(std::nextafter(x, -INFINITY));
+    fn(std::nextafter(x, INFINITY));
+  };
+  for (uint32_t raw = 0; raw < 0x10000; ++raw) {
+    const G g = G::from_bits(raw);
+    if (!g.is_finite()) continue;
+    const double x = g.to_double();
+    const G up = G::from_bits(raw + 1);
+    const double next =
+        up.is_finite()
+            ? up.to_double()
+            : std::ldexp(g.sign() ? -1.0 : 1.0, G::format.max_exp() + 1);
+    with_neighbours(x);
+    with_neighbours((x + next) / 2);  // exact: one more bit than G
+  }
+}
+
+template <typename S, typename Fn>
+void for_each_threshold(Fn&& fn) {
+  constexpr FpFormat F = S::format;
+  const double max = S::max_finite().to_double();
+  const double overflow_tie = max + std::ldexp(1.0, F.max_exp() - F.man_bits - 1);
+  const double min_sub = S::min_subnormal().to_double();
+  const double min_normal = S::min_normal().to_double();
+  for (const double t : {max, overflow_tie, min_sub, min_sub / 2,
+                         1.5 * min_sub, min_normal, min_normal - min_sub / 2}) {
+    for (const double v : {t, std::nextafter(t, 0.0), std::nextafter(t, INFINITY)}) {
+      fn(v);
+      fn(-v);
+    }
+  }
+}
+
+template <typename Fn>
+void for_each_special(Fn&& fn) {
+  for (const uint64_t bits : {
+           0x0000000000000000ull,  // +0
+           0x8000000000000000ull,  // -0
+           0x7FF0000000000000ull,  // +inf
+           0xFFF0000000000000ull,  // -inf
+           0x7FF8000000000000ull,  // quiet NaN
+           0xFFF8000000000000ull,  // negative quiet NaN
+           0x7FF0000000000001ull,  // signalling NaN
+           0x7FFFFFFFFFFFFFFFull,  // NaN, all payload bits
+           0x0000000000000001ull,  // smallest double subnormal
+           0x800FFFFFFFFFFFFFull,  // largest negative double subnormal
+           0x0010000000000000ull,  // DBL_MIN
+           0x7FEFFFFFFFFFFFFFull,  // DBL_MAX
+           0xFFEFFFFFFFFFFFFFull,  // -DBL_MAX
+       }) {
+    fn(double_from_bits(bits));
+  }
+}
+
+TYPED_TEST(SoftFormatTest, FromDoubleMatchesOracleOnGridsThresholdsAndSpecials) {
+  OracleCheck<TypeParam> check;
+  for_each_grid_point<Fp16>(check);
+  for_each_grid_point<Bf16>(check);
+  for_each_threshold<TypeParam>(check);
+  for_each_special(check);
+  check.expect_clean();
+}
+
+TYPED_TEST(SoftFormatTest, FromDoubleMatchesOracleOnRandomDoubles) {
+  OracleCheck<TypeParam> check;
+  Rng rng(44);
+  // Whole-range bit patterns: mostly overflow and underflow.
+  for (int i = 0; i < 10'000'000; ++i) check(double_from_bits(rng.next_u64()));
+  // Exponents in [-40, 20]: the FP16 subnormal, normal and overflow
+  // ranges, with random signs and 52-bit fractions.
+  for (int i = 0; i < 10'000'000; ++i) {
+    const uint64_t r = rng.next_u64();
+    const auto e = static_cast<uint64_t>(1023 - 40 + static_cast<int>(r % 61));
+    const uint64_t sign_and_fraction = rng.next_u64() & 0x800FFFFFFFFFFFFFull;
+    check(double_from_bits(sign_and_fraction | (e << 52)));
+  }
+  check.expect_clean();
+}
+
+TEST(FromDoubleOracle, CustomFp8FormatsMatchTheOracle) {
+  // Formats outside the library's four instantiate the same template.
+  using E4M3 = Soft<FpFormat{4, 3}>;
+  using E5M2 = Soft<FpFormat{5, 2}>;
+  OracleCheck<E4M3> e4m3;
+  OracleCheck<E5M2> e5m2;
+  const auto both = [&](double v) {
+    e4m3(v);
+    e5m2(v);
+  };
+  for_each_grid_point<Fp16>(both);
+  for_each_threshold<E4M3>(both);
+  for_each_threshold<E5M2>(both);
+  for_each_special(both);
+  e4m3.expect_clean();
+  e5m2.expect_clean();
+}
+
+/// Every float bit pattern, widened to double, through all four formats.
+/// Opt-in (a few minutes on 4 cores): run test_softfloat with
+/// --gtest_also_run_disabled_tests --gtest_filter='*Exhaustive*'.
+TEST(FromDoubleOracle, DISABLED_ExhaustiveFloatBitPatterns) {
+  const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+  struct Part {
+    OracleCheck<Fp16> fp16;
+    OracleCheck<Bf16> bf16;
+    OracleCheck<Tf32> tf32;
+    OracleCheck<Fp32> fp32;
+  };
+  std::vector<Part> parts(threads);
+  std::vector<std::thread> workers;
+  constexpr uint64_t kPatterns = uint64_t{1} << 32;
+  for (unsigned t = 0; t < threads; ++t) {
+    workers.emplace_back([&parts, t, threads] {
+      Part& p = parts[t];
+      const uint64_t begin = kPatterns * t / threads;
+      const uint64_t end = kPatterns * (t + 1) / threads;
+      for (uint64_t raw = begin; raw < end; ++raw) {
+        float f;
+        const auto raw32 = static_cast<uint32_t>(raw);
+        std::memcpy(&f, &raw32, sizeof(f));
+        const double v = f;
+        p.fp16(v);
+        p.bf16(v);
+        p.tf32(v);
+        p.fp32(v);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (const Part& p : parts) {
+    p.fp16.expect_clean();
+    p.bf16.expect_clean();
+    p.tf32.expect_clean();
+    p.fp32.expect_clean();
   }
 }
 
