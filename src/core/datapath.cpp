@@ -238,11 +238,19 @@ int fp16_op_service_cycles(std::span<const int> product_exps,
                            const DatapathConfig& cfg) {
   const int iters = fp16_iterations_per_op(cfg.scheme);
   int max_exp = kMaskedProductExp;
-  for (int e : product_exps) max_exp = std::max(max_exp, e);
+  int min_live = INT32_MAX;
+  for (int e : product_exps) {
+    max_exp = std::max(max_exp, e);
+    min_live = std::min(min_live, e == kMaskedProductExp ? INT32_MAX : e);
+  }
   if (!cfg.multi_cycle || max_exp == kMaskedProductExp) return iters;
 
   const int sp = std::max(cfg.safe_precision(), 1);
   const bool spatial = cfg.scheme == DecompositionScheme::kSpatial;
+  // Every live alignment below sp: the band loop below would find at most
+  // band 0 occupied (lanes past the software precision only drop out), and
+  // both band counts charge that as one band.
+  if (!spatial && max_exp - min_live < sp) return iters;
   static constexpr std::array<int, 9> kSpatialOffsets = fp16_spatial_offsets();
 
   uint64_t occupied = 0;  // bit b set <=> band b occupied

@@ -665,6 +665,67 @@ int64_t bit_masked_sum_i32(const int32_t* a, const int32_t* b, int t,
   return total;
 }
 
+// mt19937_64, four state words per vector.  The first 156 words twist
+// against still-old words (k + 1, k + 156 < 312); the next ones against
+// words already twisted this step (k - 156), and the last word's k + 1
+// wraps to the new state[0], so the final four run in the scalar form.
+// Each vector of new words is tempered as it is stored.
+inline __m256i mt64_temper(__m256i z) {
+  z = _mm256_xor_si256(
+      z, _mm256_and_si256(_mm256_srli_epi64(z, 29),
+                          _mm256_set1_epi64x(0x5555555555555555LL)));
+  z = _mm256_xor_si256(
+      z, _mm256_and_si256(_mm256_slli_epi64(z, 17),
+                          _mm256_set1_epi64x(0x71D67FFFEDA60000LL)));
+  z = _mm256_xor_si256(
+      z, _mm256_and_si256(_mm256_slli_epi64(z, 37),
+                          _mm256_set1_epi64x(
+                              static_cast<long long>(0xFFF7EEE000000000ULL))));
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 43));
+}
+
+inline __m256i mt64_twist(const uint64_t* cur, const uint64_t* far) {
+  const __m256i upper = _mm256_set1_epi64x(
+      static_cast<long long>(~uint64_t{0} << 31));
+  const __m256i one = _mm256_set1_epi64x(1);
+  const __m256i matrix = _mm256_set1_epi64x(
+      static_cast<long long>(0xB5026F5AA96619E9ULL));
+  const __m256i y = _mm256_or_si256(
+      _mm256_and_si256(load8(cur), upper),
+      _mm256_andnot_si256(upper, load8(cur + 1)));
+  // (y & 1) ? matrix : 0, as an all-ones / all-zeros lane mask.
+  const __m256i odd =
+      _mm256_cmpeq_epi64(_mm256_and_si256(y, one), one);
+  return _mm256_xor_si256(
+      load8(far), _mm256_xor_si256(_mm256_srli_epi64(y, 1),
+                                   _mm256_and_si256(odd, matrix)));
+}
+
+void mt19937_64_refill(uint64_t* state, uint64_t* out) {
+  constexpr size_t n = kMt64Words;
+  constexpr size_t m = 156;
+  size_t k = 0;
+  for (; k < n - m; k += 4) {
+    const __m256i v = mt64_twist(state + k, state + k + m);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(state + k), v);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), mt64_temper(v));
+  }
+  for (; k + 4 < n; k += 4) {
+    const __m256i v = mt64_twist(state + k, state + k - (n - m));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(state + k), v);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), mt64_temper(v));
+  }
+  constexpr uint64_t upper = ~uint64_t{0} << 31;
+  for (; k < n; ++k) {
+    const uint64_t next = k + 1 < n ? state[k + 1] : state[0];
+    const uint64_t y = (state[k] & upper) | (next & ~upper);
+    state[k] = state[k - (n - m)] ^ (y >> 1) ^
+               ((y & 1) ? 0xB5026F5AA96619E9ULL : 0);
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + n - 4),
+                      mt64_temper(load8(state + n - 4)));
+}
+
 }  // namespace avx2
 
 const KernelTable* avx2_kernel_table() {
@@ -681,6 +742,7 @@ const KernelTable* avx2_kernel_table() {
       .serial_fused_i32 = avx2::serial_fused_i32,
       .dot_i8 = avx2::dot_i8,
       .bit_masked_sum_i32 = avx2::bit_masked_sum_i32,
+      .mt19937_64_refill = avx2::mt19937_64_refill,
   };
   return &t;
 }

@@ -208,6 +208,30 @@ int64_t bit_masked_sum_i32(const int32_t* a, const int32_t* b, int t,
   return s;
 }
 
+// mt19937_64 as the C++ standard fixes it ([rand.predef]): w = 64, n = 312,
+// m = 156, r = 31, a = 0xB5026F5AA96619E9, then the (u, d), (s, b), (t, c)
+// and l tempering steps.
+void mt19937_64_refill(uint64_t* state, uint64_t* out) {
+  constexpr size_t n = kMt64Words;
+  constexpr size_t m = 156;
+  constexpr uint64_t upper = ~uint64_t{0} << 31;
+  constexpr uint64_t lower = ~upper;
+  constexpr uint64_t matrix = 0xB5026F5AA96619E9ULL;
+  for (size_t k = 0; k < n; ++k) {
+    // state[k + 1] and state[k + m] wrap to words already twisted this step.
+    const uint64_t y = (state[k] & upper) | (state[(k + 1) % n] & lower);
+    state[k] = state[(k + m) % n] ^ (y >> 1) ^ ((y & 1) ? matrix : 0);
+  }
+  for (size_t k = 0; k < n; ++k) {
+    uint64_t z = state[k];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    z ^= z >> 43;
+    out[k] = z;
+  }
+}
+
 }  // namespace scalar
 
 const KernelTable* scalar_kernel_table() {
@@ -224,6 +248,7 @@ const KernelTable* scalar_kernel_table() {
       .serial_fused_i32 = scalar::serial_fused_i32,
       .dot_i8 = scalar::dot_i8,
       .bit_masked_sum_i32 = scalar::bit_masked_sum_i32,
+      .mt19937_64_refill = scalar::mt19937_64_refill,
   };
   return &t;
 }

@@ -4,7 +4,9 @@
 // core/spatial_ipu.h) keep their scalar serve loops verbatim as the oracle;
 // this layer provides drop-in vector kernels that compute the exact same
 // integer sums, shifts and band assignments -- byte-identical outputs,
-// stats and cycle counts -- just faster.  Two backends:
+// stats and cycle counts -- just faster.  The table also carries the one
+// kernel outside the serve loops: the mt19937_64 refill behind the cycle
+// simulator's random draws (sim/sampler.h).  Two backends:
 //
 //   * scalar -- plain-C++ reference implementations, always available; also
 //     the oracle the equality tests (tests/test_simd_kernels.cpp) pin the
@@ -75,6 +77,10 @@ inline constexpr int kSerialFusedMaxGuard = 20;
 /// Bit steps of the serial scheme (11 magnitude bits + 1 pad); the fused
 /// serial kernel hard-codes this many per-step sums.
 inline constexpr int kSerialSteps = 12;
+
+/// State size of the mt19937_64 engine (words): one refill twists the whole
+/// state and yields this many outputs.
+inline constexpr size_t kMt64Words = 312;
 
 enum class Backend { kScalar = 0, kAvx2 = 1 };
 
@@ -181,6 +187,13 @@ struct KernelTable {
   /// sum of a[k] over lanes whose bit t of b[k] is set; |a[k]| < 2^12.
   int64_t (*bit_masked_sum_i32)(const int32_t* a, const int32_t* b, int t,
                                 size_t n);
+
+  // --- cycle simulator randomness (sim/sampler.h) ---
+  /// One mt19937_64 generation step: twists the kMt64Words-word state in
+  /// place and writes the tempered words, out[k] = temper(state[k]) -- the
+  /// next kMt64Words outputs of std::mt19937_64, in order.  state and out
+  /// must not overlap.
+  void (*mt19937_64_refill)(uint64_t* state, uint64_t* out);
 };
 
 /// The backend all scheme hot loops currently dispatch on.

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <span>
 #include <stdexcept>
+
+#include "sim/sampler.h"
 
 namespace mpipu {
 namespace {
@@ -49,6 +51,7 @@ NetworkSimResult simulate_network(const Network& net, const TileConfig& tile,
         "SimOptions: sampled_steps must be >= 1, got " +
         std::to_string(opts.sampled_steps));
   }
+  const TensorDraws draws(net.tensor_stats);  // validates the probabilities
 
   NetworkSimResult result;
   result.network = net.name;
@@ -56,9 +59,7 @@ NetworkSimResult simulate_network(const Network& net, const TileConfig& tile,
   result.partition = partition_kind_name(partition.kind);
   result.num_tiles = tile.num_tiles;
 
-  Rng rng(opts.seed);
-  const ExponentJitter act_jitter = net.tensor_stats.act_jitter;
-  const ExponentJitter wgt_jitter = net.tensor_stats.wgt_jitter;
+  Mt64Stream rng(opts.seed);
 
   const int n = tile.c_unroll;
   const int clusters = tile.num_clusters();
@@ -68,8 +69,18 @@ NetworkSimResult simulate_network(const Network& net, const TileConfig& tile,
   const int iters_per_op =
       opts.effective_iterations_per_op(tile.datapath.scheme);
 
-  std::vector<int> product_exps(static_cast<size_t>(n));
+  // Per spatial copy: its activation exponents, the product exponents of
+  // the IPU being sampled (masked lanes stay kMaskedExp for the whole step),
+  // and its live (unmasked) lanes in lane order -- only they draw a weight
+  // jitter.
   std::vector<int> act_exps(static_cast<size_t>(spatial_copies * n));
+  std::vector<int> product_exps(static_cast<size_t>(spatial_copies * n));
+  std::vector<int> live_lanes(static_cast<size_t>(spatial_copies * n));
+  std::vector<int> live_count(static_cast<size_t>(spatial_copies));
+  // Per cluster, finish(c, t-B .. t-1) as a ring of B slots (slot t % B),
+  // and finish(c, t-1) on its own.
+  std::vector<double> finish_ring(static_cast<size_t>(clusters * B));
+  std::vector<double> finish_prev(static_cast<size_t>(clusters));
 
   // Simulate one tile's broadcast stream of `steps_total` ops, modeling the
   // broadcast/buffer handshake:
@@ -87,15 +98,14 @@ NetworkSimResult simulate_network(const Network& net, const TileConfig& tile,
         std::min<int64_t>(opts.sampled_steps, std::max<int64_t>(steps_total, 1)));
     assert(sampled >= 1 && sampled <= opts.sampled_steps);
 
-    std::vector<std::vector<double>> finish(
-        static_cast<size_t>(clusters),
-        std::vector<double>(static_cast<size_t>(sampled), 0.0));
+    std::fill(finish_prev.begin(), finish_prev.end(), 0.0);
     double issue_prev = -1.0;
     int64_t stall_slots = 0;
     double iteration_cycles_sum = 0.0;
     int64_t iteration_count = 0;
 
-    for (int t = 0; t < sampled; ++t) {
+    for (int t = 0, slot = 0; t < sampled;
+         ++t, slot = slot + 1 == B ? 0 : slot + 1) {
       // Fresh activation jitters per spatial copy (shared across K) and
       // fresh weight jitters per IPU (each IPU holds a different output
       // channel's filter; every step is a new kernel position / chunk).
@@ -103,51 +113,58 @@ NetworkSimResult simulate_network(const Network& net, const TileConfig& tile,
       // the alignment computation, so jitters are sampled directly.  Zero
       // activations (ReLU sparsity) yield EHU-masked products.
       for (auto& e : act_exps) {
-        e = rng.bernoulli(net.tensor_stats.act_zero_prob)
-                ? kMaskedExp
-                : sample_jitter(rng, act_jitter);
+        e = rng.draw(draws.act_zero) ? kMaskedExp : draws.act(rng);
+      }
+      product_exps = act_exps;
+      for (int copy = 0; copy < spatial_copies; ++copy) {
+        int* lanes = &live_lanes[static_cast<size_t>(copy * n)];
+        int count = 0;
+        for (int p = 0; p < n; ++p) {  // branch-free: masked lanes are
+          lanes[count] = p;            // overwritten by the next live one
+          count += act_exps[static_cast<size_t>(copy * n + p)] != kMaskedExp;
+        }
+        live_count[static_cast<size_t>(copy)] = count;
       }
 
       double issue = issue_prev + 1.0;
-      for (int c = 0; c < clusters; ++c) {
-        if (t >= B) {
-          issue = std::max(
-              issue, finish[static_cast<size_t>(c)][static_cast<size_t>(t - B)]);
+      if (t >= B) {
+        for (int c = 0; c < clusters; ++c) {
+          issue = std::max(issue, finish_ring[static_cast<size_t>(c * B + slot)]);
         }
       }
       stall_slots += issue > issue_prev + 1.0 ? 1 : 0;
       issue_prev = issue;
 
+      // Spatial copies interleave across IPUs: IPU c * per_cluster + i
+      // serves copy (c * per_cluster + i) % spatial_copies.
+      int copy = 0;
       for (int c = 0; c < clusters; ++c) {
         int service = 0;
         for (int i = 0; i < per_cluster; ++i) {
-          const int ipu_idx = c * per_cluster + i;
-          const int copy = ipu_idx % spatial_copies;  // interleave spatial copies
-          for (int p = 0; p < n; ++p) {
-            const int ae = act_exps[static_cast<size_t>(copy * n + p)];
-            product_exps[static_cast<size_t>(p)] =
-                ae == kMaskedExp ? kMaskedExp : ae + sample_jitter(rng, wgt_jitter);
+          const size_t row = static_cast<size_t>(copy * n);
+          const int* lanes = &live_lanes[row];
+          for (int k = 0; k < live_count[static_cast<size_t>(copy)]; ++k) {
+            const size_t lane = row + static_cast<size_t>(lanes[k]);
+            product_exps[lane] = act_exps[lane] + draws.wgt(rng);
           }
           // Service time of one FP-IP op: iterations x bands, per the
           // scheme-generic §3.2 banding model of core/datapath.h.
-          const int cyc = fp16_op_service_cycles(product_exps, tile.datapath);
+          const int cyc = fp16_op_service_cycles(
+              std::span<const int>(&product_exps[row], static_cast<size_t>(n)),
+              tile.datapath);
           service = std::max(service, cyc);
           iteration_cycles_sum += static_cast<double>(cyc) / iters_per_op;
           ++iteration_count;
+          copy = copy + 1 == spatial_copies ? 0 : copy + 1;
         }
-        const double start = std::max(
-            issue,
-            t > 0 ? finish[static_cast<size_t>(c)][static_cast<size_t>(t - 1)]
-                  : 0.0);
-        finish[static_cast<size_t>(c)][static_cast<size_t>(t)] = start + service;
+        double& prev = finish_prev[static_cast<size_t>(c)];
+        prev = std::max(issue, prev) + service;
+        finish_ring[static_cast<size_t>(c * B + slot)] = prev;
       }
     }
 
     double total = 0.0;
-    for (int c = 0; c < clusters; ++c) {
-      total = std::max(
-          total, finish[static_cast<size_t>(c)][static_cast<size_t>(sampled - 1)]);
-    }
+    for (double f : finish_prev) total = std::max(total, f);
 
     StreamResult sr;
     sr.cycles_per_step = total / sampled;
@@ -245,21 +262,22 @@ NetworkSimResult simulate_network(const Network& net, const TileConfig& tile,
 
 IntHistogram alignment_histogram(const Network& net, int n_inputs,
                                  int samples_per_layer, uint64_t seed) {
+  const TensorDraws draws(net.tensor_stats);  // validates the probabilities
   IntHistogram hist(64);
-  Rng rng(seed);
+  Mt64Stream rng(seed);
   std::vector<int> exps(static_cast<size_t>(n_inputs));
   for (size_t l = 0; l < net.layers.size(); ++l) {
     for (int s = 0; s < samples_per_layer; ++s) {
       int max_exp = INT32_MIN;
       int live = 0;
       for (auto& e : exps) {
-        if (rng.bernoulli(net.tensor_stats.act_zero_prob)) {
+        if (rng.draw(draws.act_zero)) {
           e = INT32_MIN;  // zero operand: excluded, as in the paper's
                           // histogram of live product alignments
           continue;
         }
-        e = sample_jitter(rng, net.tensor_stats.act_jitter) +
-            sample_jitter(rng, net.tensor_stats.wgt_jitter);
+        const int act = draws.act(rng);  // drawn before the weight jitter
+        e = act + draws.wgt(rng);
         max_exp = std::max(max_exp, e);
         ++live;
       }

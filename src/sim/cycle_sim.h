@@ -13,7 +13,9 @@
 //      behind private input buffers, and the broadcaster stalls when any
 //      cluster's buffer is full (§3.3).
 //
-// Operand exponents are drawn from the layer's tensor distributions
+// Operand exponents are drawn (sim/sampler.h: the std::mt19937_64 +
+// std::bernoulli_distribution sequence of opts.seed, as threshold compares
+// on a dispatched refill) from the layer's tensor distributions
 // (activations shared by all IPUs of a spatial copy; weights independent
 // per output channel), reproducing the correlation structure that makes
 // clustering effective.  The simulator samples a bounded number of
@@ -32,7 +34,6 @@
 #include <vector>
 
 #include "analysis/error_metrics.h"
-#include "common/rng.h"
 #include "sim/partition.h"
 #include "sim/tile.h"
 #include "workload/distributions.h"
@@ -115,13 +116,17 @@ int64_t layer_broadcast_steps(const ConvLayer& layer, const TileConfig& tile);
 /// Simulate one network on one tile configuration, partitioned across the
 /// tile count per `partition`.  Throws std::invalid_argument on an
 /// inconsistent tile (TileConfig::validate -- notably an ipus_per_cluster
-/// that does not divide ipus_per_tile) or opts.sampled_steps < 1.
+/// that does not divide ipus_per_tile), opts.sampled_steps < 1, or tensor
+/// statistics with act_zero_prob, a jitter's p_zero or decay NaN or
+/// outside [0, 1], or a jitter's max_depth < 1 (the message names the
+/// field).
 NetworkSimResult simulate_network(const Network& net, const TileConfig& tile,
                                   const SimOptions& opts = {},
                                   const PartitionSpec& partition = {});
 
 /// Collect the distribution of product alignments (exponent differences)
-/// for a network on n-input IPUs -- reproduces Fig. 9.
+/// for a network on n-input IPUs -- reproduces Fig. 9.  Rejects the same
+/// tensor statistics simulate_network does.
 IntHistogram alignment_histogram(const Network& net, int n_inputs,
                                  int samples_per_layer = 4000,
                                  uint64_t seed = 0xFEED);

@@ -50,13 +50,6 @@ ExponentPool::ExponentPool(Rng& rng, ValueDist dist, double scale, int pool_size
   }
 }
 
-int sample_jitter(Rng& rng, const ExponentJitter& j) {
-  if (rng.bernoulli(j.p_zero)) return 0;
-  int depth = 1;
-  while (depth < j.max_depth && rng.bernoulli(j.decay)) ++depth;
-  return -depth;
-}
-
 LayerTensorStats forward_stats() {
   LayerTensorStats s;
   s.activation_dist = ValueDist::kHalfNormal;

@@ -60,8 +60,9 @@ class ExponentPool {
 /// (downward) from the op-local maximum-magnitude operand.  Alignment sizes
 /// depend only on these *relative* exponents -- any op-level base exponent
 /// cancels in (max_exp - exp) -- so the cycle simulator samples jitters
-/// directly.  delta = 0 with probability p_zero, otherwise -(1 + Geom(decay)).
-/// Calibrated so the resulting alignment histograms match the paper's
+/// directly.  delta = 0 with probability p_zero, otherwise -(1 + Geom(decay)),
+/// capped at -max_depth (the draw itself is JitterDraw, sim/sampler.h).
+/// p_zero and decay must lie in [0, 1] and max_depth >= 1.  Calibrated so the resulting alignment histograms match the paper's
 /// Fig. 9 (forward: ~1% above 8; backward: wide heavy tail).
 struct ExponentJitter {
   double p_zero = 0.65;
@@ -70,9 +71,6 @@ struct ExponentJitter {
 
   friend bool operator==(const ExponentJitter&, const ExponentJitter&) = default;
 };
-
-/// Draw one jitter value (<= 0).
-int sample_jitter(Rng& rng, const ExponentJitter& j);
 
 /// Workload descriptor: the operand distributions of one layer's inputs.
 struct LayerTensorStats {

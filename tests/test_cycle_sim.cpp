@@ -1,9 +1,15 @@
 // Tests for the cycle-accurate tile simulator: mapping arithmetic, stall
-// behaviour, clustering benefits, precision/cycle monotonicity.
+// behaviour, clustering benefits, precision/cycle monotonicity, the pinned
+// draw sequence and the tensor-statistics validation.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
+#include <vector>
 
+#include "api/run_spec.h"
 #include "sim/cycle_sim.h"
 
 namespace mpipu {
@@ -145,6 +151,213 @@ TEST(AlignmentHistogramTest, ForwardConcentratedBackwardWide) {
             0.5);
   EXPECT_LT(fwd.fraction_above(8), 0.05);
   EXPECT_GT(bwd.fraction_above(8), fwd.fraction_above(8) * 3);
+}
+
+// --- pinned draw sequence ----------------------------------------------------
+//
+// The simulator's outputs are a function of its random draw sequence (the
+// std::mt19937_64 + std::bernoulli_distribution stream of the seed), so any
+// change to that sequence moves these values.  Recorded from the
+// std::bernoulli_distribution implementation; must hold on every kernel
+// backend (MPIPU_KERNEL=scalar included).
+
+struct PinnedLayer {
+  const char* name;
+  double cycles_per_step;
+  double stall_fraction;
+};
+
+void expect_pinned(const Network& net, double total_cycles,
+                   const std::vector<PinnedLayer>& layers) {
+  // What CompiledModel::estimate() passes for a default RunSpec.
+  const RunSpec spec;
+  const NetworkSimResult r = simulate_network(
+      net, composed_tile_for(spec, spec.tile), spec.sim, spec.partition);
+  EXPECT_EQ(r.total_cycles, total_cycles) << net.name;
+  ASSERT_EQ(r.layers.size(), layers.size()) << net.name;
+  for (size_t i = 0; i < layers.size(); ++i) {
+    EXPECT_EQ(r.layers[i].layer, layers[i].name);
+    EXPECT_EQ(r.layers[i].cycles_per_step, layers[i].cycles_per_step)
+        << layers[i].name;
+    EXPECT_EQ(r.layers[i].stall_fraction, layers[i].stall_fraction)
+        << layers[i].name;
+  }
+}
+
+TEST(CycleSimPinned, ResNet18ForwardDefaultSpec) {
+  constexpr double kStall = 0x1.fd44f3078263bp-1;
+  expect_pinned(resnet18_forward(), 0x1.48eda4189374cp+22,  // 5389161.024
+                {
+                    {"conv1", 0x1.2p+3, kStall},
+                    {"layer1.conv3x3", 0x1.20624dd2f1aap+3, kStall},
+                    {"layer2.0.conv1", 0x1.2p+3, kStall},
+                    {"layer2.0.down", 0x1.209374bc6a7fp+3, kStall},
+                    {"layer2.conv3x3", 0x1.2p+3, kStall},
+                    {"layer3.0.conv1", 0x1.209374bc6a7fp+3, kStall},
+                    {"layer3.0.down", 0x1.203126e978d5p+3, kStall},
+                    {"layer3.conv3x3", 0x1.20624dd2f1aap+3, kStall},
+                    {"layer4.0.conv1", 0x1.203126e978d5p+3, kStall},
+                    {"layer4.0.down", 0x1.209374bc6a7fp+3, kStall},
+                    {"layer4.conv3x3", 0x1.20624dd2f1aap+3, kStall},
+                });
+}
+
+TEST(CycleSimPinned, ResNet18BackwardDefaultSpec) {
+  constexpr double kStall = 0x1.fd44f3078263bp-1;
+  expect_pinned(resnet18_backward(), 0x1.3320aa7ef9db3p+23,  // 10063957.248
+                {
+                    {"layer1.conv3x3.dgrad", 0x1.1449ba5e353f8p+4, kStall},
+                    {"layer2.0.conv1.dgrad", 0x1.16978d4fdf3b6p+4, kStall},
+                    {"layer2.0.down.dgrad", 0x1.1589374bc6a7fp+4, kStall},
+                    {"layer2.conv3x3.dgrad", 0x1.1570a3d70a3d7p+4, kStall},
+                    {"layer3.0.conv1.dgrad", 0x1.14ac083126e98p+4, kStall},
+                    {"layer3.0.down.dgrad", 0x1.14f5c28f5c28fp+4, kStall},
+                    {"layer3.conv3x3.dgrad", 0x1.1604189374bc7p+4, kStall},
+                    {"layer4.0.conv1.dgrad", 0x1.14624dd2f1aap+4, kStall},
+                    {"layer4.0.down.dgrad", 0x1.14f5c28f5c28fp+4, kStall},
+                    {"layer4.conv3x3.dgrad", 0x1.150e560418937p+4, kStall},
+                });
+}
+
+TEST(CycleSimPinned, InputBufferDepthsOnAClusteredTile) {
+  // Clusters of 8 IPUs with wide backward alignments run at different
+  // speeds, so the broadcaster's wait on finish(c, t - B) shapes the
+  // result: every buffer depth gives its own cycles and stalls.
+  struct Pin {
+    int depth;
+    double total_cycles;
+    double stall_fraction;
+  };
+  SimOptions opts;
+  opts.sampled_steps = 500;
+  for (const Pin& pin : {Pin{1, 0x1.c96d604189375p+15, 0x1.fef9db22d0e56p-1},
+                         Pin{2, 0x1.afe076c8b4396p+15, 0x1.fdf3b645a1cacp-1},
+                         Pin{5, 0x1.af6174bc6a7fp+15, 0x1.fae147ae147aep-1}}) {
+    TileConfig tile = big_tile(16, 28, 8);
+    tile.input_buffer_depth = pin.depth;
+    const auto r = simulate_network(tiny_net(backward_stats()), tile, opts);
+    EXPECT_EQ(r.total_cycles, pin.total_cycles) << "depth " << pin.depth;
+    EXPECT_EQ(r.layers[0].stall_fraction, pin.stall_fraction)
+        << "depth " << pin.depth;
+  }
+}
+
+void expect_bins(const IntHistogram& h, const std::vector<int64_t>& bins) {
+  int64_t total = 0;
+  for (int v = 0; v <= h.max_bin() + 1; ++v) {
+    const int64_t want =
+        static_cast<size_t>(v) < bins.size() ? bins[static_cast<size_t>(v)] : 0;
+    EXPECT_EQ(h.count(v), want) << "bin " << v;
+    total += want;
+  }
+  EXPECT_EQ(h.total(), total);
+}
+
+TEST(CycleSimPinned, AlignmentHistogramBins) {
+  expect_bins(alignment_histogram(resnet18_forward(), 8, 800),
+              {21725, 7628, 4335, 2346, 1311, 712, 339, 187, 93, 45, 22, 22,
+               6, 10, 1, 3, 1});
+  expect_bins(alignment_histogram(resnet18_backward(), 8, 800),
+              {10724, 5462, 4837, 4275, 3595, 2996, 2468, 2168, 1799,
+               1502,  1273, 1045, 889,  752,  635,  597,  461,  400,
+               315,   275,  215,  197,  173,  118,  119,  97,   90,
+               75,    50,   47,   44,   34,   33,   28,   11,   15,
+               16,    13,   13,   20,   11,   4,    3,    2});
+}
+
+// --- tensor-statistics validation ---------------------------------------------
+
+/// Both samplers reject `stats`, naming `field` in the message.
+void expect_rejected(const LayerTensorStats& stats, const std::string& field) {
+  Network net = tiny_net(stats);
+  SimOptions opts;
+  opts.sampled_steps = 10;
+  try {
+    simulate_network(net, baseline2(), opts);
+    ADD_FAILURE() << "simulate_network accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+  try {
+    alignment_histogram(net, 8, 10);
+    ADD_FAILURE() << "alignment_histogram accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+constexpr double kBadProbabilities[] = {
+    std::numeric_limits<double>::quiet_NaN(), -0.0001, 1.0001,
+    -std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::infinity()};
+
+TEST(TensorStatsValidation, ActZeroProb) {
+  for (double p : kBadProbabilities) {
+    LayerTensorStats s = forward_stats();
+    s.act_zero_prob = p;
+    expect_rejected(s, "act_zero_prob");
+  }
+}
+
+TEST(TensorStatsValidation, ActJitterPZero) {
+  for (double p : kBadProbabilities) {
+    LayerTensorStats s = forward_stats();
+    s.act_jitter.p_zero = p;
+    expect_rejected(s, "act_jitter.p_zero");
+  }
+}
+
+TEST(TensorStatsValidation, ActJitterDecay) {
+  for (double p : kBadProbabilities) {
+    LayerTensorStats s = forward_stats();
+    s.act_jitter.decay = p;
+    expect_rejected(s, "act_jitter.decay");
+  }
+}
+
+TEST(TensorStatsValidation, ActJitterMaxDepth) {
+  for (int d : {0, -1}) {
+    LayerTensorStats s = forward_stats();
+    s.act_jitter.max_depth = d;
+    expect_rejected(s, "act_jitter.max_depth");
+  }
+}
+
+TEST(TensorStatsValidation, WgtJitterPZero) {
+  for (double p : kBadProbabilities) {
+    LayerTensorStats s = forward_stats();
+    s.wgt_jitter.p_zero = p;
+    expect_rejected(s, "wgt_jitter.p_zero");
+  }
+}
+
+TEST(TensorStatsValidation, WgtJitterDecay) {
+  for (double p : kBadProbabilities) {
+    LayerTensorStats s = forward_stats();
+    s.wgt_jitter.decay = p;
+    expect_rejected(s, "wgt_jitter.decay");
+  }
+}
+
+TEST(TensorStatsValidation, WgtJitterMaxDepth) {
+  for (int d : {0, -1}) {
+    LayerTensorStats s = forward_stats();
+    s.wgt_jitter.max_depth = d;
+    expect_rejected(s, "wgt_jitter.max_depth");
+  }
+}
+
+TEST(TensorStatsValidation, ClosedIntervalEndsAreAccepted) {
+  LayerTensorStats s = forward_stats();
+  s.act_zero_prob = 0.0;
+  s.act_jitter = {0.0, 1.0, 1};
+  s.wgt_jitter = {1.0, 0.0, 1};
+  SimOptions opts;
+  opts.sampled_steps = 10;
+  EXPECT_NO_THROW(simulate_network(tiny_net(s), baseline2(), opts));
+  EXPECT_NO_THROW(alignment_histogram(tiny_net(s), 8, 10));
+  s.act_zero_prob = 1.0;
+  EXPECT_NO_THROW(simulate_network(tiny_net(s), baseline2(), opts));
 }
 
 TEST(SimOptionsTest, IterationsPerOpDerivesFromScheme) {

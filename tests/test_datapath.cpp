@@ -10,7 +10,9 @@
 //  * ThreadPool partition correctness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -243,6 +245,61 @@ TEST(DatapathCostModel, ServiceCyclesMatchBitAccurateUnits) {
         }
         EXPECT_EQ(fp16_op_service_cycles(exps, cfg), dp->dot(a, b).cycles)
             << scheme_name(scheme) << " w=" << w << " trial " << t;
+      }
+    }
+  }
+}
+
+/// fp16_op_service_cycles for the temporal and serial schemes without its
+/// one-band shortcut: the full §3.2 band loop.
+int service_cycles_by_band_loop(const std::vector<int>& exps,
+                                const DatapathConfig& cfg) {
+  const int iters = fp16_iterations_per_op(cfg.scheme);
+  int max_exp = kMaskedProductExp;
+  for (int e : exps) max_exp = std::max(max_exp, e);
+  if (!cfg.multi_cycle || max_exp == kMaskedProductExp) return iters;
+  const int sp = std::max(cfg.safe_precision(), 1);
+  uint64_t occupied = 0;
+  for (int e : exps) {
+    if (e == kMaskedProductExp) continue;
+    const int d = max_exp - e;
+    if (d > cfg.software_precision) continue;
+    occupied |= uint64_t{1} << std::min(d / sp, 63);
+  }
+  const int bands = cfg.skip_empty_bands
+                        ? std::max(1, __builtin_popcountll(occupied))
+                        : (occupied == 0 ? 1 : 64 - __builtin_clzll(occupied));
+  return iters * bands;
+}
+
+TEST(DatapathCostModel, OneBandShortcutMatchesTheBandLoop) {
+  // Narrow exponent spreads around the safe precision, masked lanes, and
+  // software precisions below it: where the shortcut fires and where it
+  // must not.
+  Rng rng(9);
+  for (auto scheme : {DecompositionScheme::kTemporal, DecompositionScheme::kSerial}) {
+    for (int w : {12, 16, 20, 28, 38}) {
+      for (int soft : {0, 2, 6, 28}) {
+        for (int mode = 0; mode < 4; ++mode) {
+          DatapathConfig cfg = base_config(scheme, w);
+          cfg.software_precision = soft;
+          cfg.multi_cycle = (mode & 1) != 0;
+          cfg.skip_empty_bands = (mode & 2) != 0;
+          const int sp = std::max(cfg.safe_precision(), 1);
+          for (int t = 0; t < 200; ++t) {
+            std::vector<int> exps(static_cast<size_t>(rng.uniform_int(1, 16)));
+            const int spread = static_cast<int>(rng.uniform_int(0, 2 * sp + 2));
+            for (int& e : exps) {
+              e = rng.uniform(0.0, 1.0) < 0.3
+                      ? kMaskedProductExp
+                      : static_cast<int>(rng.uniform_int(-spread, 0)) - 7;
+            }
+            EXPECT_EQ(fp16_op_service_cycles(exps, cfg),
+                      service_cycles_by_band_loop(exps, cfg))
+                << scheme_name(scheme) << " w=" << w << " soft=" << soft
+                << " mode=" << mode << " trial " << t;
+          }
+        }
       }
     }
   }

@@ -13,14 +13,20 @@
 //    configs that route through the fused whole-op kernels and the ones
 //    that fall back to the scalar oracle).
 //
+// The cycle simulator's mt19937_64 refill is pinned on both backends
+// against std::mt19937_64 itself, and its threshold draws (sim/sampler.h)
+// against std::bernoulli_distribution.
+//
 // Every x86-64 build carries the AVX2 backend, so the differential tests
 // skip only on hosts without AVX2 (a non-x86 build, or an x86-64 CPU that
 // lacks it) -- there is nothing to diff there.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -28,6 +34,7 @@
 #include "common/rng.h"
 #include "core/datapath.h"
 #include "core/simd/simd.h"
+#include "sim/sampler.h"
 
 namespace mpipu {
 namespace {
@@ -511,6 +518,113 @@ TEST(SimdKernels, IntKernelsMatchScalar) {
       }
     }
   }
+}
+
+// --- cycle-simulator randomness (sim/sampler.h) -----------------------------
+
+/// The scalar backend plus this host's vector backend, if any.
+std::vector<Backend> all_backends() {
+  std::vector<Backend> b{Backend::kScalar};
+  for (Backend v : vector_backends()) b.push_back(v);
+  return b;
+}
+
+/// std::mt19937_64's seeding ([rand.eng.mers]): the refill kernels' input.
+std::vector<uint64_t> mt64_seeded_state(uint64_t seed) {
+  std::vector<uint64_t> x(simd::kMt64Words);
+  x[0] = seed;
+  for (size_t i = 1; i < x.size(); ++i) {
+    x[i] = 6364136223846793005ULL * (x[i - 1] ^ (x[i - 1] >> 62)) + i;
+  }
+  return x;
+}
+
+constexpr uint64_t kMt64Seeds[] = {0, 1, 5489, 0x5eed5eed1234ULL, ~0ULL};
+
+TEST(SimdKernels, Mt64RefillMatchesStdEngine) {
+  constexpr size_t kWords = 100000;
+  for (Backend b : all_backends()) {
+    const KernelTable& K = *simd::kernels_for(b);
+    for (uint64_t seed : kMt64Seeds) {
+      std::mt19937_64 want(seed);
+      std::vector<uint64_t> state = mt64_seeded_state(seed);
+      std::vector<uint64_t> out(simd::kMt64Words);
+      for (size_t i = 0; i < kWords;) {
+        K.mt19937_64_refill(state.data(), out.data());
+        for (size_t k = 0; k < out.size() && i < kWords; ++k, ++i) {
+          ASSERT_EQ(out[k], want())
+              << simd::backend_name(b) << " seed " << seed << " word " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimSampler, StreamIsStdMt19937_64OnEveryBackend) {
+  BackendGuard guard;
+  for (Backend b : all_backends()) {
+    ASSERT_TRUE(simd::force_backend(b));
+    // The standard's check value ([rand.predef]): the 10000th output of a
+    // default-seeded mt19937_64.
+    Mt64Stream s(5489);
+    for (int i = 1; i < 10000; ++i) s.next();
+    EXPECT_EQ(s.next(), 9981545732273789042ULL) << simd::backend_name(b);
+    for (uint64_t seed : kMt64Seeds) {
+      Mt64Stream got(seed);
+      std::mt19937_64 want(seed);
+      for (int i = 0; i < 1000; ++i) {
+        ASSERT_EQ(got.next(), want())
+            << simd::backend_name(b) << " seed " << seed << " word " << i;
+      }
+    }
+  }
+}
+
+/// A generator with mt19937_64's range that returns one fixed word.
+struct FixedWord {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+  result_type operator()() const { return word; }
+  result_type word;
+};
+
+bool bernoulli_on(double p, uint64_t word) {
+  FixedWord g{word};
+  return std::bernoulli_distribution(p)(g);
+}
+
+TEST(SimSampler, ThresholdDrawsMatchBernoulliDistribution) {
+  std::vector<double> ps = {0.0,  0x1p-64, 0.25, 0.45, 0.5,
+                            0.52, 0.72,    0.75, 0.84, std::nextafter(1.0, 0.0),
+                            1.0};
+  // p * 2^64 an exact integer, and the doubles one ulp either side.
+  for (double exact : {0x1p-64, 3 * 0x1p-63, 12345 * 0x1p-40, 0x1p-11,
+                       0x1p-1, 0x1.8p-1, 1 - 0x1p-53, 1 - 0x1p-52}) {
+    ps.push_back(std::nextafter(exact, 0.0));
+    ps.push_back(exact);
+    ps.push_back(std::nextafter(exact, 1.0));
+  }
+  for (size_t i = 0; i < ps.size(); ++i) {
+    const double p = ps[i];
+    const DrawThreshold t = DrawThreshold::of(p, "p");
+    // The same word stream through the threshold and through the library.
+    std::mt19937_64 words(1000 + i);
+    std::mt19937_64 engine(1000 + i);
+    std::bernoulli_distribution d(p);
+    for (int k = 0; k < 1000000; ++k) {
+      const uint64_t x = words();
+      ASSERT_EQ(t.accepts(x), d(engine)) << "p=" << p << " word " << x;
+    }
+    // Random words almost never land next to the threshold: check it there.
+    for (uint64_t x : {uint64_t{0}, t.below - 1, t.below, t.below + 1,
+                       ~uint64_t{0}}) {
+      EXPECT_EQ(t.accepts(x), bernoulli_on(p, x))
+          << "p=" << p << " word " << x;
+    }
+  }
+  EXPECT_FALSE(DrawThreshold::of(0.0, "p").accepts(0));
+  EXPECT_TRUE(DrawThreshold::of(1.0, "p").accepts(~uint64_t{0}));
 }
 
 // --- datapath-level equality -------------------------------------------------
