@@ -2,12 +2,16 @@
 // the bit-accurate models run on the host (useful when scaling simulations).
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/datapath.h"
 #include "core/ipu.h"
 #include "core/reference.h"
+#include "core/simd/simd.h"
 #include "sim/cycle_sim.h"
+#include "workload/distributions.h"
 
 namespace mpipu {
 namespace {
@@ -55,6 +59,47 @@ void BM_IpuFpAccumulate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cfg.n_inputs);
 }
 BENCHMARK(BM_IpuFpAccumulate)->Args({8, 12})->Args({16, 12})->Args({16, 28})->Args({16, 38});
+
+// One prepared FP16 op (the hot-loop entry of every conv) per iteration:
+// scheme x adder-tree width x alignment regime x kernel backend.  Ops are
+// 16 lanes of post-ReLU activations against small weights (forward_stats),
+// cycled over 64 distinct op windows; the time per iteration is ns per op.
+void BM_PreparedFp16Accumulate(benchmark::State& state) {
+  const auto scheme = static_cast<DecompositionScheme>(state.range(0));
+  const auto backend = static_cast<simd::Backend>(state.range(3));
+  if (!simd::force_backend(backend)) {
+    state.SkipWithError("backend not available on this host");
+    return;
+  }
+  DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
+  cfg.n_inputs = 16;
+  cfg.adder_tree_width = static_cast<int>(state.range(1));
+  cfg.software_precision = 28;
+  cfg.multi_cycle = state.range(2) != 0;
+  auto dp = make_datapath(cfg);
+  constexpr int kOps = 64;
+  const LayerTensorStats ts = forward_stats();
+  Rng rng(6);
+  const PreparedFp16 a(sample_fp16(rng, ts.activation_dist,
+                                   ts.activation_scale, kOps * 16));
+  const PreparedFp16 b(
+      sample_fp16(rng, ts.weight_dist, ts.weight_scale, kOps * 16));
+  size_t op = 0;
+  for (auto _ : state) {
+    dp->reset_accumulator();
+    const size_t off = (op++ % kOps) * 16;
+    benchmark::DoNotOptimize(
+        dp->fp16_accumulate_prepared(a.view(off, 16), b.view(off, 16)));
+  }
+  state.SetLabel(std::string(scheme_name(scheme)) + " w=" +
+                 std::to_string(cfg.adder_tree_width) +
+                 (cfg.multi_cycle ? " mc " : " sc ") +
+                 simd::backend_name(backend));
+  simd::reset_backend();
+}
+BENCHMARK(BM_PreparedFp16Accumulate)
+    ->ArgNames({"scheme", "w", "mc", "backend"})
+    ->ArgsProduct({{0, 1, 2}, {16, 28}, {1, 0}, {0, 1}});
 
 void BM_IpuIntAccumulate(benchmark::State& state) {
   Rng rng(4);

@@ -8,6 +8,7 @@
 // TFLOPS/mm^2 and up to 46% TOPS/mm^2, with up to 40-63% (TFLOPS/W) and
 // 63-74% (TOPS/W) power-efficiency improvements over NO-OPT.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -72,8 +73,12 @@ int main() {
       for (int cluster : {1, 4, big ? 64 : 32}) {
         DesignConfig d = proposed_design(w, cluster, big);
         const double slowdown = fp_slowdown(d.tile, big, opts);
-        add_design("(" + std::to_string(w) + "," + std::to_string(cluster) + ")", d,
-                   slowdown);
+        std::string name = "(";
+        name += std::to_string(w);
+        name += ",";
+        name += std::to_string(cluster);
+        name += ")";
+        add_design(name, d, slowdown);
       }
     }
     t.print();

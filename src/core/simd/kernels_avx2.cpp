@@ -23,14 +23,14 @@
 //   * masked lanes carry band == -1 (never equal to a served band) and
 //     up == down == 0 (shift counts stay in range), so their lane values
 //     are computed and then discarded by the band mask;
-//   * the spatial _i32 band-sum kernel relies on its caller's tree-bits
-//     bound (tree_bits <= 31): every partial sum of shifted products fits
-//     int32; the fused temporal/serial kernels hold int32 lane values
-//     (exact under the drivers' guard bounds) and sum their 16-bit halves
-//     in int32, recombined into exact int64 band sums;
-//   * band = align / sp uses the magic-multiply m = ceil(2^32 / sp):
-//     floor(x * m / 2^32) == floor(x / sp) exactly for all 0 <= x < 2^16,
-//     2 <= sp < 2^16 (sp == 1 short-circuits to a copy).
+//   * the fused kernels hold int32 lane values (exact under the drivers'
+//     guard bounds) and sum their 16-bit halves in int32, recombined into
+//     exact int64 band sums;
+//   * band = x / sp uses the magic-multiply m = ceil(2^32 / sp):
+//     floor(x * m / 2^32) == floor(x / sp) exactly whenever x * (sp - 1)
+//     < 2^32, so for 0 <= x < 2^16 with 2 <= sp < 2^16 (the EHU) and for
+//     0 <= x < 2^17 with 2 <= sp <= 2^15 (the spatial shifts); sp == 1
+//     short-circuits to a copy.
 #if defined(__x86_64__)
 
 #include <immintrin.h>
@@ -63,13 +63,6 @@ inline int32_t hsum8_i32(__m256i v) {
   s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
   s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
   return _mm_cvtsi128_si32(s);
-}
-
-inline int64_t hsum4_i64(__m256i v) {
-  const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(v),
-                                  _mm256_extracti128_si256(v, 1));
-  return _mm_cvtsi128_si64(s) +
-         _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s));
 }
 
 inline int32_t hmax8_i32(__m256i v) {
@@ -116,6 +109,25 @@ inline __m128i red4_i32(__m256i r0, __m256i r1, __m256i r2, __m256i r3) {
                        _mm256_extracti128_si256(h, 1));
 }
 
+/// out[k] = rh[k] * 2^16 + rl[k] summed over the 8 lanes, exact int64, for
+/// k < count rounded up to a multiple of 4 (rh/rl are padded with zero
+/// vectors up to there).
+inline void store_half_sums(__m256i* rh, __m256i* rl, int count,
+                            int64_t* out) {
+  while (count % 4 != 0) {
+    rh[count] = rl[count] = _mm256_setzero_si256();
+    ++count;
+  }
+  for (int k = 0; k < count; k += 4) {
+    const __m256i h = _mm256_cvtepi32_epi64(
+        red4_i32(rh[k], rh[k + 1], rh[k + 2], rh[k + 3]));
+    const __m256i l = _mm256_cvtepi32_epi64(
+        red4_i32(rl[k], rl[k + 1], rl[k + 2], rl[k + 3]));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k),
+                        _mm256_add_epi64(_mm256_slli_epi64(h, 16), l));
+  }
+}
+
 /// Band sums of `sets` 16-lane int32 value sets (lo[s] = lanes 0-7, hi[s] =
 /// lanes 8-15): out[c*sets + s] = sum over lanes with band == c, c < bands,
 /// exact in int64 for any int32 lane values.  With one band every lane is
@@ -148,18 +160,7 @@ inline void band_sums16(const __m256i* lo, const __m256i* hi, int sets,
       ++count;
     }
   }
-  while (count % 4 != 0) {
-    rh[count] = rl[count] = _mm256_setzero_si256();
-    ++count;
-  }
-  for (int k = 0; k < count; k += 4) {
-    const __m256i h = _mm256_cvtepi32_epi64(
-        red4_i32(rh[k], rh[k + 1], rh[k + 2], rh[k + 3]));
-    const __m256i l = _mm256_cvtepi32_epi64(
-        red4_i32(rl[k], rl[k + 1], rl[k + 2], rl[k + 3]));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k),
-                        _mm256_add_epi64(_mm256_slli_epi64(h, 16), l));
-  }
+  store_half_sums(rh, rl, count, out);
 }
 
 /// floor(x / d) for 8 unsigned lanes < 2^16, 2 <= d < 2^16, via the magic
@@ -177,6 +178,26 @@ inline uint32_t magic_for(int32_t d) {
   return static_cast<uint32_t>(((uint64_t{1} << 32) + static_cast<uint64_t>(d) -
                                 1) /
                                static_cast<uint64_t>(d));
+}
+
+/// The three nibble planes of one operand, widened to 16 int16 lanes.
+/// Operand planes are only readable through n (bytes past the view are
+/// live neighbor data); short views go through zero-filled staging.
+inline void load_nibbles16(const int8_t* p, size_t stride, size_t n,
+                           __m256i out[3]) {
+  if (n == kFusedLanes) {
+    for (int i = 0; i < 3; ++i) {
+      out[i] = _mm256_cvtepi8_epi16(_mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(p + static_cast<size_t>(i) * stride)));
+    }
+    return;
+  }
+  alignas(16) int8_t buf[3][kFusedLanes] = {};
+  for (int i = 0; i < 3; ++i) {
+    copy_bytes(buf[i], p + static_cast<size_t>(i) * stride, n);
+    out[i] = _mm256_cvtepi8_epi16(
+        _mm_load_si128(reinterpret_cast<const __m128i*>(buf[i])));
+  }
 }
 
 }  // namespace
@@ -271,186 +292,6 @@ void shifted_lanes_i32(const int32_t* p, const int32_t* up, const int32_t* down,
   for (; k < n; ++k) v[k] = (p[k] >> down[k]) << up[k];
 }
 
-void fp16_diag_products(const int8_t* a, size_t a_stride, const int8_t* b,
-                        size_t b_stride, size_t n, int16_t* diag,
-                        size_t d_stride) {
-  size_t k = 0;
-  for (; k + 16 <= n; k += 16) {
-    const __m256i a0 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + k)));
-    const __m256i a1 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + a_stride + k)));
-    const __m256i a2 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(a + 2 * a_stride + k)));
-    const __m256i b0 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + k)));
-    const __m256i b1 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + b_stride + k)));
-    const __m256i b2 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(b + 2 * b_stride + k)));
-    const __m256i d0 = _mm256_mullo_epi16(a0, b0);
-    const __m256i d1 = _mm256_add_epi16(_mm256_mullo_epi16(a0, b1),
-                                        _mm256_mullo_epi16(a1, b0));
-    const __m256i d2 = _mm256_add_epi16(
-        _mm256_add_epi16(_mm256_mullo_epi16(a0, b2), _mm256_mullo_epi16(a1, b1)),
-        _mm256_mullo_epi16(a2, b0));
-    const __m256i d3 = _mm256_add_epi16(_mm256_mullo_epi16(a1, b2),
-                                        _mm256_mullo_epi16(a2, b1));
-    const __m256i d4 = _mm256_mullo_epi16(a2, b2);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(diag + k), d0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(diag + d_stride + k), d1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(diag + 2 * d_stride + k), d2);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(diag + 3 * d_stride + k), d3);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(diag + 4 * d_stride + k), d4);
-  }
-  if (k < n) {
-    const int8_t* a0 = a;
-    const int8_t* a1 = a + a_stride;
-    const int8_t* a2 = a + 2 * a_stride;
-    const int8_t* b0 = b;
-    const int8_t* b1 = b + b_stride;
-    const int8_t* b2 = b + 2 * b_stride;
-    for (; k < n; ++k) {
-      const int16_t x0 = a0[k], x1 = a1[k], x2 = a2[k];
-      const int16_t y0 = b0[k], y1 = b1[k], y2 = b2[k];
-      diag[0 * d_stride + k] = static_cast<int16_t>(x0 * y0);
-      diag[1 * d_stride + k] = static_cast<int16_t>(x0 * y1 + x1 * y0);
-      diag[2 * d_stride + k] =
-          static_cast<int16_t>(x0 * y2 + x1 * y1 + x2 * y0);
-      diag[3 * d_stride + k] = static_cast<int16_t>(x1 * y2 + x2 * y1);
-      diag[4 * d_stride + k] = static_cast<int16_t>(x2 * y2);
-    }
-  }
-}
-
-void diag_bands_i32(const int32_t* align, const int32_t* ehu_band, size_t n,
-                    int32_t offs0, int planes, int32_t sp, int32_t guard,
-                    size_t stride, int32_t* band, int32_t* up,
-                    int32_t* max_band, uint32_t* occupancy) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i neg1 = _mm256_set1_epi32(-1);
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i v31 = _mm256_set1_epi32(31);
-  const __m256i vsp = _mm256_set1_epi32(sp);
-  const __m256i vguard = _mm256_set1_epi32(guard);
-  const __m256i vm =
-      sp >= 2 ? _mm256_set1_epi32(static_cast<int32_t>(magic_for(sp)))
-              : _mm256_setzero_si256();
-  __m256i mb_acc = neg1;
-  __m256i occ_acc = zero;
-  int32_t mb = -1;
-  uint32_t occ = 0;
-  for (int s = 0; s < planes; ++s) {
-    const int32_t offs = offs0 - 4 * s;
-    const __m256i voffs = _mm256_set1_epi32(offs);
-    int32_t* bd_out = band + static_cast<size_t>(s) * stride;
-    int32_t* up_out = up + static_cast<size_t>(s) * stride;
-    size_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-      const __m256i eb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ehu_band + k));
-      const __m256i msk = _mm256_cmpgt_epi32(zero, eb);
-      const __m256i shift = _mm256_add_epi32(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(align + k)),
-          voffs);
-      const __m256i c = sp >= 2 ? divq_u32(shift, vm) : shift;
-      const __m256i local = _mm256_sub_epi32(shift, _mm256_mullo_epi32(c, vsp));
-      const __m256i upv = _mm256_sub_epi32(vguard, local);
-      const __m256i bd = _mm256_blendv_epi8(c, neg1, msk);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(bd_out + k), bd);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(up_out + k),
-                          _mm256_andnot_si256(msk, upv));
-      mb_acc = _mm256_max_epi32(mb_acc, bd);
-      // Masked lanes: min(bd, 31) = -1, and sllv with a count > 31 yields
-      // zero, so they drop out of the occupancy OR.
-      occ_acc = _mm256_or_si256(
-          occ_acc, _mm256_sllv_epi32(one, _mm256_min_epi32(bd, v31)));
-    }
-    for (; k < n; ++k) {
-      if (ehu_band[k] < 0) {
-        bd_out[k] = -1;
-        up_out[k] = 0;
-        continue;
-      }
-      const int32_t shift = align[k] + offs;
-      const int32_t c = shift / sp;
-      bd_out[k] = c;
-      up_out[k] = guard - (shift - c * sp);
-      mb = max_of(mb, c);
-      occ |= 1u << min_of(c, 31);
-    }
-  }
-  *max_band = max_of(mb, hmax8_i32(mb_acc));
-  *occupancy = occ | static_cast<uint32_t>(hor8_i32(occ_acc));
-}
-
-void diag_band_sums_planes_i32(const int16_t* d, const int32_t* band,
-                               const int32_t* up, size_t stride, int planes,
-                               size_t n, int bands, int64_t* sums) {
-  __m256i acc[kMaxBands];
-  for (int c = 0; c < bands; ++c) acc[c] = _mm256_setzero_si256();
-  int64_t tail[kMaxBands] = {0};
-  for (int s = 0; s < planes; ++s) {
-    const size_t off = static_cast<size_t>(s) * stride;
-    const int16_t* ds = d + off;
-    const int32_t* bs = band + off;
-    const int32_t* us = up + off;
-    size_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-      const __m256i x = _mm256_sllv_epi32(
-          _mm256_cvtepi16_epi32(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(ds + k))),
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(us + k)));
-      const __m256i bd =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bs + k));
-      for (int c = 0; c < bands; ++c) {
-        const __m256i m = _mm256_cmpeq_epi32(bd, _mm256_set1_epi32(c));
-        acc[c] = _mm256_add_epi32(acc[c], _mm256_and_si256(x, m));
-      }
-    }
-    for (; k < n; ++k) {
-      if (bs[k] < 0) continue;
-      tail[bs[k]] += static_cast<int32_t>(ds[k]) << us[k];
-    }
-  }
-  for (int c = 0; c < bands; ++c) sums[c] = hsum8_i32(acc[c]) + tail[c];
-}
-
-void diag_band_sums_planes_i64(const int16_t* d, const int32_t* band,
-                               const int32_t* up, size_t stride, int planes,
-                               size_t n, int bands, int64_t* sums) {
-  __m256i acc[kMaxBands];
-  for (int c = 0; c < bands; ++c) acc[c] = _mm256_setzero_si256();
-  int64_t tail[kMaxBands] = {0};
-  for (int s = 0; s < planes; ++s) {
-    const size_t off = static_cast<size_t>(s) * stride;
-    const int16_t* ds = d + off;
-    const int32_t* bs = band + off;
-    const int32_t* us = up + off;
-    size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-      const __m128i d32 = _mm_cvtepi16_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(ds + k)));
-      const __m256i x = _mm256_sllv_epi64(
-          _mm256_cvtepi32_epi64(d32),
-          _mm256_cvtepi32_epi64(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(us + k))));
-      const __m128i bd =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(bs + k));
-      for (int c = 0; c < bands; ++c) {
-        const __m128i m = _mm_cmpeq_epi32(bd, _mm_set1_epi32(c));
-        acc[c] = _mm256_add_epi64(
-            acc[c], _mm256_and_si256(x, _mm256_cvtepi32_epi64(m)));
-      }
-    }
-    for (; k < n; ++k) {
-      if (bs[k] < 0) continue;
-      tail[bs[k]] += static_cast<int64_t>(ds[k]) << us[k];
-    }
-  }
-  for (int c = 0; c < bands; ++c) sums[c] = hsum4_i64(acc[c]) + tail[c];
-}
-
 bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
                    int32_t sp, int32_t* align, int32_t* band, int32_t* max_exp,
                    uint32_t* occupancy, int32_t* max_band, int32_t* n_masked,
@@ -535,30 +376,9 @@ void nibble_fused3x3_i32(const int8_t* a, size_t a_stride, const int8_t* b,
                          size_t b_stride, const int32_t* band,
                          const int32_t* up, const int32_t* down, size_t n,
                          int bands, int64_t* sums, uint32_t* nz) {
-  // Operand planes are only readable through n (bytes past the view are
-  // live neighbor data); short views go through zero-filled staging.
   __m256i a16[3], b16[3];
-  if (n == kFusedLanes) {
-    for (int i = 0; i < 3; ++i) {
-      a16[i] = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(a + static_cast<size_t>(i) * a_stride)));
-      b16[i] = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b + static_cast<size_t>(i) * b_stride)));
-    }
-  } else {
-    alignas(16) int8_t abuf[3][kFusedLanes] = {};
-    alignas(16) int8_t bbuf[3][kFusedLanes] = {};
-    for (int i = 0; i < 3; ++i) {
-      copy_bytes(abuf[i], a + static_cast<size_t>(i) * a_stride, n);
-      copy_bytes(bbuf[i], b + static_cast<size_t>(i) * b_stride, n);
-    }
-    for (int i = 0; i < 3; ++i) {
-      a16[i] = _mm256_cvtepi8_epi16(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(abuf[i])));
-      b16[i] = _mm256_cvtepi8_epi16(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(bbuf[i])));
-    }
-  }
+  load_nibbles16(a, a_stride, n, a16);
+  load_nibbles16(b, b_stride, n, b16);
   const __m256i band_lo = load8(band), band_hi = load8(band + 8);
   const __m256i up_lo = load8(up), up_hi = load8(up + 8);
   const __m256i down_lo = load8(down), down_hi = load8(down + 8);
@@ -614,6 +434,121 @@ void serial_fused_i32(const int32_t* v, const uint32_t* mag,
         v_hi, _mm256_srai_epi32(_mm256_sll_epi32(m_hi, lsh), 31));
   }
   band_sums16(x_lo, x_hi, kSerialSteps, band_lo, band_hi, bands, sums);
+}
+
+bool spatial_fused_i32(const int8_t* a, size_t a_stride, const int8_t* b,
+                       size_t b_stride, const int32_t* align,
+                       const int32_t* band, size_t n, int32_t offs0,
+                       int32_t sp, int32_t guard, int single_cycle,
+                       int32_t window, int64_t* sums, int32_t* max_band,
+                       uint32_t* occupancy) {
+  __m256i a16[3], b16[3];
+  load_nibbles16(a, a_stride, n, a16);
+  load_nibbles16(b, b_stride, n, b16);
+  // Masked lanes (band -1, pads included) get all-ones masks and zeroed a
+  // operands: their products drop out of every value.
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i masked[2] = {_mm256_cmpgt_epi32(zero, load8(band)),
+                             _mm256_cmpgt_epi32(zero, load8(band + 8))};
+  const __m256i masked16 = pack32_16(masked[0], masked[1]);
+  for (int i = 0; i < 3; ++i) a16[i] = _mm256_andnot_si256(masked16, a16[i]);
+  const __m256i al[2] = {load8(align), load8(align + 8)};
+
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i v31 = _mm256_set1_epi32(31);
+  const __m256i vsp = _mm256_set1_epi32(sp);
+  const __m256i vguard = _mm256_set1_epi32(guard);
+  const __m256i vwin = _mm256_set1_epi32(window);
+  const __m256i vm =
+      !single_cycle && sp >= 2
+          ? _mm256_set1_epi32(static_cast<int32_t>(magic_for(sp)))
+          : zero;
+  // Per diagonal s and half h (lanes 0-7, 8-15): serve band bd and the
+  // int32 lane value v of the diagonal.
+  __m256i bd[5][2], v[5][2];
+  __m256i mb_acc = _mm256_set1_epi32(-1), occ_acc = zero;
+  for (int s = 0; s < 5; ++s) {
+    const __m256i voffs = _mm256_set1_epi32(offs0 - 4 * s);
+    __m256i up[2], down[2];
+    for (int h = 0; h < 2; ++h) {
+      const __m256i shift = _mm256_add_epi32(al[h], voffs);
+      __m256i c = zero, local;
+      if (single_cycle) {
+        local = _mm256_min_epi32(shift, vwin);
+      } else {
+        c = sp >= 2 ? divq_u32(shift, vm) : shift;
+        local = _mm256_sub_epi32(shift, _mm256_mullo_epi32(c, vsp));
+      }
+      const __m256i net = _mm256_sub_epi32(vguard, local);
+      up[h] = _mm256_max_epi32(net, zero);
+      down[h] = _mm256_max_epi32(_mm256_sub_epi32(zero, net), zero);
+      bd[s][h] = _mm256_or_si256(c, masked[h]);
+      mb_acc = _mm256_max_epi32(mb_acc, bd[s][h]);
+      // Masked lanes: min(bd, 31) = -1, and sllv with a count > 31 yields
+      // zero, so they drop out of the occupancy OR.
+      occ_acc = _mm256_or_si256(
+          occ_acc, _mm256_sllv_epi32(one, _mm256_min_epi32(bd[s][h], v31)));
+    }
+    const int i0 = s < 2 ? 0 : s - 2, i1 = s < 2 ? s : 2;
+    if (!single_cycle) {
+      // MC mode: local < sp <= guard + 1, so down == 0 and the shift
+      // distributes over the diagonal, pre-summed in int16 (|d| <= 675).
+      __m256i d = _mm256_mullo_epi16(a16[i0], b16[s - i0]);
+      for (int i = i0 + 1; i <= i1; ++i) {
+        d = _mm256_add_epi16(d, _mm256_mullo_epi16(a16[i], b16[s - i]));
+      }
+      v[s][0] = _mm256_sllv_epi32(
+          _mm256_cvtepi16_epi32(_mm256_castsi256_si128(d)), up[0]);
+      v[s][1] = _mm256_sllv_epi32(
+          _mm256_cvtepi16_epi32(_mm256_extracti128_si256(d, 1)), up[1]);
+      continue;
+    }
+    // Single-cycle mode truncates each product before the shift up.
+    v[s][0] = v[s][1] = zero;
+    for (int i = i0; i <= i1; ++i) {
+      const __m256i p = _mm256_mullo_epi16(a16[i], b16[s - i]);
+      v[s][0] = _mm256_add_epi32(
+          v[s][0],
+          _mm256_sllv_epi32(
+              _mm256_srav_epi32(
+                  _mm256_cvtepi16_epi32(_mm256_castsi256_si128(p)), down[0]),
+              up[0]));
+      v[s][1] = _mm256_add_epi32(
+          v[s][1],
+          _mm256_sllv_epi32(
+              _mm256_srav_epi32(
+                  _mm256_cvtepi16_epi32(_mm256_extracti128_si256(p, 1)),
+                  down[1]),
+              up[1]));
+    }
+  }
+  const int32_t mb = hmax8_i32(mb_acc);
+  *max_band = mb;
+  *occupancy = static_cast<uint32_t>(hor8_i32(occ_acc));
+  if (mb >= kMaxBands) return false;
+
+  // Band sums over the ten value vectors, split into 16-bit halves as in
+  // band_sums16 (80 halves of either kind sum in int32 without overflow).
+  // With one band every served value is in it and masked values are zero.
+  const int bands = max_of(mb, 0) + 1;
+  const __m256i low16 = _mm256_set1_epi32(0xFFFF);
+  __m256i rh[kMaxBands + 3], rl[kMaxBands + 3];
+  for (int c = 0; c < bands; ++c) {
+    const __m256i vc = _mm256_set1_epi32(c);
+    __m256i h = zero, l = zero;
+    for (int s = 0; s < 5; ++s) {
+      for (int x = 0; x < 2; ++x) {
+        __m256i y = v[s][x];
+        if (bands > 1) y = _mm256_and_si256(y, _mm256_cmpeq_epi32(bd[s][x], vc));
+        h = _mm256_add_epi32(h, _mm256_srai_epi32(y, 16));
+        l = _mm256_add_epi32(l, _mm256_and_si256(y, low16));
+      }
+    }
+    rh[c] = h;
+    rl[c] = l;
+  }
+  store_half_sums(rh, rl, bands, sums);
+  return true;
 }
 
 int64_t dot_i8(const int8_t* a, const int8_t* b, size_t n) {
@@ -733,13 +668,10 @@ const KernelTable* avx2_kernel_table() {
       .serve_shifts_i32 = avx2::serve_shifts_i32,
       .serial_lanes_i32 = avx2::serial_lanes_i32,
       .shifted_lanes_i32 = avx2::shifted_lanes_i32,
-      .fp16_diag_products = avx2::fp16_diag_products,
-      .diag_bands_i32 = avx2::diag_bands_i32,
-      .diag_band_sums_planes_i32 = avx2::diag_band_sums_planes_i32,
-      .diag_band_sums_planes_i64 = avx2::diag_band_sums_planes_i64,
       .ehu_fused_i32 = avx2::ehu_fused_i32,
       .nibble_fused3x3_i32 = avx2::nibble_fused3x3_i32,
       .serial_fused_i32 = avx2::serial_fused_i32,
+      .spatial_fused_i32 = avx2::spatial_fused_i32,
       .dot_i8 = avx2::dot_i8,
       .bit_masked_sum_i32 = avx2::bit_masked_sum_i32,
       .mt19937_64_refill = avx2::mt19937_64_refill,

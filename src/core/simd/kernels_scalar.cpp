@@ -42,80 +42,6 @@ void shifted_lanes_i32(const int32_t* p, const int32_t* up, const int32_t* down,
   for (size_t k = 0; k < n; ++k) v[k] = (p[k] >> down[k]) << up[k];
 }
 
-void fp16_diag_products(const int8_t* a, size_t a_stride, const int8_t* b,
-                        size_t b_stride, size_t n, int16_t* diag,
-                        size_t d_stride) {
-  const int8_t* a0 = a;
-  const int8_t* a1 = a + a_stride;
-  const int8_t* a2 = a + 2 * a_stride;
-  const int8_t* b0 = b;
-  const int8_t* b1 = b + b_stride;
-  const int8_t* b2 = b + 2 * b_stride;
-  for (size_t k = 0; k < n; ++k) {
-    const int16_t x0 = a0[k], x1 = a1[k], x2 = a2[k];
-    const int16_t y0 = b0[k], y1 = b1[k], y2 = b2[k];
-    diag[0 * d_stride + k] = static_cast<int16_t>(x0 * y0);
-    diag[1 * d_stride + k] = static_cast<int16_t>(x0 * y1 + x1 * y0);
-    diag[2 * d_stride + k] = static_cast<int16_t>(x0 * y2 + x1 * y1 + x2 * y0);
-    diag[3 * d_stride + k] = static_cast<int16_t>(x1 * y2 + x2 * y1);
-    diag[4 * d_stride + k] = static_cast<int16_t>(x2 * y2);
-  }
-}
-
-void diag_bands_i32(const int32_t* align, const int32_t* ehu_band, size_t n,
-                    int32_t offs0, int planes, int32_t sp, int32_t guard,
-                    size_t stride, int32_t* band, int32_t* up,
-                    int32_t* max_band, uint32_t* occupancy) {
-  int32_t mb = -1;
-  uint32_t occ = 0;
-  for (int s = 0; s < planes; ++s) {
-    const int32_t offs = offs0 - 4 * s;
-    int32_t* bd = band + static_cast<size_t>(s) * stride;
-    int32_t* u = up + static_cast<size_t>(s) * stride;
-    for (size_t k = 0; k < n; ++k) {
-      if (ehu_band[k] < 0) {
-        bd[k] = -1;
-        u[k] = 0;
-        continue;
-      }
-      const int32_t shift = align[k] + offs;
-      const int32_t c = shift / sp;
-      bd[k] = c;
-      u[k] = guard - (shift - c * sp);
-      mb = std::max(mb, c);
-      occ |= 1u << std::min(c, 31);
-    }
-  }
-  *max_band = mb;
-  *occupancy = occ;
-}
-
-void diag_band_sums_planes_i32(const int16_t* d, const int32_t* band,
-                               const int32_t* up, size_t stride, int planes,
-                               size_t n, int bands, int64_t* sums) {
-  for (int c = 0; c < bands; ++c) sums[c] = 0;
-  for (int s = 0; s < planes; ++s) {
-    const size_t off = static_cast<size_t>(s) * stride;
-    for (size_t k = 0; k < n; ++k) {
-      if (band[off + k] < 0) continue;
-      sums[band[off + k]] += static_cast<int32_t>(d[off + k]) << up[off + k];
-    }
-  }
-}
-
-void diag_band_sums_planes_i64(const int16_t* d, const int32_t* band,
-                               const int32_t* up, size_t stride, int planes,
-                               size_t n, int bands, int64_t* sums) {
-  for (int c = 0; c < bands; ++c) sums[c] = 0;
-  for (int s = 0; s < planes; ++s) {
-    const size_t off = static_cast<size_t>(s) * stride;
-    for (size_t k = 0; k < n; ++k) {
-      if (band[off + k] < 0) continue;
-      sums[band[off + k]] += static_cast<int64_t>(d[off + k]) << up[off + k];
-    }
-  }
-}
-
 bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
                    int32_t sp, int32_t* align, int32_t* band, int32_t* max_exp,
                    uint32_t* occupancy, int32_t* max_band, int32_t* n_masked,
@@ -191,6 +117,49 @@ void serial_fused_i32(const int32_t* v, const uint32_t* mag,
   }
 }
 
+bool spatial_fused_i32(const int8_t* a, size_t a_stride, const int8_t* b,
+                       size_t b_stride, const int32_t* align,
+                       const int32_t* band, size_t n, int32_t offs0,
+                       int32_t sp, int32_t guard, int single_cycle,
+                       int32_t window, int64_t* sums, int32_t* max_band,
+                       uint32_t* occupancy) {
+  // Serve band and net window shift of diagonal s on lane k.
+  auto serve = [&](size_t k, int s, int32_t* c, int32_t* net) {
+    const int32_t shift = align[k] + offs0 - 4 * s;
+    *c = single_cycle ? 0 : shift / sp;
+    *net = guard - (single_cycle ? std::min(shift, window) : shift - *c * sp);
+  };
+  int32_t mb = -1;
+  uint32_t occ = 0;
+  for (size_t k = 0; k < n; ++k) {
+    if (band[k] < 0) continue;
+    for (int s = 0; s < 5; ++s) {
+      int32_t c, net;
+      serve(k, s, &c, &net);
+      mb = std::max(mb, c);
+      occ |= 1u << std::min(c, 31);
+    }
+  }
+  *max_band = mb;
+  *occupancy = occ;
+  if (mb >= kMaxBands) return false;
+  for (int c = 0; c <= std::max(mb, 0); ++c) sums[c] = 0;
+  for (size_t k = 0; k < n; ++k) {
+    if (band[k] < 0) continue;
+    for (int i = 0; i < 3; ++i) {
+      for (int j = 0; j < 3; ++j) {
+        int32_t c, net;
+        serve(k, i + j, &c, &net);
+        const int32_t p =
+            static_cast<int32_t>(a[static_cast<size_t>(i) * a_stride + k]) *
+            static_cast<int32_t>(b[static_cast<size_t>(j) * b_stride + k]);
+        sums[c] += net >= 0 ? p << net : p >> -net;
+      }
+    }
+  }
+  return true;
+}
+
 int64_t dot_i8(const int8_t* a, const int8_t* b, size_t n) {
   int64_t s = 0;
   for (size_t k = 0; k < n; ++k) {
@@ -239,13 +208,10 @@ const KernelTable* scalar_kernel_table() {
       .serve_shifts_i32 = scalar::serve_shifts_i32,
       .serial_lanes_i32 = scalar::serial_lanes_i32,
       .shifted_lanes_i32 = scalar::shifted_lanes_i32,
-      .fp16_diag_products = scalar::fp16_diag_products,
-      .diag_bands_i32 = scalar::diag_bands_i32,
-      .diag_band_sums_planes_i32 = scalar::diag_band_sums_planes_i32,
-      .diag_band_sums_planes_i64 = scalar::diag_band_sums_planes_i64,
       .ehu_fused_i32 = scalar::ehu_fused_i32,
       .nibble_fused3x3_i32 = scalar::nibble_fused3x3_i32,
       .serial_fused_i32 = scalar::serial_fused_i32,
+      .spatial_fused_i32 = scalar::spatial_fused_i32,
       .dot_i8 = scalar::dot_i8,
       .bit_masked_sum_i32 = scalar::bit_masked_sum_i32,
       .mt19937_64_refill = scalar::mt19937_64_refill,

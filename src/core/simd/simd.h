@@ -37,15 +37,16 @@
 // planes, so the zero pads are a layout/alignment guarantee, not a
 // correctness dependency.
 //
-// FUSED WHOLE-OP KERNELS -- the temporal and serial serve loops issue one
-// EHU call and one band-sum call per op (ops are small -- typically
-// n_inputs <= 16 lanes -- so per-call fixed costs dominate the emulation
-// wall clock).  The band-sum kernels hold one int32 value per lane and sum
-// bands in int64; the drivers check the config-derived lane bound
-// (kNibbleFusedMaxGuard / kSerialFusedMaxGuard) and n <= kFusedLanes before
-// dispatching, and own serve planes padded to kFusedLanes entries (band pad
-// -1, shift/value pads 0).  Operand planes are still never read past n: the
-// vector backends stage short views through zero-filled local buffers.
+// FUSED WHOLE-OP KERNELS -- the temporal, serial and spatial serve loops
+// issue one EHU call and one band-sum call per op (ops are small --
+// typically n_inputs <= 16 lanes -- so per-call fixed costs dominate the
+// emulation wall clock).  The band-sum kernels hold one int32 value per
+// lane and sum bands in int64; the drivers check the config-derived lane
+// bound (kNibbleFusedMaxGuard / kSerialFusedMaxGuard /
+// kSpatialFusedMaxGuard) and n <= kFusedLanes before dispatching, and own
+// serve planes padded to kFusedLanes entries (band pad -1, shift/value
+// pads 0).  Operand planes are still never read past n: the vector
+// backends stage short views through zero-filled local buffers.
 #pragma once
 
 #include <cstddef>
@@ -73,6 +74,13 @@ inline constexpr int kNibbleFusedMaxGuard = 23;
 /// multiplicand |v| <= 2047 * 2^guard fits int32 for guard <= 20
 /// (2047 * 2^20 < 2^31 <= 2047 * 2^21): w <= 33.
 inline constexpr int kSerialFusedMaxGuard = 20;
+
+/// Largest window guard (w - 10) the spatial fused kernel admits.  A served
+/// lane value is one nibble diagonal: at most three products |a_i*b_j| <=
+/// 225, each shifted up by at most max(guard, 0) or down, so |value| <=
+/// 675 * 2^guard, which fits int32 for guard <= 21 (675 * 2^21 < 2^31 <=
+/// 675 * 2^22): w <= 31.
+inline constexpr int kSpatialFusedMaxGuard = 21;
 
 /// Bit steps of the serial scheme (11 magnitude bits + 1 pad); the fused
 /// serial kernel hard-codes this many per-step sums.
@@ -107,38 +115,6 @@ struct KernelTable {
   /// v[k] = (p[k] >> down[k]) << up[k], precomputed once per op.
   void (*shifted_lanes_i32)(const int32_t* p, const int32_t* up,
                             const int32_t* down, size_t n, int32_t* v);
-
-  // --- spatial scheme ---
-  /// Diagonal pre-sums of the 3x3 FP16 nibble products:
-  /// diag[s*d_stride + k] = sum over i+j==s of a_i[k] * b_j[k], s in [0, 5).
-  /// |d| <= 3*225 fits int16.  a/b are plane-major nibble bases with the
-  /// given strides.
-  void (*fp16_diag_products)(const int8_t* a, size_t a_stride, const int8_t* b,
-                             size_t b_stride, size_t n, int16_t* diag,
-                             size_t d_stride);
-  /// All `planes` per-diagonal band/up planes in one call (MC mode), plane
-  /// s using offs_s = offs0 - 4*s: masked lanes (ehu_band[k] < 0) get band
-  /// -1 / up 0; else shift = align[k] + offs_s, band = shift / sp,
-  /// up = guard - (shift - band*sp).  Exact for shift < 65536.  Also
-  /// returns the wrap-up reductions over unmasked lane products:
-  /// *max_band = max band (-1 when every lane is masked) and *occupancy =
-  /// OR of 1u << min(band, 31).
-  void (*diag_bands_i32)(const int32_t* align, const int32_t* ehu_band,
-                         size_t n, int32_t offs0, int planes, int32_t sp,
-                         int32_t guard, size_t stride, int32_t* band,
-                         int32_t* up, int32_t* max_band, uint32_t* occupancy);
-  /// Whole-op spatial serve sums: for every plane s in [0, planes),
-  /// sums[c] accumulates sum over k with band_s[k]==c of
-  /// (int32)d_s[k] << up_s[k]; plane s of d/band/up starts at s*stride.
-  /// SET semantics: writes sums[0, bands) (callers skip the pre-zeroing).
-  void (*diag_band_sums_planes_i32)(const int16_t* d, const int32_t* band,
-                                    const int32_t* up, size_t stride,
-                                    int planes, size_t n, int bands,
-                                    int64_t* sums);
-  void (*diag_band_sums_planes_i64)(const int16_t* d, const int32_t* band,
-                                    const int32_t* up, size_t stride,
-                                    int planes, size_t n, int bands,
-                                    int64_t* sums);
 
   // --- fused whole-op kernels (see the header comment) ---
   /// Fused EHU stages 1-5 on prepared exponent planes, one call per op:
@@ -180,6 +156,29 @@ struct KernelTable {
   void (*serial_fused_i32)(const int32_t* v, const uint32_t* mag,
                            const int32_t* band, size_t n, int bands,
                            int64_t* sums);
+  /// The whole spatial FP16 serve of one op in a single call.  Every lane
+  /// k with band[k] >= 0 (the EHU's unmasked lanes) serves its five nibble
+  /// diagonals s in [0, 5) at shift = align[k] + offs0 - 4*s: in MC mode
+  /// (single_cycle == 0) into band c = shift / sp at local = shift - c*sp,
+  /// in single-cycle mode into band 0 at local = min(shift, window).  With
+  /// up/down = max(+-(guard - local), 0), diagonal s serves the value
+  /// sum over i + j == s of ((a_i[k] * b_j[k]) >> down) << up.
+  /// sums[c] = exact int64 sum of the values served in band c, SET
+  /// semantics for c < bands = max(*max_band, 0) + 1 (slots through
+  /// kMaxBands may be overwritten); *max_band = max served band (-1 when
+  /// every lane is masked); *occupancy = OR of 1u << min(c, 31) over the
+  /// served (k, s).  Returns false -- sums unspecified -- when
+  /// *max_band >= kMaxBands.  Preconditions: n <= kFusedLanes; align/band
+  /// readable and padded through kFusedLanes (band pad -1); every served
+  /// value fits int32 (the spatial driver checks guard <=
+  /// kSpatialFusedMaxGuard); 0 <= shift < 2^17; in MC mode 1 <= sp <=
+  /// guard + 1 (so down == 0) and sp <= 2^15 (the magic-divide range).
+  bool (*spatial_fused_i32)(const int8_t* a, size_t a_stride, const int8_t* b,
+                            size_t b_stride, const int32_t* align,
+                            const int32_t* band, size_t n, int32_t offs0,
+                            int32_t sp, int32_t guard, int single_cycle,
+                            int32_t window, int64_t* sums, int32_t* max_band,
+                            uint32_t* occupancy);
 
   // --- INT modes ---
   /// Exact dot product of two int8 digit planes (|a*b| <= 225 per lane).

@@ -19,6 +19,7 @@
 // accumulator and reference models.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -85,19 +86,28 @@ class SpatialIpu {
   FixedPoint read_raw() const { return acc_.value(); }
 
  private:
+  // The prepared FP16 fast path has two serve paths, picked per op by
+  // fp16_accumulate_prepared: the fused whole-op kernels (core/simd) or
+  // the verbatim scalar oracle.
+
+  /// Scalar oracle serve loop; TreeInt is the adder-tree sum type.
   template <typename TreeInt>
   int run_prepared_fp16(const PreparedFp16View& a, const PreparedFp16View& b);
 
-  /// Vectorized serve loop (core/simd), MC mode only: the combined shift of
-  /// lane product (k, i, j) depends only on (k, i + j), and in MC mode the
-  /// net window shift is always a left shift (local < sp <= guard + 1),
-  /// which distributes over addition -- so the 9 products collapse into 5
-  /// diagonal pre-sums served band-by-band.  Single-cycle mode right-shifts
-  /// (truncates) per product and stays on the scalar oracle.  kNarrow
-  /// selects int32 vector accumulators (tree bound <= 31 bits).
-  template <bool kNarrow>
-  int run_prepared_fp16_simd(const PreparedFp16View& a,
-                             const PreparedFp16View& b);
+  /// The scalar oracle at its sum type: int64_t whenever the window bound
+  /// fits, int128 otherwise.
+  int run_prepared_fp16_oracle(const PreparedFp16View& a,
+                               const PreparedFp16View& b);
+
+  /// Whole-op fused path: one EHU kernel call and one spatial band-sum
+  /// kernel call per op, in either alignment regime.  The combined shift of
+  /// lane product (k, i, j) depends only on (k, i + j), so the kernel serves
+  /// five nibble diagonals per lane.  Requires 1 <= n <= kFusedLanes and
+  /// window_guard() <= kSpatialFusedMaxGuard (a served diagonal stays in
+  /// int32); falls back to the scalar oracle on wide EHU spreads or more
+  /// than kMaxBands bands.
+  int run_prepared_fp16_fused(const PreparedFp16View& a,
+                              const PreparedFp16View& b);
 
   SpatialIpuConfig cfg_;
   Accumulator acc_;
@@ -111,11 +121,8 @@ class SpatialIpu {
   std::vector<int32_t> entry_cursor_;
   std::vector<int32_t> entry_p_;
   std::vector<int32_t> entry_shift_;
-  // Vectorized-path scratch: 5 diagonal product planes and their per-lane
-  // serve band / up-shift planes, plane-major with a shared stride, plus
-  // the fused-EHU align/band planes.
-  std::vector<int16_t> diag_;
-  std::vector<int32_t> dband_, dup_;
+  // Fused-path scratch: the EHU align/band planes, padded through
+  // kFusedLanes.
   std::vector<int32_t> falign_, fband_;
 };
 
@@ -335,70 +342,69 @@ int SpatialIpu::run_prepared_fp16(const PreparedFp16View& a,
   return cycles;
 }
 
-template <bool kNarrow>
-int SpatialIpu::run_prepared_fp16_simd(const PreparedFp16View& a,
-                                       const PreparedFp16View& b) {
+inline int SpatialIpu::run_prepared_fp16_oracle(const PreparedFp16View& a,
+                                                const PreparedFp16View& b) {
+  // 9-bit lane products shifted up to window_guard, summed over n * Ka*Kb
+  // parallel multipliers: stay in int64 whenever that bound fits, spill to
+  // int128 otherwise (identical results either way).
+  const int tree_bits =
+      std::max(cfg_.window_guard(), 0) + 9 +
+      ceil_log2(std::max(cfg_.n_inputs, 1) *
+                multipliers_per_input<kFp16Format>()) +
+      1;
+  return tree_bits <= 62 ? run_prepared_fp16<int64_t>(a, b)
+                         : run_prepared_fp16<int128>(a, b);
+}
+
+inline int SpatialIpu::run_prepared_fp16_fused(const PreparedFp16View& a,
+                                               const PreparedFp16View& b) {
   const size_t n = a.n;
   constexpr FpFormat F = kFp16Format;
-  constexpr int kn = fp_nibble_count(F);
+  static_assert(fp_nibble_count(F) == 3);  // the fused kernel is 3x3
   constexpr int z = fp_pad_bits(F);
-  constexpr int top_weight = 2 * (4 * (kn - 1) - z);
-  constexpr int kDiags = 2 * kn - 1;
+  constexpr int top_weight = 2 * (4 * 2 - z);
   const simd::KernelTable& K = simd::kernels();
 
-  if (n == 0) return run_prepared_fp16<int64_t>(a, b);
-
-  const int guard = cfg_.window_guard();
   const int sp = cfg_.safe_precision();
+  const int guard = cfg_.window_guard();
+  const bool single_cycle = !cfg_.multi_cycle;
 
-  falign_.resize(n);
-  fband_.resize(n);
+  falign_.resize(simd::kFusedLanes);
+  fband_.resize(simd::kFusedLanes);
   int32_t max_exp, ehu_max_band, n_masked, max_align;
   uint32_t ehu_occ;
   if (!K.ehu_fused_i32(a.exp, b.exp, n, cfg_.software_precision,
                        std::max(sp, 1), falign_.data(), fband_.data(),
                        &max_exp, &ehu_occ, &ehu_max_band, &n_masked,
                        &max_align)) {
-    return run_prepared_fp16<int64_t>(a, b);
+    return run_prepared_fp16_oracle(a, b);
+  }
+  for (size_t k = n; k < simd::kFusedLanes; ++k) {
+    falign_[k] = 0;
+    fband_[k] = -1;
   }
 
-  // Combined shift of lane product (k, i, j) = align[k] + offs(i + j) with
-  // offs(s) = top_weight + 2z - 4s, so band and up-shift are per (k, s).
-  // One kernel call produces all kDiags planes plus the band span and
-  // occupancy exactly as the oracle computes them per product: every
-  // diagonal has at least one (i, j), and band(k, i, j) depends only on
-  // (k, s), so the occupied set over (k, s) is identical.
-  const size_t stride = prepared_plane_stride(n);
-  dband_.resize(kDiags * stride);
-  dup_.resize(kDiags * stride);
-  int32_t dmax = -1;
-  uint32_t docc = 0;
-  K.diag_bands_i32(falign_.data(), fband_.data(), n, top_weight + 2 * z,
-                   kDiags, sp, guard, stride, dband_.data(), dup_.data(),
-                   &dmax, &docc);
-  const int max_band = std::max(static_cast<int>(dmax), 0);
-  const uint64_t occupied = uint64_t{docc} | 1;
-  const int bands = max_band + 1;
-  if (bands > simd::kMaxBands) return run_prepared_fp16<int64_t>(a, b);
-
-  diag_.resize(kDiags * stride);
-  K.fp16_diag_products(a.nib, a.nib_stride, b.nib, b.nib_stride, n,
-                       diag_.data(), stride);
-
+  // shift(k, i, j) = align[k] + top_weight - (4i - z) - (4j - z), so
+  // diagonal s = i + j sits at align[k] + offs0 - 4s.  The kernel works out
+  // the band span and occupancy exactly as the oracle does per product:
+  // every diagonal holds at least one (i, j).
   int64_t sums[simd::kMaxBands];
-  if constexpr (kNarrow) {
-    K.diag_band_sums_planes_i32(diag_.data(), dband_.data(), dup_.data(),
-                                stride, kDiags, n, bands, sums);
-  } else {
-    K.diag_band_sums_planes_i64(diag_.data(), dband_.data(), dup_.data(),
-                                stride, kDiags, n, bands, sums);
+  int32_t max_band;
+  uint32_t occ;
+  if (!K.spatial_fused_i32(a.nib, a.nib_stride, b.nib, b.nib_stride,
+                           falign_.data(), fband_.data(), n, top_weight + 2 * z,
+                           sp, guard, single_cycle ? 1 : 0,
+                           cfg_.adder_tree_width, sums, &max_band, &occ)) {
+    return run_prepared_fp16_oracle(a, b);
   }
+  const int bands = std::max(max_band, 0) + 1;
 
   const int base_rescale =
       top_weight - 2 * F.man_bits - guard + acc_.config().frac_bits;
-  const bool fast = acc_.fast64_ok(kNarrow ? 31 : 62, base_rescale);
+  // |sum| <= kFusedLanes * 9 * 225 * 2^max(guard, 0) < 2^(15 + max(guard, 0)).
+  const bool fast = acc_.fast64_ok(15 + std::max(guard, 0), base_rescale);
   for (int c = 0; c < bands; ++c) {
-    const int rescale = base_rescale - c * sp;
+    const int rescale = base_rescale - c * sp;  // single-cycle: c == 0
     if (fast) {
       acc_.add_tree64(sums[c], rescale, max_exp);
       continue;
@@ -408,12 +414,13 @@ int SpatialIpu::run_prepared_fp16_simd(const PreparedFp16View& a,
              max_exp);
   }
 
-  // bands <= kMaxBands here, so max_band < 63 and the occupancy kernel's
-  // min(band, 31) clamp never reaches the bits this mask keeps.
+  // bands <= kMaxBands here, so the occupancy kernel's min(band, 31) clamp
+  // never reaches the bits this mask keeps.
   const int cycles =
-      cfg_.skip_empty_bands
-          ? __builtin_popcountll(occupied & ((uint64_t{1} << (max_band + 1)) - 1))
-          : bands;
+      single_cycle ? 1
+                   : (cfg_.skip_empty_bands
+                          ? std::popcount((occ | 1u) & ((1u << bands) - 1))
+                          : bands);
   ++stats_.fp_ops;
   stats_.cycles += cycles;
   if (cycles > 1) ++stats_.multi_cycle_ops;
@@ -424,23 +431,15 @@ inline int SpatialIpu::fp16_accumulate_prepared(const PreparedFp16View& a,
                                                 const PreparedFp16View& b) {
   assert(a.n == b.n);
   assert(static_cast<int>(a.n) <= cfg_.n_inputs);
-  // 9-bit lane products shifted up to window_guard, summed over n * Ka*Kb
-  // parallel multipliers.
-  const int tree_bits =
-      std::max(cfg_.window_guard(), 0) + 9 +
-      ceil_log2(std::max(cfg_.n_inputs, 1) *
-                multipliers_per_input<kFp16Format>()) +
-      1;
-  // The vector path needs MC mode (net shifts are then pure left shifts,
-  // which distribute over the diagonal pre-sums) and exact magic-multiply
-  // banding (combined shift < 2^16 for every unmasked lane).
-  if (simd::active_backend() != simd::Backend::kScalar && cfg_.multi_cycle &&
-      cfg_.software_precision < 65000) {
-    if (tree_bits <= 31) return run_prepared_fp16_simd<true>(a, b);
-    if (tree_bits <= 62) return run_prepared_fp16_simd<false>(a, b);
+  // Two paths: the fused whole-op kernels when the op fits their lanes and
+  // every served diagonal fits int32 (simd.h derives the guard bound), else
+  // the scalar oracle.
+  if (simd::active_backend() != simd::Backend::kScalar && a.n >= 1 &&
+      a.n <= simd::kFusedLanes &&
+      cfg_.window_guard() <= simd::kSpatialFusedMaxGuard) {
+    return run_prepared_fp16_fused(a, b);
   }
-  return tree_bits <= 62 ? run_prepared_fp16<int64_t>(a, b)
-                         : run_prepared_fp16<int128>(a, b);
+  return run_prepared_fp16_oracle(a, b);
 }
 
 }  // namespace mpipu

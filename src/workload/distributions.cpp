@@ -1,6 +1,5 @@
 #include "workload/distributions.h"
 
-#include <cassert>
 #include <cmath>
 
 namespace mpipu {
@@ -39,15 +38,6 @@ std::vector<Fp16> sample_fp16(Rng& rng, ValueDist dist, double scale, int n) {
     out.push_back(Fp16::from_double(sample_value(rng, dist, scale)));
   }
   return out;
-}
-
-ExponentPool::ExponentPool(Rng& rng, ValueDist dist, double scale, int pool_size) {
-  assert(pool_size > 0);
-  pool_.reserve(static_cast<size_t>(pool_size));
-  for (int i = 0; i < pool_size; ++i) {
-    const Fp16 f = Fp16::from_double(sample_value(rng, dist, scale));
-    pool_.push_back(f.is_finite() ? f.decode().exp : kFp16Format.max_exp());
-  }
 }
 
 LayerTensorStats forward_stats() {

@@ -40,22 +40,6 @@ double sample_value(Rng& rng, ValueDist dist, double scale);
 /// Draw n values as FP16 (RNE conversion, the usual downcast path).
 std::vector<Fp16> sample_fp16(Rng& rng, ValueDist dist, double scale, int n);
 
-/// A pre-drawn pool of FP16 *unbiased product-operand exponents* for fast
-/// per-op sampling in the cycle simulator.  Zero values are recorded with
-/// the subnormal exponent, exactly as the EHU sees them.
-class ExponentPool {
- public:
-  ExponentPool(Rng& rng, ValueDist dist, double scale, int pool_size);
-
-  /// Exponent of one randomly drawn operand.
-  int draw(Rng& rng) const {
-    return pool_[rng.next_u64() % pool_.size()];
-  }
-
- private:
-  std::vector<int> pool_;
-};
-
 /// Intra-op exponent jitter: how much an operand's exponent deviates
 /// (downward) from the op-local maximum-magnitude operand.  Alignment sizes
 /// depend only on these *relative* exponents -- any op-level base exponent

@@ -109,27 +109,32 @@ TEST(DatapathWrapping, SerialBitMatchesDirectSerialIpu) {
 TEST(DatapathWrapping, SpatialBitMatchesDirectSpatialIpu) {
   Rng rng(3);
   for (int w : {16, 28, 40}) {
-    // base_config routes through DatapathConfig::for_scheme, so a spatial
-    // config cycle-counts like a directly constructed SpatialIpu without
-    // touching skip_empty_bands by hand.
-    const DatapathConfig cfg = base_config(DecompositionScheme::kSpatial, w);
-    EXPECT_TRUE(cfg.skip_empty_bands);
-    auto dp = make_datapath(cfg);
-    SpatialIpuConfig scfg;
-    scfg.n_inputs = cfg.n_inputs;
-    scfg.adder_tree_width = w;
-    scfg.software_precision = cfg.software_precision;
-    scfg.multi_cycle = cfg.multi_cycle;
-    scfg.skip_empty_bands = true;
-    SpatialIpu ipu(scfg);
-    for (int t = 0; t < 500; ++t) {
-      const auto a = random_fp16_bits(rng, 16);
-      const auto b = random_fp16_bits(rng, 16);
-      const DotResult r = dp->dot(a, b);
-      ipu.reset_accumulator();
-      const int cycles = ipu.fp_accumulate<kFp16Format>(a, b);
-      EXPECT_TRUE(r.raw == ipu.read_raw()) << "w=" << w << " trial " << t;
-      EXPECT_EQ(r.cycles, cycles) << "w=" << w << " trial " << t;
+    for (bool mc : {true, false}) {  // MC banding vs single-cycle window
+      // base_config routes through DatapathConfig::for_scheme, so a spatial
+      // config cycle-counts like a directly constructed SpatialIpu without
+      // touching skip_empty_bands by hand.
+      DatapathConfig cfg = base_config(DecompositionScheme::kSpatial, w);
+      cfg.multi_cycle = mc;
+      EXPECT_TRUE(cfg.skip_empty_bands);
+      auto dp = make_datapath(cfg);
+      SpatialIpuConfig scfg;
+      scfg.n_inputs = cfg.n_inputs;
+      scfg.adder_tree_width = w;
+      scfg.software_precision = cfg.software_precision;
+      scfg.multi_cycle = cfg.multi_cycle;
+      scfg.skip_empty_bands = true;
+      SpatialIpu ipu(scfg);
+      for (int t = 0; t < 500; ++t) {
+        const auto a = random_fp16_bits(rng, 16);
+        const auto b = random_fp16_bits(rng, 16);
+        const DotResult r = dp->dot(a, b);
+        ipu.reset_accumulator();
+        const int cycles = ipu.fp_accumulate<kFp16Format>(a, b);
+        EXPECT_TRUE(r.raw == ipu.read_raw())
+            << "w=" << w << " mc=" << mc << " trial " << t;
+        EXPECT_EQ(r.cycles, cycles)
+            << "w=" << w << " mc=" << mc << " trial " << t;
+      }
     }
   }
 }

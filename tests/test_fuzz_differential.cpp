@@ -7,6 +7,7 @@
 // with broad configuration coverage.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "analysis/error_metrics.h"
@@ -182,7 +183,9 @@ int fuzz_conv(GraphModel::Builder& b, Rng& rng, int& serial, int from, int cin,
   ConvSpec spec;
   spec.pad = (k - 1) / 2;
   FilterBank f = random_filters(rng, cout, cin, k, k, ValueDist::kNormal, 0.3);
-  return b.conv("n" + std::to_string(serial++), std::move(f), spec, from, relu);
+  std::string name = "n";
+  name += std::to_string(serial++);
+  return b.conv(std::move(name), std::move(f), spec, from, relu);
 }
 
 /// Deterministic-seed random DAG: a handful of structural steps, each a

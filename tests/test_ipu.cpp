@@ -2,6 +2,7 @@
 // the exact reference, Proposition 1, MC-IPU losslessness, cycle accounting.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -91,8 +92,11 @@ INSTANTIATE_TEST_SUITE_P(
                       IntModeParam{16, 8, false, false}, IntModeParam{16, 16, false, false}),
     [](const auto& inst) {
       const auto& p = inst.param;
-      return (p.a_unsigned ? "u" : "s") + std::to_string(p.a_bits) + "x" +
-             (p.b_unsigned ? "u" : "s") + std::to_string(p.b_bits);
+      std::string name = p.a_unsigned ? "u" : "s";
+      name += std::to_string(p.a_bits);
+      name += p.b_unsigned ? "xu" : "xs";
+      name += std::to_string(p.b_bits);
+      return name;
     });
 
 TEST(IpuIntMode, PaperExampleInt8xInt12TakesSixIterations) {

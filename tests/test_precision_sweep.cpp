@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <string>
 #include <vector>
 
 #include "analysis/error_metrics.h"
@@ -76,8 +77,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(8, 12, 16, 20, 28, 33),
                        ::testing::Values(8, 16, 32)),
     [](const auto& inst) {
-      return "w" + std::to_string(std::get<0>(inst.param)) + "_n" +
-             std::to_string(std::get<1>(inst.param));
+      std::string name = "w";
+      name += std::to_string(std::get<0>(inst.param));
+      name += "_n";
+      name += std::to_string(std::get<1>(inst.param));
+      return name;
     });
 
 // --- MC/SC equivalence over the full grid --------------------------------------
@@ -126,8 +130,11 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, McScEquivalence,
     ::testing::Combine(::testing::Values(10, 12, 16, 24, 28), ::testing::Values(4, 16)),
     [](const auto& inst) {
-      return "w" + std::to_string(std::get<0>(inst.param)) + "_n" +
-             std::to_string(std::get<1>(inst.param));
+      std::string name = "w";
+      name += std::to_string(std::get<0>(inst.param));
+      name += "_n";
+      name += std::to_string(std::get<1>(inst.param));
+      return name;
     });
 
 // --- Error scales as predicted by the window bound ------------------------------

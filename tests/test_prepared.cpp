@@ -183,41 +183,44 @@ TEST(PreparedDatapath, BitAndCycleIdenticalToPerOpAllSchemesBothRegimes) {
   for (auto scheme : kAllSchemes) {
     for (int w : {13, 16, 28}) {
       for (int soft_prec : {16, 28}) {  // FP16- vs FP32-accumulation regime
-        const DatapathConfig cfg = base_config(scheme, w, soft_prec);
-        auto dp = make_datapath(cfg);
+        for (bool mc : {true, false}) {  // MC banding vs single-cycle window
+          DatapathConfig cfg = base_config(scheme, w, soft_prec);
+          cfg.multi_cycle = mc;
+          auto dp = make_datapath(cfg);
 
-        Ipu ipu(TemporalOnly(cfg));
-        SerialIpu serial(SerialOnly(cfg));
-        SpatialIpu spatial(SpatialOnly(cfg));
-        const Fp16PerOpUnit ref = make_ref(scheme, ipu, serial, spatial);
+          Ipu ipu(TemporalOnly(cfg));
+          SerialIpu serial(SerialOnly(cfg));
+          SpatialIpu spatial(SpatialOnly(cfg));
+          const Fp16PerOpUnit ref = make_ref(scheme, ipu, serial, spatial);
 
-        for (int t = 0; t < 150; ++t) {
-          // Multi-op accumulation chains exercise the accumulator hand-off
-          // between prepared ops (2 chunks of 16 without reset).
-          const auto a = random_fp16_bits(rng, 32);
-          const auto b = random_fp16_bits(rng, 32);
-          PreparedFp16 pa(a), pb(b);
-          dp->reset_accumulator();
-          ref.reset();
-          int prep_cycles = 0, ref_cycles = 0;
-          for (size_t c0 = 0; c0 < a.size(); c0 += 16) {
-            prep_cycles +=
-                dp->fp16_accumulate_prepared(pa.view(c0, 16), pb.view(c0, 16));
-            ref_cycles += ref.accumulate(
-                std::span<const Fp16>(a).subspan(c0, 16),
-                std::span<const Fp16>(b).subspan(c0, 16));
+          for (int t = 0; t < 150; ++t) {
+            // Multi-op accumulation chains exercise the accumulator hand-off
+            // between prepared ops (2 chunks of 16 without reset).
+            const auto a = random_fp16_bits(rng, 32);
+            const auto b = random_fp16_bits(rng, 32);
+            PreparedFp16 pa(a), pb(b);
+            dp->reset_accumulator();
+            ref.reset();
+            int prep_cycles = 0, ref_cycles = 0;
+            for (size_t c0 = 0; c0 < a.size(); c0 += 16) {
+              prep_cycles +=
+                  dp->fp16_accumulate_prepared(pa.view(c0, 16), pb.view(c0, 16));
+              ref_cycles += ref.accumulate(
+                  std::span<const Fp16>(a).subspan(c0, 16),
+                  std::span<const Fp16>(b).subspan(c0, 16));
+            }
+            EXPECT_TRUE(dp->read_raw() == ref.read())
+                << scheme_name(scheme) << " w=" << w << " sp=" << soft_prec
+                << " mc=" << mc << " trial " << t;
+            EXPECT_EQ(prep_cycles, ref_cycles)
+                << scheme_name(scheme) << " w=" << w << " sp=" << soft_prec
+                << " mc=" << mc << " trial " << t;
+            // Both accumulation destinations round from the same raw bits.
+            EXPECT_EQ(dp->read_fp16().raw_bits(),
+                      Fp16::round_from_fixed(ref.read()).raw_bits());
+            EXPECT_EQ(dp->read_fp32().raw_bits(),
+                      Fp32::round_from_fixed(ref.read()).raw_bits());
           }
-          EXPECT_TRUE(dp->read_raw() == ref.read())
-              << scheme_name(scheme) << " w=" << w << " sp=" << soft_prec
-              << " trial " << t;
-          EXPECT_EQ(prep_cycles, ref_cycles)
-              << scheme_name(scheme) << " w=" << w << " sp=" << soft_prec
-              << " trial " << t;
-          // Both accumulation destinations round from the same raw bits.
-          EXPECT_EQ(dp->read_fp16().raw_bits(),
-                    Fp16::round_from_fixed(ref.read()).raw_bits());
-          EXPECT_EQ(dp->read_fp32().raw_bits(),
-                    Fp32::round_from_fixed(ref.read()).raw_bits());
         }
       }
     }

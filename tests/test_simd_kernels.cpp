@@ -422,77 +422,158 @@ TEST(SimdKernels, SerialFusedExactAtLaneBound) {
   }
 }
 
-TEST(SimdKernels, SpatialKernelsMatchScalar) {
+/// Runs the spatial fused kernel on both tables and asserts identical
+/// verdicts, band spans, occupancy and (when the op is accepted) sums of
+/// bands c <= max_band.  Returns the scalar verdict.
+bool expect_spatial_fused_equal(const KernelTable& S, const KernelTable& V,
+                                const int8_t* a, const int8_t* b,
+                                size_t stride,
+                                const std::vector<int32_t>& align,
+                                const std::vector<int32_t>& band, size_t n,
+                                int32_t sp, int32_t guard, int single_cycle,
+                                int32_t window, int64_t* s_s, int32_t* mb_s) {
+  constexpr int32_t kOffs0 = 16;  // FP16: top_weight + 2 * pad bits
+  int64_t s_v[simd::kMaxBands];
+  int32_t mb_v = 0;
+  uint32_t occ_s = 0, occ_v = 0;
+  const bool ok_s = S.spatial_fused_i32(a, stride, b, stride, align.data(),
+                                        band.data(), n, kOffs0, sp, guard,
+                                        single_cycle, window, s_s, mb_s,
+                                        &occ_s);
+  const bool ok_v = V.spatial_fused_i32(a, stride, b, stride, align.data(),
+                                        band.data(), n, kOffs0, sp, guard,
+                                        single_cycle, window, s_v, &mb_v,
+                                        &occ_v);
+  EXPECT_EQ(ok_s, ok_v) << "n=" << n << " sp=" << sp;
+  EXPECT_EQ(*mb_s, mb_v) << "n=" << n << " sp=" << sp;
+  EXPECT_EQ(occ_s, occ_v) << "n=" << n << " sp=" << sp;
+  if (ok_s && ok_v) {
+    for (int c = 0; c <= std::max(*mb_s, 0); ++c) {
+      EXPECT_EQ(s_s[c], s_v[c]) << "band " << c << " n=" << n
+                                << " sp=" << sp << " sc=" << single_cycle;
+    }
+  }
+  return ok_s;
+}
+
+TEST(SimdKernels, SpatialFusedMatchesScalar) {
   const auto vecs = vector_backends();
   if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   const KernelTable& S = *simd::kernels_for(Backend::kScalar);
   Rng rng(17);
-  constexpr int kPlanes = 5;
+  constexpr size_t kStride = 32;
   for (Backend b : vecs) {
     const KernelTable& V = *simd::kernels_for(b);
-    for (size_t n : kSizes) {
-      const size_t stride = (n + 31) & ~size_t{31};
-      for (int trial = 0; trial < 20; ++trial) {
-        // EHU-style inputs: align in the magic-divide-exact range, some
-        // lanes masked via a negative EHU band.
-        const auto align = random_i32(rng, n, 0, 60000);
-        const auto ehu_band = random_bands(rng, n, 4, n, trial == 1);
-        const int32_t sp = static_cast<int32_t>(rng.uniform_int(1, 30));
-        const int32_t guard = sp - 1;
-        const int32_t offs0 = 16;
-        std::vector<int32_t> bd_s(kPlanes * stride), up_s(kPlanes * stride);
-        std::vector<int32_t> bd_v(kPlanes * stride), up_v(kPlanes * stride);
-        int32_t mb_s = 0, mb_v = 0;
-        uint32_t occ_s = 0, occ_v = 0;
-        S.diag_bands_i32(align.data(), ehu_band.data(), n, offs0, kPlanes, sp,
-                         guard, stride, bd_s.data(), up_s.data(), &mb_s, &occ_s);
-        V.diag_bands_i32(align.data(), ehu_band.data(), n, offs0, kPlanes, sp,
-                         guard, stride, bd_v.data(), up_v.data(), &mb_v, &occ_v);
-        EXPECT_EQ(mb_s, mb_v);
-        EXPECT_EQ(occ_s, occ_v);
-        for (int s = 0; s < kPlanes; ++s) {
-          for (size_t k = 0; k < n; ++k) {
-            const size_t i = static_cast<size_t>(s) * stride + k;
-            EXPECT_EQ(bd_s[i], bd_v[i]) << "plane " << s << " lane " << k;
-            EXPECT_EQ(up_s[i], up_v[i]) << "plane " << s << " lane " << k;
-          }
+    for (size_t n : kFusedSizes) {
+      int accepted = 0, multi_band = 0;
+      for (int trial = 0; trial < 60; ++trial) {
+        const int single_cycle = trial % 2;
+        // Every third trial runs the largest admitted guard, so up-shifts
+        // reach kSpatialFusedMaxGuard; sp = guard + 1 as in SpatialIpu.
+        const int32_t guard =
+            trial % 3 == 0 ? simd::kSpatialFusedMaxGuard
+                           : static_cast<int32_t>(rng.uniform_int(
+                                 0, simd::kSpatialFusedMaxGuard));
+        const int32_t sp = guard + 1;
+        // SpatialIpu's window is guard + 10, where a down-shift of 8 or more
+        // already floors every nibble product to 0 or -1; narrower windows
+        // make the single-cycle clamp min(shift, window) visible.
+        const int32_t window =
+            guard + static_cast<int32_t>(rng.uniform_int(0, 10));
+        std::vector<int8_t> a(3 * kStride), bb(3 * kStride);
+        for (auto& x : a) x = static_cast<int8_t>(rng.uniform_int(-15, 15));
+        for (auto& x : bb) x = static_cast<int8_t>(rng.uniform_int(-15, 15));
+        if (trial == 2) {
+          for (int i = 0; i < 3; ++i) std::memset(a.data() + i * kStride, 0, n);
         }
-
-        // Diagonal products from random nibble planes (3 planes each side).
-        std::vector<int8_t> pa(3 * stride), pb(3 * stride);
-        for (auto& x : pa) x = static_cast<int8_t>(rng.uniform_int(-15, 15));
-        for (auto& x : pb) x = static_cast<int8_t>(rng.uniform_int(-15, 15));
-        std::vector<int16_t> d_s(kPlanes * stride, 0), d_v(kPlanes * stride, 0);
-        S.fp16_diag_products(pa.data(), stride, pb.data(), stride, n,
-                             d_s.data(), stride);
-        V.fp16_diag_products(pa.data(), stride, pb.data(), stride, n,
-                             d_v.data(), stride);
-        for (int s = 0; s < kPlanes; ++s) {
-          for (size_t k = 0; k < n; ++k) {
-            const size_t i = static_cast<size_t>(s) * stride + k;
-            EXPECT_EQ(d_s[i], d_v[i]) << "plane " << s << " lane " << k;
-          }
+        // Alignments that keep most MC ops within kMaxBands bands; every
+        // fifth trial spans the whole EHU range (mostly the bail path).
+        const int64_t amax =
+            trial % 5 == 4 ? 0xFFFF
+                           : std::max<int64_t>(8 * int64_t{sp} - 17, 0);
+        const auto align = random_i32(rng, n, 0, amax, simd::kFusedLanes);
+        // Trials 1 (single-cycle) and 6 (MC) mask every lane.
+        const bool all_masked = trial == 1 || trial == 6;
+        const auto band =
+            random_bands(rng, n, 4, simd::kFusedLanes, all_masked);
+        int64_t s_s[simd::kMaxBands];
+        int32_t mb_s = 0;
+        if (expect_spatial_fused_equal(S, V, a.data(), bb.data(), kStride,
+                                       align, band, n, sp, guard,
+                                       single_cycle, window, s_s, &mb_s)) {
+          ++accepted;
+          if (mb_s > 0) ++multi_band;
         }
-
-        // Band sums over all planes in one call; clamp bands and up-shifts
-        // into the i32-safe range for the narrow variant.
-        const int bands = std::min<int>(simd::kMaxBands, mb_s + 1);
-        std::vector<int32_t> up_c(up_s);
-        for (auto& u : up_c) u = std::min(u, 7);
-        std::vector<int32_t> bd_c(bd_s);
-        for (auto& c : bd_c) c = std::min(c, bands - 1);
-        int64_t sums_s[simd::kMaxBands], sums_v[simd::kMaxBands];
-        S.diag_band_sums_planes_i32(d_s.data(), bd_c.data(), up_c.data(),
-                                    stride, kPlanes, n, bands, sums_s);
-        V.diag_band_sums_planes_i32(d_s.data(), bd_c.data(), up_c.data(),
-                                    stride, kPlanes, n, bands, sums_v);
-        for (int c = 0; c < bands; ++c) EXPECT_EQ(sums_s[c], sums_v[c]) << c;
-        S.diag_band_sums_planes_i64(d_s.data(), bd_c.data(), up_c.data(),
-                                    stride, kPlanes, n, bands, sums_s);
-        V.diag_band_sums_planes_i64(d_s.data(), bd_c.data(), up_c.data(),
-                                    stride, kPlanes, n, bands, sums_v);
-        for (int c = 0; c < bands; ++c) EXPECT_EQ(sums_s[c], sums_v[c]) << c;
+        if (all_masked) {
+          EXPECT_EQ(mb_s, -1);
+        }
+        if (single_cycle) {
+          EXPECT_LE(mb_s, 0);
+        }
       }
+      // The sweep must exercise both the sums and multi-band MC ops.
+      EXPECT_GT(accepted, 30) << "n=" << n;
+      EXPECT_GT(multi_band, 5) << "n=" << n;
+    }
+  }
+}
+
+// Adversarial bound: 16 same-sign lanes whose middle diagonal holds the
+// largest value (3 * 225) shifted up by the largest guard the spatial
+// driver admits.  Each lane value sits just inside int32; the 16-lane sums
+// do not, so they must come back exact from the int64 band sums on every
+// backend, equal to the hand-computed totals.
+TEST(SimdKernels, SpatialFusedExactAtLaneBound) {
+  const auto vecs = vector_backends();
+  if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
+  const KernelTable& S = *simd::kernels_for(Backend::kScalar);
+  constexpr size_t kStride = 32;
+  constexpr size_t n = simd::kFusedLanes;
+  constexpr int g = simd::kSpatialFusedMaxGuard;
+  constexpr int sp = g + 1;
+  const int64_t top = int64_t{675} << g;
+  ASSERT_LE(top, int64_t{INT32_MAX});
+  ASSERT_GT(int64_t{675} << (g + 1), int64_t{INT32_MAX});
+  // Diagonal s holds (1, 2, 3, 2, 1)[s] products of 15 * 15.
+  auto diag = [](int s) { return int64_t{225} * (s == 2 ? 3 : s % 2 ? 2 : 1); };
+  for (Backend b : vecs) {
+    const KernelTable& V = *simd::kernels_for(b);
+    for (int sign : {1, -1}) {
+      const std::vector<int8_t> a(3 * kStride, static_cast<int8_t>(15 * sign));
+      const std::vector<int8_t> bb(3 * kStride, 15);
+      const std::vector<int32_t> band(n, 0);
+      // MC: align = 14 + 6*sp puts diagonal 2 at shift 7*sp (local 0, up
+      // g) and spreads the op over bands 6 and 7 = kMaxBands - 1, so the
+      // lower slots must come back zero.
+      for (int base : {0, 6}) {
+        const std::vector<int32_t> align(n, 14 + base * sp);
+        int64_t s_s[simd::kMaxBands];
+        int32_t mb = 0;
+        ASSERT_TRUE(expect_spatial_fused_equal(S, V, a.data(), bb.data(),
+                                               kStride, align, band, n, sp,
+                                               g, 0, g + 10, s_s, &mb));
+        ASSERT_EQ(mb, base + 1);
+        int64_t want[simd::kMaxBands] = {};
+        for (int s = 0; s < 5; ++s) {
+          const int shift = 14 + base * sp + 16 - 4 * s;
+          want[shift / sp] += 16 * sign * (diag(s) << (g - shift % sp));
+        }
+        EXPECT_EQ(want[base + 1],
+                  16 * sign * ((225 << 13) + (int64_t{450} << 17) + top));
+        for (int c = 0; c <= mb; ++c) EXPECT_EQ(s_s[c], want[c]) << c;
+      }
+      // Single-cycle: align 0 puts diagonal 4 at shift 0 (up g) and
+      // diagonal 2 at shift 8 (up g - 8); every diagonal serves band 0.
+      const std::vector<int32_t> align(n, 0);
+      int64_t s_s[simd::kMaxBands];
+      int32_t mb = 0;
+      ASSERT_TRUE(expect_spatial_fused_equal(S, V, a.data(), bb.data(),
+                                             kStride, align, band, n, sp, g,
+                                             1, g + 10, s_s, &mb));
+      ASSERT_EQ(mb, 0);
+      EXPECT_EQ(s_s[0], 16 * sign *
+                            ((225 << 5) + (450 << 9) + (int64_t{675} << 13) +
+                             (int64_t{450} << 17) + (int64_t{225} << g)));
     }
   }
 }
@@ -689,10 +770,13 @@ TEST(SimdDatapath, Fp16BitIdenticalAcrossBackends) {
   uint64_t seed = 100;
   for (Backend vec : vecs) {
     for (auto scheme : kAllSchemes) {
-      // 33 is the last width inside both fused kernels' lane bounds
-      // (temporal guard w - 10 <= 23, serial guard w - 13 <= 20), 34 the
-      // first outside: it takes the scalar oracle on both backends.
-      for (int w : {10, 13, 16, 28, 33, 34, 38}) {
+      // 31 is the last width inside the spatial fused kernel's lane bound
+      // (guard w - 10 <= 21), 32 the first outside.  33 is the last inside
+      // the temporal and serial bounds (guard w - 10 <= 23, w - 13 <= 20),
+      // 34 the first outside.  Outside its bound a scheme takes the scalar
+      // oracle on both backends.  Single-cycle windows below 10 (negative
+      // guard, every product shifted down) run fused too.
+      for (int w : {4, 10, 13, 16, 28, 31, 32, 33, 34, 38}) {
         for (bool mc : {true, false}) {
           for (int sp : {16, 28}) {
             DatapathConfig cfg = DatapathConfig::for_scheme(scheme);

@@ -70,17 +70,6 @@ TEST(Distributions, BackwardWideSpansManyOctaves) {
   EXPECT_GT(std::log2(max_mag / min_mag), 15.0);  // ~18 octaves by design
 }
 
-TEST(ExponentPoolTest, DrawsMatchDistributionExponents) {
-  Rng rng(14);
-  ExponentPool pool(rng, ValueDist::kNormal, 1.0, 4096);
-  Rng rng2(15);
-  for (int i = 0; i < 1000; ++i) {
-    const int e = pool.draw(rng2);
-    EXPECT_GE(e, kFp16Format.min_exp());
-    EXPECT_LE(e, kFp16Format.max_exp());
-  }
-}
-
 // --- Quantizer -----------------------------------------------------------------
 
 TEST(Quantizer, FitSymmetricCoversMaxMagnitude) {
