@@ -60,13 +60,18 @@ void BM_IpuFpAccumulate(benchmark::State& state) {
 }
 BENCHMARK(BM_IpuFpAccumulate)->Args({8, 12})->Args({16, 12})->Args({16, 28})->Args({16, 38});
 
-// One prepared FP16 op (the hot-loop entry of every conv) per iteration:
-// scheme x adder-tree width x alignment regime x kernel backend.  Ops are
-// 16 lanes of post-ReLU activations against small weights (forward_stats),
-// cycled over 64 distinct op windows; the time per iteration is ns per op.
+// Prepared FP16 ops: scheme x adder-tree width x alignment regime x kernel
+// backend x entry.  Operands are post-ReLU activations against small
+// weights (forward_stats).  stream=0 runs one 16-lane op per iteration
+// through fp16_accumulate_prepared, cycling over 64 distinct op windows;
+// stream=1 runs one output element of a 3x3x64 conv window per iteration
+// -- 576 elements, 36 ops of 16 lanes -- through fp16_accumulate_stream,
+// cycling over 64 distinct windows.  The per_op counter is the time per
+// 16-lane op in both.
 void BM_PreparedFp16Accumulate(benchmark::State& state) {
   const auto scheme = static_cast<DecompositionScheme>(state.range(0));
   const auto backend = static_cast<simd::Backend>(state.range(3));
+  const bool stream = state.range(4) != 0;
   if (!simd::force_backend(backend)) {
     state.SkipWithError("backend not available on this host");
     return;
@@ -77,29 +82,40 @@ void BM_PreparedFp16Accumulate(benchmark::State& state) {
   cfg.software_precision = 28;
   cfg.multi_cycle = state.range(2) != 0;
   auto dp = make_datapath(cfg);
-  constexpr int kOps = 64;
+  constexpr size_t kWindows = 64;
+  const size_t window = stream ? 3 * 3 * 64 : 16;
   const LayerTensorStats ts = forward_stats();
   Rng rng(6);
-  const PreparedFp16 a(sample_fp16(rng, ts.activation_dist,
-                                   ts.activation_scale, kOps * 16));
+  const auto count = static_cast<int>(kWindows * window);
+  const PreparedFp16 a(
+      sample_fp16(rng, ts.activation_dist, ts.activation_scale, count));
   const PreparedFp16 b(
-      sample_fp16(rng, ts.weight_dist, ts.weight_scale, kOps * 16));
-  size_t op = 0;
+      sample_fp16(rng, ts.weight_dist, ts.weight_scale, count));
+  size_t w = 0;
   for (auto _ : state) {
     dp->reset_accumulator();
-    const size_t off = (op++ % kOps) * 16;
-    benchmark::DoNotOptimize(
-        dp->fp16_accumulate_prepared(a.view(off, 16), b.view(off, 16)));
+    const size_t off = (w++ % kWindows) * window;
+    if (stream) {
+      benchmark::DoNotOptimize(dp->fp16_accumulate_stream(
+          a.view(off, window), b.view(off, window), 16));
+    } else {
+      benchmark::DoNotOptimize(
+          dp->fp16_accumulate_prepared(a.view(off, 16), b.view(off, 16)));
+    }
   }
+  state.counters["per_op"] = benchmark::Counter(
+      static_cast<double>(window / 16),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
   state.SetLabel(std::string(scheme_name(scheme)) + " w=" +
                  std::to_string(cfg.adder_tree_width) +
                  (cfg.multi_cycle ? " mc " : " sc ") +
-                 simd::backend_name(backend));
+                 simd::backend_name(backend) + (stream ? " stream" : " op"));
   simd::reset_backend();
 }
 BENCHMARK(BM_PreparedFp16Accumulate)
-    ->ArgNames({"scheme", "w", "mc", "backend"})
-    ->ArgsProduct({{0, 1, 2}, {16, 28}, {1, 0}, {0, 1}});
+    ->ArgNames({"scheme", "w", "mc", "backend", "stream"})
+    ->ArgsProduct({{0, 1, 2}, {16, 28}, {1, 0}, {0, 1}, {0, 1}});
 
 void BM_IpuIntAccumulate(benchmark::State& state) {
   Rng rng(4);

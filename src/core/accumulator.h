@@ -120,6 +120,15 @@ class Accumulator {
     }
   }
 
+  /// Overwrite the register state: the store half of code that carries the
+  /// register in machine registers across many adds (the temporal stream
+  /// kernel, core/simd/simd.h).  An empty accumulator ignores reg and exp.
+  void restore(int128 reg, int exp, bool empty, bool overflowed) {
+    reg_ = empty ? 0 : reg;
+    exp_ = empty ? kEmptyExp : exp;
+    overflowed_ = overflowed;
+  }
+
   /// Exact value held (for readout / rounding to the output format).
   FixedPoint value() const {
     if (cfg_.lossless) return exact_;

@@ -1,5 +1,6 @@
 #include "core/datapath.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdio>
@@ -49,6 +50,11 @@ class TemporalDatapath final : public Datapath {
   int fp16_accumulate_prepared(const PreparedFp16View& a,
                                const PreparedFp16View& b) override {
     return ipu_.fp16_accumulate_prepared(a, b);
+  }
+  int64_t fp16_accumulate_stream(const PreparedFp16View& a,
+                                 const PreparedFp16View& b,
+                                 size_t n_inputs) override {
+    return ipu_.fp16_accumulate_stream(a, b, n_inputs);
   }
   FixedPoint read_raw() const override { return ipu_.read_raw(); }
   bool supports_int(int a_bits, int b_bits) const override {
@@ -253,6 +259,22 @@ int fp16_op_service_cycles(std::span<const int> product_exps,
   if (!spatial && max_exp - min_live < sp) return iters;
   static constexpr std::array<int, 9> kSpatialOffsets = fp16_spatial_offsets();
 
+  // Only the occupied-band count needs every live lane's band; the serve
+  // loop's count is the highest band, that of the largest live alignment.
+  if (!cfg.skip_empty_bands) {
+    int max_d = -1;
+    for (int e : product_exps) {
+      if (e == kMaskedProductExp) continue;
+      const int d = max_exp - e;
+      if (d <= cfg.software_precision) max_d = std::max(max_d, d);
+    }
+    if (max_d < 0) return iters;
+    static constexpr int kMaxSpatialOffset =
+        *std::max_element(kSpatialOffsets.begin(), kSpatialOffsets.end());
+    return iters *
+           (std::min((max_d + (spatial ? kMaxSpatialOffset : 0)) / sp, 63) + 1);
+  }
+
   uint64_t occupied = 0;  // bit b set <=> band b occupied
   for (int e : product_exps) {
     if (e == kMaskedProductExp) continue;
@@ -266,12 +288,7 @@ int fp16_op_service_cycles(std::span<const int> product_exps,
       occupied |= uint64_t{1} << std::min(d / sp, 63);
     }
   }
-  int bands;
-  if (cfg.skip_empty_bands) {
-    bands = std::max(1, __builtin_popcountll(occupied));
-  } else {
-    bands = occupied == 0 ? 1 : 64 - __builtin_clzll(occupied);
-  }
+  const int bands = std::max(1, __builtin_popcountll(occupied));
   return iters * bands;
 }
 

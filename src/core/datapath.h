@@ -175,6 +175,22 @@ class Datapath {
   virtual int fp16_accumulate_prepared(const PreparedFp16View& a,
                                        const PreparedFp16View& b) = 0;
 
+  /// Accumulate a whole operand stream (one output element) in ops of
+  /// `n_inputs` lanes, the last op taking the remainder; returns the
+  /// cycles consumed.  Identical to fp16_accumulate_prepared on each chunk
+  /// in order, which is what this default does; the temporal scheme serves
+  /// the whole stream in one kernel call.
+  virtual int64_t fp16_accumulate_stream(const PreparedFp16View& a,
+                                         const PreparedFp16View& b,
+                                         size_t n_inputs) {
+    int64_t cycles = 0;
+    for (size_t c0 = 0; c0 < a.n; c0 += n_inputs) {
+      const size_t n = std::min(n_inputs, a.n - c0);
+      cycles += fp16_accumulate_prepared(a.sub(c0, n), b.sub(c0, n));
+    }
+    return cycles;
+  }
+
   /// Accumulate one FP16 inner product a.b; returns datapath cycles.
   /// Compatibility entry: prepares the spans on the fly into unit-owned
   /// scratch and runs the prepared path, so both entries are bit- and

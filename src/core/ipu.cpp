@@ -1,7 +1,6 @@
 #include "core/ipu.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 #include "core/simd/simd.h"
@@ -14,6 +13,30 @@ Ipu::Ipu(const IpuConfig& cfg) : cfg_(cfg), acc_(cfg.accumulator) {
   // MC mode needs a positive safe precision (w >= 10); narrower windows can
   // only run single-cycle (they truncate even unshifted products).
   assert(!cfg_.multi_cycle || cfg_.safe_precision() >= 1);
+
+  // The stream kernel holds each shifted lane product in int32 (guard
+  // bound), bands alignments with a 16-bit magic divide (software
+  // precision bound) and keeps the register and every shifted adder-tree
+  // sum in int64: |sum| <= kFusedLanes * 225 * 2^max(guard, 0) <
+  // 2^(12 + max(guard, 0)).
+  constexpr FpFormat F = kFp16Format;
+  static_assert(fp_nibble_count(F) == 3);  // the stream kernel is 3x3
+  constexpr int z = fp_pad_bits(F);
+  const int guard = cfg_.window_guard();
+  const int sum_bits = 12 + std::max(guard, 0);
+  stream_ok_ = guard <= simd::kNibbleFusedMaxGuard &&
+               cfg_.software_precision < 65536;
+  for (int it = 0; it < 9; ++it) {
+    const int base_rescale = (4 * (it / 3) - z) + (4 * (it % 3) - z) -
+                             2 * F.man_bits - guard +
+                             acc_.config().frac_bits;
+    stream_ok_ = stream_ok_ && acc_.fast64_ok(sum_bits, base_rescale);
+    for (int c = 0; c < simd::kMaxBands; ++c) {
+      const int band_base = cfg_.multi_cycle ? c * cfg_.safe_precision() : 0;
+      rescale_[static_cast<size_t>(c * 9 + it)] =
+          std::max(base_rescale - band_base, -63);
+    }
+  }
 }
 
 void Ipu::reset_accumulator() {
@@ -184,109 +207,74 @@ int Ipu::run_prepared_fp16_oracle(const PreparedFp16View& a,
                          : run_prepared_fp16<int128>(a, b);
 }
 
-int Ipu::run_prepared_fp16_fused(const PreparedFp16View& a,
-                                 const PreparedFp16View& b) {
-  const size_t n = a.n;
-  constexpr FpFormat F = kFp16Format;
-  static_assert(fp_nibble_count(F) == 3);  // the fused kernel is 3x3
-  constexpr int z = fp_pad_bits(F);
-  const simd::KernelTable& K = simd::kernels();
-
-  const int sp = cfg_.safe_precision();
-  const int guard = cfg_.window_guard();
-  const bool single_cycle = !cfg_.multi_cycle;
-
-  falign_.resize(simd::kFusedLanes);
-  fband_.resize(simd::kFusedLanes);
-  int32_t max_exp, max_band, n_masked, max_align;
-  uint32_t occ;
-  if (!K.ehu_fused_i32(a.exp, b.exp, n, cfg_.software_precision,
-                       std::max(sp, 1), falign_.data(), fband_.data(), &max_exp,
-                       &occ, &max_band, &n_masked, &max_align)) {
-    // Alignment spread or software precision past the magic-divide bound:
-    // take the scalar oracle (which re-runs the EHU into its own scratch).
-    return run_prepared_fp16_oracle(a, b);
-  }
-  // Single-cycle mode serves every unmasked lane in one band.
-  const int bands = single_cycle ? 1 : std::max(max_band, 0) + 1;
-  if (bands > simd::kMaxBands) return run_prepared_fp16_oracle(a, b);
-
-  // Serve planes padded through kFusedLanes (band -1, shifts 0) so the
-  // fused band-sum kernel can run whole 16-lane registers.
-  for (size_t k = n; k < simd::kFusedLanes; ++k) {
-    falign_[k] = 0;
-    fband_[k] = -1;
-  }
-  serve_band_.resize(simd::kFusedLanes);
-  up_.resize(simd::kFusedLanes);
-  down_.resize(simd::kFusedLanes);
-  K.serve_shifts_i32(falign_.data(), fband_.data(), simd::kFusedLanes, guard,
-                     sp, single_cycle ? 1 : 0, cfg_.adder_tree_width,
-                     serve_band_.data(), up_.data(), down_.data());
-
-  int64_t sums[9 * simd::kMaxBands];
-  uint32_t nz = 0;
-  K.nibble_fused3x3_i32(a.nib, a.nib_stride, b.nib, b.nib_stride,
-                        serve_band_.data(), up_.data(), down_.data(), n, bands,
-                        sums, &nz);
-
-  const int cycles_per_iter =
-      single_cycle ? 1
-                   : (cfg_.skip_empty_bands ? (occ ? std::popcount(occ) : 1)
-                                            : bands);
-  // |sum| <= kFusedLanes * 225 * 2^max(guard, 0) < 2^(12 + max(guard, 0)).
-  const int sum_bits = 12 + std::max(guard, 0);
-  const int frac_bits = acc_.config().frac_bits;
-  int cycles = 0;
-  for (int i = 0; i < 3; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      const int it = i * 3 + j;
-      if (cfg_.skip_zero_iterations && ((nz >> it) & 1u) == 0) {
-        ++stats_.skipped_iterations;
-        continue;
-      }
-      const int base_rescale =
-          (4 * i - z) + (4 * j - z) - 2 * F.man_bits - guard + frac_bits;
-      const bool fast = acc_.fast64_ok(sum_bits, base_rescale);
-      for (int c = 0; c < bands; ++c) {
-        const int rescale = base_rescale - (single_cycle ? 0 : c * sp);
-        const int64_t tree = sums[c * 9 + it];
-        if (fast) {
-          acc_.add_tree64(tree, rescale, max_exp);
-          continue;
-        }
-        const auto tree128 = static_cast<int128>(tree);
-        acc_.add(rescale >= 0 ? shl(tree128, rescale) : asr(tree128, -rescale),
-                 max_exp);
-      }
-      cycles += cycles_per_iter;
-      if (cycles_per_iter > 1) ++stats_.multi_cycle_iterations;
-    }
-  }
-
-  ++stats_.fp_ops;
-  stats_.nibble_iterations += 9;
-  stats_.cycles += cycles;
-  stats_.masked_products += n_masked;
-  if (max_align > stats_.max_alignment_seen) {
-    stats_.max_alignment_seen = max_align;
-  }
-  return cycles;
-}
-
 int Ipu::fp16_accumulate_prepared(const PreparedFp16View& a,
                                   const PreparedFp16View& b) {
   assert(a.n == b.n);
   assert(static_cast<int>(a.n) <= cfg_.n_inputs);
-  // Two paths: the fused whole-op kernels when the op fits their lanes and
-  // every shifted lane product fits int32 (simd.h derives the guard bound),
-  // else the scalar oracle.
-  if (simd::active_backend() != simd::Backend::kScalar && a.n >= 1 &&
-      a.n <= simd::kFusedLanes &&
-      cfg_.window_guard() <= simd::kNibbleFusedMaxGuard) {
-    return run_prepared_fp16_fused(a, b);
+  // An empty op is no chunk of a stream; the oracle counts it.
+  if (a.n == 0) return run_prepared_fp16_oracle(a, b);
+  return static_cast<int>(fp16_accumulate_stream(a, b, a.n));
+}
+
+int64_t Ipu::fp16_accumulate_stream(const PreparedFp16View& a,
+                                    const PreparedFp16View& b,
+                                    size_t n_inputs) {
+  assert(a.n == b.n);
+  assert(n_inputs >= 1 && static_cast<int>(n_inputs) <= cfg_.n_inputs);
+  const int64_t cycles_before = stats_.cycles;
+  if (!stream_ok_ || n_inputs > simd::kFusedLanes ||
+      simd::active_backend() == simd::Backend::kScalar) {
+    for (size_t c0 = 0; c0 < a.n; c0 += n_inputs) {
+      const size_t n = std::min(n_inputs, a.n - c0);
+      run_prepared_fp16_oracle(a.sub(c0, n), b.sub(c0, n));
+    }
+    return stats_.cycles - cycles_before;
   }
-  return run_prepared_fp16_oracle(a, b);
+
+  simd::TemporalStreamArgs args{};
+  args.a_stride = a.nib_stride;
+  args.b_stride = b.nib_stride;
+  args.chunk = n_inputs;
+  args.soft = cfg_.software_precision;
+  args.sp = cfg_.safe_precision();
+  args.guard = cfg_.window_guard();
+  args.window = cfg_.adder_tree_width;
+  args.register_width = acc_.config().register_width();
+  args.single_cycle = cfg_.multi_cycle ? 0 : 1;
+  args.skip_empty_bands = cfg_.skip_empty_bands ? 1 : 0;
+  args.skip_zero_iterations = cfg_.skip_zero_iterations ? 1 : 0;
+  args.rescale = rescale_.data();
+  const simd::KernelTable& K = simd::kernels();
+  size_t c0 = 0;
+  while (c0 < a.n) {
+    args.a_exp = a.exp + c0;
+    args.a_nib = a.nib + c0;
+    args.b_exp = b.exp + c0;
+    args.b_nib = b.nib + c0;
+    args.len = a.n - c0;
+    simd::TemporalStreamState st{};
+    st.reg = static_cast<int64_t>(acc_.register_value());
+    st.exp = acc_.exponent();
+    st.empty = acc_.empty() ? 1 : 0;
+    st.overflowed = acc_.overflowed() ? 1 : 0;
+    st.max_align = stats_.max_alignment_seen;
+    c0 += K.temporal_stream_i32(&args, &st);
+    acc_.restore(st.reg, st.exp, st.empty != 0, st.overflowed != 0);
+    stats_.fp_ops += st.ops;
+    stats_.nibble_iterations += 9 * st.ops;
+    stats_.cycles += st.cycles;
+    stats_.masked_products += st.masked_products;
+    stats_.multi_cycle_iterations += st.multi_cycle_iterations;
+    stats_.skipped_iterations += st.skipped_iterations;
+    stats_.max_alignment_seen = st.max_align;
+    if (c0 < a.n) {
+      // An op past the kernel's band cap or magic-divide bound.
+      const size_t n = std::min(n_inputs, a.n - c0);
+      run_prepared_fp16_oracle(a.sub(c0, n), b.sub(c0, n));
+      c0 += n;
+    }
+  }
+  return stats_.cycles - cycles_before;
 }
 
 int Ipu::int_accumulate_prepared(const PreparedIntView& a,

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -47,6 +48,7 @@
 #include "core/nibble.h"
 #include "core/prepared.h"
 #include "core/reference.h"
+#include "core/simd/simd.h"
 #include "softfloat/softfloat.h"
 
 namespace mpipu {
@@ -105,10 +107,20 @@ class Ipu {
 
   /// Prepared-operand fast path (core/prepared.h): operands were decoded
   /// and nibble-decomposed once, per tensor; per op only the EHU and the
-  /// serve loop run, on reused scratch.  Bit- and cycle-identical to
-  /// fp_accumulate<kFp16Format> over the same values.
+  /// serve loop run.  Bit- and cycle-identical to
+  /// fp_accumulate<kFp16Format> over the same values.  The one-op case of
+  /// fp16_accumulate_stream.
   int fp16_accumulate_prepared(const PreparedFp16View& a,
                                const PreparedFp16View& b);
+
+  /// Accumulate a whole operand stream (one output element) in ops of
+  /// `n_inputs` lanes, the last op taking the remainder: bit-, cycle- and
+  /// stats-identical to fp16_accumulate_prepared on each chunk in order.
+  /// Two paths: the temporal stream kernel (core/simd/simd.h), which
+  /// hands single ops it cannot serve to the scalar oracle, or the scalar
+  /// oracle op by op.  Returns the cycles consumed.
+  int64_t fp16_accumulate_stream(const PreparedFp16View& a,
+                                 const PreparedFp16View& b, size_t n_inputs);
 
   /// Prepared INT fast path: radix-16 digit planes were packed once, per
   /// tensor.  Bit- and cycle-identical to int_accumulate over the same
@@ -170,11 +182,8 @@ class Ipu {
     return true;
   }
 
-  // The prepared FP16 fast path has two serve paths, picked per op by
-  // fp16_accumulate_prepared: the fused whole-op kernels (core/simd) or
-  // the verbatim scalar oracle.
-
-  /// Scalar oracle serve loop; TreeInt is the adder-tree sum type.
+  /// Scalar oracle serve loop of one prepared FP16 op; TreeInt is the
+  /// adder-tree sum type.
   template <typename TreeInt>
   int run_prepared_fp16(const PreparedFp16View& a, const PreparedFp16View& b);
 
@@ -182,14 +191,6 @@ class Ipu {
   /// fits, int128 otherwise.
   int run_prepared_fp16_oracle(const PreparedFp16View& a,
                                const PreparedFp16View& b);
-
-  /// Whole-op fused path: one EHU kernel call and one 3x3 band-sum kernel
-  /// call per op, in either alignment regime.  Requires 1 <= n <=
-  /// kFusedLanes and window_guard() <= kNibbleFusedMaxGuard; falls back to
-  /// the scalar oracle when the EHU spread is past the magic-divide bound
-  /// or the op needs more than kMaxBands bands.
-  int run_prepared_fp16_fused(const PreparedFp16View& a,
-                              const PreparedFp16View& b);
 
   IpuConfig cfg_;
   Accumulator acc_;
@@ -201,9 +202,11 @@ class Ipu {
   // Prepared-path scratch (EHU output + serve schedule), reused per op.
   EhuResult ehu_;
   BandSchedule sched_;
-  // Fused-path scratch, padded through kFusedLanes: EHU align/band planes,
-  // per-lane serve band and split window shifts.
-  std::vector<int32_t> falign_, fband_, serve_band_, up_, down_;
+  // The temporal stream kernel's view of this config, fixed at
+  // construction: whether it may serve at all (window guard, software
+  // precision and int64 accumulator bounds) and its rescale table.
+  bool stream_ok_ = false;
+  std::array<int32_t, 9 * simd::kMaxBands> rescale_{};
 };
 
 // ---------------------------------------------------------------------------

@@ -82,6 +82,10 @@ struct PreparedFp16View {
   const int8_t* nib_plane(int i) const {
     return nib + static_cast<size_t>(i) * nib_stride;
   }
+  /// The window [offset, offset + len) of this view.
+  PreparedFp16View sub(size_t offset, size_t len) const {
+    return {exp + offset, signed_mag + offset, nib + offset, nib_stride, len};
+  }
 };
 
 /// Owning SoA planes for FP16 operands; decode + nibble-decompose happens
@@ -161,6 +165,10 @@ struct PreparedIntView {
 
   const int8_t* nib_plane(int i) const {
     return nib + static_cast<size_t>(i) * nib_stride;
+  }
+  /// The window [offset, offset + len) of this view.
+  PreparedIntView sub(size_t offset, size_t len) const {
+    return {value + offset, nib + offset, nib_stride, lanes, len};
   }
 };
 

@@ -26,6 +26,11 @@
 //   * the fused kernels hold int32 lane values (exact under the drivers'
 //     guard bounds) and sum their 16-bit halves in int32, recombined into
 //     exact int64 band sums;
+//   * the temporal stream kernel adds an op's 9 x bands values to the
+//     accumulator register in one sum only when a magnitude bound shows
+//     that no partial sum of the in-order adds could clamp; otherwise it
+//     adds them in order, clamping each (the scalar reference always
+//     does);
 //   * band = x / sp uses the magic-multiply m = ceil(2^32 / sp):
 //     floor(x * m / 2^32) == floor(x / sp) exactly whenever x * (sp - 1)
 //     < 2^32, so for 0 <= x < 2^16 with 2 <= sp < 2^16 (the EHU) and for
@@ -87,6 +92,18 @@ inline int32_t hor8_i32(__m256i v) {
   s = _mm_or_si128(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
   s = _mm_or_si128(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
   return _mm_cvtsi128_si32(s);
+}
+
+inline int64_t hsum4_i64(__m256i v) {
+  const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(v),
+                                  _mm256_extracti128_si256(v, 1));
+  return _mm_cvtsi128_si64(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s)));
+}
+
+inline int64_t hor4_i64(__m256i v) {
+  const __m128i s = _mm_or_si128(_mm256_castsi256_si128(v),
+                                 _mm256_extracti128_si256(v, 1));
+  return _mm_cvtsi128_si64(_mm_or_si128(s, _mm_unpackhi_epi64(s, s)));
 }
 
 /// Packs two 8-lane i32 vectors (every value fits int16) into one 16-lane
@@ -372,44 +389,233 @@ bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
   return true;
 }
 
-void nibble_fused3x3_i32(const int8_t* a, size_t a_stride, const int8_t* b,
-                         size_t b_stride, const int32_t* band,
-                         const int32_t* up, const int32_t* down, size_t n,
-                         int bands, int64_t* sums, uint32_t* nz) {
-  __m256i a16[3], b16[3];
-  load_nibbles16(a, a_stride, n, a16);
-  load_nibbles16(b, b_stride, n, b16);
-  const __m256i band_lo = load8(band), band_hi = load8(band + 8);
-  const __m256i up_lo = load8(up), up_hi = load8(up + 8);
-  const __m256i down_lo = load8(down), down_hi = load8(down + 8);
-  // Zero the masked lanes' a operands: their products then drop out of
-  // every sum and of the skip-zero predicate.
-  const __m256i neg1 = _mm256_set1_epi32(-1);
-  const __m256i live = pack32_16(_mm256_cmpgt_epi32(band_lo, neg1),
-                                 _mm256_cmpgt_epi32(band_hi, neg1));
-  for (int i = 0; i < 3; ++i) a16[i] = _mm256_and_si256(a16[i], live);
+size_t temporal_stream_i32(const TemporalStreamArgs* args,
+                           TemporalStreamState* st) {
+  const TemporalStreamArgs& g = *args;
+  const bool mc = g.single_cycle == 0;
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i ones = _mm256_set1_epi32(-1);
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i v31 = _mm256_set1_epi32(31);
+  const __m256i vmin32 = _mm256_set1_epi32(INT32_MIN);
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i vsoft = _mm256_set1_epi32(g.soft);
+  const __m256i vsp = _mm256_set1_epi32(g.sp);
+  const __m256i vguard = _mm256_set1_epi32(g.guard);
+  const __m256i vwin = _mm256_set1_epi32(g.window);
+  const __m256i vm =
+      mc && g.sp >= 2
+          ? _mm256_set1_epi32(static_cast<int32_t>(magic_for(g.sp)))
+          : zero;
+  const int64_t reg_hi = (int64_t{1} << (g.register_width - 1)) - 1;
+  const int64_t reg_lo = -reg_hi - 1;
 
-  __m256i lo[9], hi[9];
-  uint32_t nzm = 0;
-  for (int i = 0; i < 3; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      // |a_i * b_j| <= 225 is exact in int16; the shifted product is exact
-      // in int32 under the driver's guard bound.
-      const int it = i * 3 + j;
-      const __m256i p = _mm256_mullo_epi16(a16[i], b16[j]);
-      if (!_mm256_testz_si256(p, p)) nzm |= 1u << it;
-      lo[it] = _mm256_sllv_epi32(
-          _mm256_srav_epi32(_mm256_cvtepi16_epi32(_mm256_castsi256_si128(p)),
-                            down_lo),
-          up_lo);
-      hi[it] = _mm256_sllv_epi32(
-          _mm256_srav_epi32(
-              _mm256_cvtepi16_epi32(_mm256_extracti128_si256(p, 1)), down_hi),
-          up_hi);
+  // The registers of the whole stream.
+  int64_t reg = st->reg;
+  int32_t acc_exp = st->exp;
+  bool empty = st->empty != 0;
+  bool overflowed = st->overflowed != 0;
+  int64_t ops = 0, cycles = 0, multi = 0, skipped = 0;
+  __m256i mal_acc = vmin32, masked_acc = zero;
+
+  size_t c0 = 0;
+  for (; c0 < g.len; c0 += g.chunk) {
+    const size_t n = min_of(g.chunk, g.len - c0);
+    // EHU: product exponents over the n valid lanes (short ops staged
+    // through zero-filled buffers; lanes past n are invalid).
+    __m256i e[2], valid[2];
+    if (n == kFusedLanes) {
+      for (int h = 0; h < 2; ++h) {
+        e[h] = _mm256_add_epi32(load8(g.a_exp + c0 + 8 * h),
+                                load8(g.b_exp + c0 + 8 * h));
+        valid[h] = ones;
+      }
+    } else {
+      int32_t ea[kFusedLanes] = {}, eb[kFusedLanes] = {};
+      copy_bytes(ea, g.a_exp + c0, n * sizeof(int32_t));
+      copy_bytes(eb, g.b_exp + c0, n * sizeof(int32_t));
+      const __m256i vn = _mm256_set1_epi32(static_cast<int32_t>(n));
+      for (int h = 0; h < 2; ++h) {
+        e[h] = _mm256_add_epi32(load8(ea + 8 * h), load8(eb + 8 * h));
+        valid[h] = _mm256_cmpgt_epi32(
+            vn, _mm256_add_epi32(iota, _mm256_set1_epi32(8 * h)));
+      }
+    }
+    const int32_t max_exp = hmax8_i32(
+        _mm256_max_epi32(_mm256_blendv_epi8(vmin32, e[0], valid[0]),
+                         _mm256_blendv_epi8(vmin32, e[1], valid[1])));
+    const __m256i vmx = _mm256_set1_epi32(max_exp);
+    __m256i al[2], masked[2];
+    for (int h = 0; h < 2; ++h) {
+      al[h] = _mm256_sub_epi32(vmx, e[h]);
+      masked[h] = _mm256_or_si256(_mm256_cmpgt_epi32(al[h], vsoft),
+                                  _mm256_xor_si256(valid[h], ones));
+    }
+    // Spread bail: max - min >= 2^16 <=> some valid alignment, read as
+    // unsigned, has a bit at or above 16.
+    const __m256i wide = _mm256_or_si256(
+        _mm256_and_si256(_mm256_srli_epi32(al[0], 16), valid[0]),
+        _mm256_and_si256(_mm256_srli_epi32(al[1], 16), valid[1]));
+    if (!_mm256_testz_si256(wide, wide)) break;
+
+    // Bands (MC) and the per-lane window shifts: up/down = max(+-net, 0)
+    // with net = guard - local.  Masked lanes get band -1 and zeroed a
+    // operands below, so their shifts never matter.
+    int bands = 1;
+    uint32_t occ = 0;
+    __m256i bd[2] = {zero, zero}, up[2], down[2];
+    for (int h = 0; h < 2; ++h) {
+      __m256i local;
+      if (mc) {
+        const __m256i q = g.sp >= 2 ? divq_u32(al[h], vm) : al[h];
+        bd[h] = _mm256_or_si256(q, masked[h]);
+        local = _mm256_sub_epi32(al[h], _mm256_mullo_epi32(q, vsp));
+      } else {
+        local = _mm256_min_epi32(al[h], vwin);
+      }
+      const __m256i net = _mm256_sub_epi32(vguard, local);
+      up[h] = _mm256_max_epi32(net, zero);
+      down[h] = _mm256_max_epi32(_mm256_sub_epi32(zero, net), zero);
+    }
+    if (mc) {
+      bands = max_of(hmax8_i32(_mm256_max_epi32(bd[0], bd[1])), 0) + 1;
+      if (bands > kMaxBands) break;
+      if (g.skip_empty_bands) {
+        // Masked lanes: min(-1, 31) = -1 is a shift count past 31, so
+        // they drop out of the occupancy OR.
+        occ = static_cast<uint32_t>(hor8_i32(_mm256_or_si256(
+            _mm256_sllv_epi32(one, _mm256_min_epi32(bd[0], v31)),
+            _mm256_sllv_epi32(one, _mm256_min_epi32(bd[1], v31)))));
+      }
+    }
+    for (int h = 0; h < 2; ++h) {
+      masked_acc = _mm256_sub_epi32(masked_acc,
+                                    _mm256_and_si256(masked[h], valid[h]));
+      mal_acc = _mm256_max_epi32(mal_acc,
+                                 _mm256_blendv_epi8(al[h], vmin32, masked[h]));
+    }
+
+    // The nine nibble products, their skip-zero mask (when skipping) and
+    // the shifted int32 lane values (exact under the guard bound); masked
+    // lanes are zeroed through the a operands.
+    __m256i a16[3], b16[3];
+    load_nibbles16(g.a_nib + c0, g.a_stride, n, a16);
+    load_nibbles16(g.b_nib + c0, g.b_stride, n, b16);
+    const __m256i masked16 = pack32_16(masked[0], masked[1]);
+    for (int i = 0; i < 3; ++i) a16[i] = _mm256_andnot_si256(masked16, a16[i]);
+    __m256i lo[9], hi[9];
+    uint32_t nz = 0;
+    for (int i = 0; i < 3; ++i) {
+      for (int j = 0; j < 3; ++j) {
+        const int it = i * 3 + j;
+        const __m256i p = _mm256_mullo_epi16(a16[i], b16[j]);
+        if (g.skip_zero_iterations && !_mm256_testz_si256(p, p)) {
+          nz |= 1u << it;
+        }
+        __m256i x = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(p));
+        __m256i y = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(p, 1));
+        if (!mc) {
+          // MC locals stay below sp = guard + 1, so only single-cycle
+          // windows shift down.
+          x = _mm256_srav_epi32(x, down[0]);
+          y = _mm256_srav_epi32(y, down[1]);
+        }
+        lo[it] = _mm256_sllv_epi32(x, up[0]);
+        hi[it] = _mm256_sllv_epi32(y, up[1]);
+      }
+    }
+    int64_t sums[9 * kMaxBands];
+    band_sums16(lo, hi, 9, bd[0], bd[1], bands, sums);
+
+    // Cycles, then the 9 x bands accumulator adds in (i, j, c) order.
+    const uint32_t served = g.skip_zero_iterations ? nz : 0x1FFu;
+    const int iters = __builtin_popcount(served);
+    const int cycles_per_iter =
+        mc ? (g.skip_empty_bands ? max_of(__builtin_popcount(occ), 1) : bands)
+           : 1;
+    skipped += 9 - iters;
+    cycles += static_cast<int64_t>(iters) * cycles_per_iter;
+    if (cycles_per_iter > 1) multi += iters;
+    ++ops;
+    if (served == 0) continue;
+    // Every add of this op is at in_exp = max_exp: a register below it
+    // shifts down once, at the first add; one at or above it shifts each
+    // add down by its lead s.  An empty register is a zero register at
+    // in_exp that stays empty until a nonzero add lands.
+    int s = 0;
+    if (empty) {
+      reg = 0;
+    } else {
+      const int64_t lead = int64_t{max_exp} - acc_exp;
+      if (lead > 0) {
+        reg >>= min_of<int64_t>(lead, 63);
+        acc_exp = max_exp;
+      } else {
+        s = static_cast<int>(min_of<int64_t>(-lead, 63));
+      }
+    }
+    // The added values v = (tree << rescale) >> s, four sums per vector:
+    // a left shift by max(rescale, 0), then one arithmetic right shift by
+    // min(max(-rescale, 0) + s, 63) (arithmetic shifts compose).  Slots
+    // past 9 * bands hold zero sums; so do the iterations skip-zero skips,
+    // and adding zero never changes a register inside its width.
+    const int vecs = (9 * bands + 3) / 4;
+    const __m128i vs = _mm_set1_epi32(s);
+    __m256i total = zero, magnitude = zero;
+    for (int q = 0; q < vecs; ++q) {
+      const __m128i r = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(g.rescale + 4 * q));
+      const __m128i z128 = _mm_setzero_si128();
+      const __m256i lsh = _mm256_cvtepu32_epi64(_mm_max_epi32(r, z128));
+      const __m256i rsh = _mm256_cvtepu32_epi64(_mm_min_epi32(
+          _mm_add_epi32(_mm_max_epi32(_mm_sub_epi32(z128, r), z128), vs),
+          _mm_set1_epi32(63)));
+      const __m256i x = _mm256_sllv_epi64(load8(sums + 4 * q), lsh);
+      const __m256i sign = _mm256_cmpgt_epi64(zero, x);
+      const __m256i v = _mm256_xor_si256(
+          _mm256_srlv_epi64(_mm256_xor_si256(x, sign), rsh), sign);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(sums + 4 * q), v);
+      total = _mm256_add_epi64(total, v);
+      magnitude = _mm256_or_si256(
+          magnitude, _mm256_sub_epi64(_mm256_xor_si256(v, sign), sign));
+    }
+    // Each |v| < 2^k: when |reg| + 4 * vecs * 2^k fits the register, no
+    // partial sum in (i, j, c) order can clamp, and one add of the total
+    // is exact.  Otherwise add in that order, clamping each partial sum.
+    const auto mag = static_cast<uint64_t>(hor4_i64(magnitude));
+    const int k = mag != 0 ? 64 - __builtin_clzll(mag) : 0;
+    const int64_t reg_abs = reg < 0 ? -reg : reg;
+    if (k <= 52 && reg_abs + (int64_t{4 * vecs} << k) <= reg_hi) {
+      reg += hsum4_i64(total);
+    } else {
+      for (int it = 0; it < 9; ++it) {
+        for (int c = 0; c < bands; ++c) {
+          int64_t v = reg + sums[c * 9 + it];
+          if (v > reg_hi || v < reg_lo) {
+            overflowed = true;
+            v = v > reg_hi ? reg_hi : reg_lo;
+          }
+          reg = v;
+        }
+      }
+    }
+    if (empty && mag != 0) {
+      empty = false;
+      acc_exp = max_exp;
     }
   }
-  band_sums16(lo, hi, 9, band_lo, band_hi, bands, sums);
-  *nz = nzm;
+
+  st->reg = reg;
+  st->exp = acc_exp;
+  st->empty = empty ? 1 : 0;
+  st->overflowed = overflowed ? 1 : 0;
+  st->max_align = max_of(st->max_align, hmax8_i32(mal_acc));
+  st->ops += ops;
+  st->cycles += cycles;
+  st->masked_products += hsum8_i32(masked_acc);
+  st->multi_cycle_iterations += multi;
+  st->skipped_iterations += skipped;
+  return min_of(c0, g.len);
 }
 
 void serial_fused_i32(const int32_t* v, const uint32_t* mag,
@@ -669,7 +875,7 @@ const KernelTable* avx2_kernel_table() {
       .serial_lanes_i32 = avx2::serial_lanes_i32,
       .shifted_lanes_i32 = avx2::shifted_lanes_i32,
       .ehu_fused_i32 = avx2::ehu_fused_i32,
-      .nibble_fused3x3_i32 = avx2::nibble_fused3x3_i32,
+      .temporal_stream_i32 = avx2::temporal_stream_i32,
       .serial_fused_i32 = avx2::serial_fused_i32,
       .spatial_fused_i32 = avx2::spatial_fused_i32,
       .dot_i8 = avx2::dot_i8,

@@ -2,6 +2,7 @@
 // semantics the vector backends must match bit-for-bit; they also back any
 // table entry a vector backend chooses not to implement.
 #include <algorithm>
+#include <bit>
 
 #include "core/simd/kernels.h"
 
@@ -80,10 +81,14 @@ bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
   return true;
 }
 
-void nibble_fused3x3_i32(const int8_t* a, size_t a_stride, const int8_t* b,
-                         size_t b_stride, const int32_t* band,
-                         const int32_t* up, const int32_t* down, size_t n,
-                         int bands, int64_t* sums, uint32_t* nz) {
+/// Band sums of all nine nibble iterations of one op:
+/// sums[c*9 + i*3 + j] = sum over k with band[k] == c of
+/// ((a_i[k] * b_j[k]) >> down[k]) << up[k], c < bands; bit i*3 + j of *nz
+/// is set when some lane with band[k] >= 0 has a_i[k] * b_j[k] != 0.
+void nibble_sums3x3(const int8_t* a, size_t a_stride, const int8_t* b,
+                    size_t b_stride, const int32_t* band, const int32_t* up,
+                    const int32_t* down, size_t n, int bands, int64_t* sums,
+                    uint32_t* nz) {
   uint32_t nzm = 0;
   for (int c = 0; c < 9 * bands; ++c) sums[c] = 0;
   for (int i = 0; i < 3; ++i) {
@@ -101,6 +106,34 @@ void nibble_fused3x3_i32(const int8_t* a, size_t a_stride, const int8_t* b,
     }
   }
   *nz = nzm;
+}
+
+/// Accumulator::add of tree * 2^rescale at exponent in_exp on the stream
+/// state, one add at a time, in int64 (the driver checks fast64_ok).
+void add_tree(int64_t tree, int32_t rescale, int32_t in_exp,
+              int32_t register_width, TemporalStreamState* st) {
+  const int64_t hi = (int64_t{1} << (register_width - 1)) - 1;
+  const int64_t lo = -hi - 1;
+  const auto clamp = [&](int64_t v) {
+    if (v > hi || v < lo) st->overflowed = 1;
+    return std::clamp(v, lo, hi);
+  };
+  const int64_t m = rescale >= 0 ? tree << rescale : tree >> -rescale;
+  if (st->empty) {
+    if (m == 0) return;
+    st->empty = 0;
+    st->exp = in_exp;
+    st->reg = clamp(m);
+    return;
+  }
+  const int64_t lead = int64_t{in_exp} - st->exp;
+  if (lead > 0) {
+    // Swap: shift the old register down to the new exponent.
+    st->reg = clamp((st->reg >> std::min<int64_t>(lead, 63)) + m);
+    st->exp = in_exp;
+  } else {
+    st->reg = clamp(st->reg + (m >> std::min<int64_t>(-lead, 63)));
+  }
 }
 
 void serial_fused_i32(const int32_t* v, const uint32_t* mag,
@@ -160,6 +193,51 @@ bool spatial_fused_i32(const int8_t* a, size_t a_stride, const int8_t* b,
   return true;
 }
 
+size_t temporal_stream_i32(const TemporalStreamArgs* args,
+                           TemporalStreamState* st) {
+  const TemporalStreamArgs& g = *args;
+  int32_t align[kFusedLanes], band[kFusedLanes];
+  int32_t serve_band[kFusedLanes], up[kFusedLanes], down[kFusedLanes];
+  for (size_t c0 = 0; c0 < g.len; c0 += g.chunk) {
+    const size_t n = std::min(g.chunk, g.len - c0);
+    int32_t max_exp, max_band, n_masked, max_align;
+    uint32_t occ;
+    if (!ehu_fused_i32(g.a_exp + c0, g.b_exp + c0, n, g.soft,
+                       std::max(g.sp, 1), align, band, &max_exp, &occ,
+                       &max_band, &n_masked, &max_align)) {
+      return c0;
+    }
+    const int bands = g.single_cycle ? 1 : std::max(max_band, 0) + 1;
+    if (bands > kMaxBands) return c0;
+    serve_shifts_i32(align, band, n, g.guard, g.sp, g.single_cycle, g.window,
+                     serve_band, up, down);
+    int64_t sums[9 * kMaxBands];
+    uint32_t nz;
+    nibble_sums3x3(g.a_nib + c0, g.a_stride, g.b_nib + c0, g.b_stride,
+                   serve_band, up, down, n, bands, sums, &nz);
+    const int cycles_per_iter =
+        g.single_cycle ? 1
+                       : (g.skip_empty_bands ? std::max(std::popcount(occ), 1)
+                                             : bands);
+    for (int it = 0; it < 9; ++it) {
+      if (g.skip_zero_iterations && ((nz >> it) & 1u) == 0) {
+        ++st->skipped_iterations;
+        continue;
+      }
+      for (int c = 0; c < bands; ++c) {
+        add_tree(sums[c * 9 + it], g.rescale[c * 9 + it], max_exp,
+                 g.register_width, st);
+      }
+      st->cycles += cycles_per_iter;
+      if (cycles_per_iter > 1) ++st->multi_cycle_iterations;
+    }
+    ++st->ops;
+    st->masked_products += n_masked;
+    st->max_align = std::max(st->max_align, max_align);
+  }
+  return g.len;
+}
+
 int64_t dot_i8(const int8_t* a, const int8_t* b, size_t n) {
   int64_t s = 0;
   for (size_t k = 0; k < n; ++k) {
@@ -209,7 +287,7 @@ const KernelTable* scalar_kernel_table() {
       .serial_lanes_i32 = scalar::serial_lanes_i32,
       .shifted_lanes_i32 = scalar::shifted_lanes_i32,
       .ehu_fused_i32 = scalar::ehu_fused_i32,
-      .nibble_fused3x3_i32 = scalar::nibble_fused3x3_i32,
+      .temporal_stream_i32 = scalar::temporal_stream_i32,
       .serial_fused_i32 = scalar::serial_fused_i32,
       .spatial_fused_i32 = scalar::spatial_fused_i32,
       .dot_i8 = scalar::dot_i8,

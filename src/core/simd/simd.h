@@ -37,16 +37,32 @@
 // planes, so the zero pads are a layout/alignment guarantee, not a
 // correctness dependency.
 //
-// FUSED WHOLE-OP KERNELS -- the temporal, serial and spatial serve loops
-// issue one EHU call and one band-sum call per op (ops are small --
-// typically n_inputs <= 16 lanes -- so per-call fixed costs dominate the
-// emulation wall clock).  The band-sum kernels hold one int32 value per
-// lane and sum bands in int64; the drivers check the config-derived lane
-// bound (kNibbleFusedMaxGuard / kSerialFusedMaxGuard /
-// kSpatialFusedMaxGuard) and n <= kFusedLanes before dispatching, and own
-// serve planes padded to kFusedLanes entries (band pad -1, shift/value
-// pads 0).  Operand planes are still never read past n: the vector
-// backends stage short views through zero-filled local buffers.
+// FUSED WHOLE-OP KERNELS -- the serial and spatial serve loops issue one
+// EHU call and one band-sum call per op (ops are small -- typically
+// n_inputs <= 16 lanes -- so per-call fixed costs dominate the emulation
+// wall clock).  The band-sum kernels hold one int32 value per lane and sum
+// bands in int64; the drivers check the config-derived lane bound
+// (kSerialFusedMaxGuard / kSpatialFusedMaxGuard) and n <= kFusedLanes
+// before dispatching, and own serve planes padded to kFusedLanes entries
+// (band pad -1, shift/value pads 0).
+//
+// TEMPORAL STREAM KERNEL -- the temporal scheme goes one step further: one
+// call serves an output element's whole operand stream, op after op in
+// stream order.  Per op it runs the EHU, the serve shifts, the nine nibble
+// products and their band sums (int32 lanes, int64 sums, admitted for
+// guard <= kNibbleFusedMaxGuard) and the 9 x bands accumulator adds, with
+// the accumulator register, its exponent, its empty flag and the counters
+// held in registers across the stream.  The adds reproduce Accumulator::
+// add exactly: all adds of one op share in_exp = the op's max product
+// exponent, so an old register below it is shifted down once per op
+// (first add), each add then shifts its tree sum by rescale and by the
+// register's exponent lead, and clamps to the register width in (i, j, c)
+// order; an empty register takes the first nonzero add as is.  The driver
+// admits only configs whose register and shifted sums fit int64
+// (Accumulator::fast64_ok).
+//
+// Operand planes are never read past an op's n: the vector backends stage
+// short views through zero-filled local buffers.
 #pragma once
 
 #include <cstddef>
@@ -59,12 +75,12 @@ namespace mpipu::simd {
 /// oracle (bit-identical either way; alignment spreads that wide are rare).
 inline constexpr int kMaxBands = 8;
 
-/// Lane capacity of the fused whole-op band-sum kernels: one op fits two
-/// 8-lane int32 vector registers.  Ops with more lanes take the scalar
-/// oracle (bit-identical either way).
+/// Lane capacity of the fused whole-op kernels and of one temporal stream
+/// op: one op fits two 8-lane int32 vector registers.  Ops with more lanes
+/// take the scalar oracle (bit-identical either way).
 inline constexpr size_t kFusedLanes = 16;
 
-/// Largest window guard (w - 10) the temporal fused kernel admits.  Every
+/// Largest window guard (w - 10) the temporal stream kernel admits.  Every
 /// window shift is an up-shift of at most max(guard, 0) or a down-shift, so
 /// a lane value |((a_i*b_j) >> down) << up| <= 225 * 2^guard, which fits
 /// int32 for guard <= 23 (225 * 2^23 < 2^31 <= 225 * 2^24): w <= 33.
@@ -92,13 +108,55 @@ inline constexpr size_t kMt64Words = 312;
 
 enum class Backend { kScalar = 0, kAvx2 = 1 };
 
+/// Operands and config of one KernelTable::temporal_stream_i32 call.  The
+/// stream is `len` prepared FP16 elements (core/prepared.h planes) served
+/// in ops of `chunk` lanes, the last op taking the remainder.
+struct TemporalStreamArgs {
+  const int32_t* a_exp;  ///< exponent plane of a (`len` readable)
+  const int8_t* a_nib;   ///< nibble planes of a, plane i at a_nib + i*a_stride
+  size_t a_stride;
+  const int32_t* b_exp;
+  const int8_t* b_nib;
+  size_t b_stride;
+  size_t len;    ///< stream elements
+  size_t chunk;  ///< lanes per op, 1 <= chunk <= kFusedLanes
+  int32_t soft;  ///< software precision, < 2^16
+  int32_t sp;    ///< safe precision w - 9, >= 1 in MC mode
+  int32_t guard;   ///< window guard w - 10, <= kNibbleFusedMaxGuard
+  int32_t window;  ///< w, the single-cycle local-shift clamp
+  int32_t register_width;  ///< accumulator register bits, 2..62
+  int single_cycle;
+  int skip_empty_bands;
+  int skip_zero_iterations;
+  /// rescale[c*9 + i*3 + j]: the shift of band c's iteration (i, j) adder
+  /// tree sum into the accumulator's fixed point (left when >= 0), in
+  /// [-63, 62 - 12 - max(guard, 0)]; all 9 * kMaxBands entries readable
+  /// (single-cycle ops use c == 0 only).
+  const int32_t* rescale;
+};
+
+/// What a temporal stream carries in registers: the accumulator (loaded on
+/// entry, stored on exit) and the counters it adds to.
+struct TemporalStreamState {
+  int64_t reg;         ///< accumulator register, fits register_width bits
+  int32_t exp;         ///< accumulator exponent; ignored while empty
+  int32_t empty;       ///< 1 until the first nonzero add
+  int32_t overflowed;  ///< sticky: some add clamped to the register width
+  int32_t max_align;   ///< max unmasked alignment seen (max-updated)
+  int64_t ops;         ///< ops served (each is 9 nibble iterations)
+  int64_t cycles;
+  int64_t masked_products;
+  int64_t multi_cycle_iterations;
+  int64_t skipped_iterations;
+};
+
 /// Function-pointer table of every kernel, one instance per backend.  The
 /// scheme hot loops fetch the active table once per op; entries a vector
 /// backend does not implement point at the scalar reference functions.
 /// Every entry has a caller outside core/simd (tools/lint rule
 /// kernel-table-live).
 struct KernelTable {
-  // --- serve-loop constant planes (temporal + serial schemes) ---
+  // --- serve-loop constant planes (serial scheme) ---
   /// serve_band[k] = -1 for masked lanes (band[k] < 0), else 0 in
   /// single-cycle mode or band[k] in MC mode; up/down[k] = the split net
   /// window shift max(net, 0) / max(-net, 0), zero on masked lanes.
@@ -132,21 +190,18 @@ struct KernelTable {
                         int32_t* band, int32_t* max_exp, uint32_t* occupancy,
                         int32_t* max_band, int32_t* n_masked,
                         int32_t* max_align);
-  /// All nine temporal FP16 nibble iterations of one op in a single call:
-  /// sums[c*9 + i*3 + j] = sum over k with band[k]==c of
-  /// (((int32)a_i[k] * b_j[k]) >> down[k]) << up[k], and bit (i*3 + j) of
-  /// *nz is set when any lane with band[k] >= 0 has a_i[k] != 0 &&
-  /// b_j[k] != 0 (the skip-zero-iteration predicate).  SET semantics for
-  /// c < bands.  Each shifted product must fit int32 (the temporal driver
-  /// checks guard <= kNibbleFusedMaxGuard); sums are exact int64.  Also
-  /// n <= kFusedLanes, bands <= kMaxBands, 0 <= down[k] <= 31,
-  /// band/up/down readable and padded through kFusedLanes, and sums sized
-  /// 9 * kMaxBands (slots past 9 * bands may be overwritten).
-  void (*nibble_fused3x3_i32)(const int8_t* a, size_t a_stride,
-                              const int8_t* b, size_t b_stride,
-                              const int32_t* band, const int32_t* up,
-                              const int32_t* down, size_t n, int bands,
-                              int64_t* sums, uint32_t* nz);
+  /// The temporal FP16 serve of a whole operand stream -- every chunk of
+  /// one output element -- in a single call.  See TemporalStreamArgs for
+  /// the operands and config and the header comment for the per-op work;
+  /// st's accumulator registers are read on entry and written on exit, its
+  /// counters are incremented.  Returns the offset (a multiple of
+  /// args.chunk) of the first op it did not serve: args.len when it served
+  /// them all, else the op whose EHU spread (max - min product exponent
+  /// over its n lanes) is 2^16 or more, or, in MC mode, that needs more
+  /// than kMaxBands bands.  Every op before that offset is served and
+  /// counted; the driver serves that op on the scalar oracle and resumes.
+  size_t (*temporal_stream_i32)(const TemporalStreamArgs* args,
+                                TemporalStreamState* st);
   /// All kSerialSteps serial bit-steps of one op in a single call:
   /// sums[c*kSerialSteps + t] = sum over k with band[k]==c and bit t of
   /// mag[k] set of v[k], exact int64 for any int32 v.  SET semantics for

@@ -49,10 +49,12 @@ Tensor execute_fp16_plan_shard(const ConvPlan<PreparedFp16>& plan,
                                int n_inputs, AccumKind accum, int co_begin,
                                int co_end, int y_begin, int y_end) {
   const bool to_fp16 = accum == AccumKind::kFp16;
+  const auto chunk = static_cast<size_t>(n_inputs);
   return run_conv_plan_shard<PreparedFp16>(
-      plan, in_planes, pool, units, n_inputs, co_begin, co_end, y_begin, y_end,
-      [](Datapath& dp, const PreparedFp16View& a, const PreparedFp16View& b) {
-        dp.fp16_accumulate_prepared(a, b);
+      plan, in_planes, pool, units, co_begin, co_end, y_begin, y_end,
+      [chunk](Datapath& dp, const PreparedFp16View& a,
+              const PreparedFp16View& b) {
+        dp.fp16_accumulate_stream(a, b, chunk);
       },
       [to_fp16](Datapath& dp) {
         return to_fp16 ? dp.read_fp16().to_double() : dp.read_fp32().to_double();
@@ -74,11 +76,16 @@ Tensor execute_int_plan_shard(const ConvPlan<PreparedInt>& plan,
                               const QuantParams& qa, const QuantParams& qw,
                               int co_begin, int co_end, int y_begin,
                               int y_end) {
+  const auto chunk = static_cast<size_t>(n_inputs);
   return run_conv_plan_shard<PreparedInt>(
-      plan, in_planes, pool, units, n_inputs, co_begin, co_end, y_begin, y_end,
-      [a_bits, w_bits](Datapath& dp, const PreparedIntView& a,
-                       const PreparedIntView& b) {
-        dp.int_accumulate_prepared(a, b, a_bits, w_bits);
+      plan, in_planes, pool, units, co_begin, co_end, y_begin, y_end,
+      [chunk, a_bits, w_bits](Datapath& dp, const PreparedIntView& a,
+                              const PreparedIntView& b) {
+        for (size_t c0 = 0; c0 < a.n; c0 += chunk) {
+          const size_t n = std::min(chunk, a.n - c0);
+          dp.int_accumulate_prepared(a.sub(c0, n), b.sub(c0, n), a_bits,
+                                     w_bits);
+        }
       },
       [&qa, &qw](Datapath& dp) {
         return dequantize_accumulator(dp.read_int(), qa, qw);

@@ -149,16 +149,18 @@ struct ConvPlan {
 /// planes, restricted to the output shard [co_begin, co_end) x
 /// [y_begin, y_end) (x is never split -- rows are the spatial shard unit).
 /// Per pixel, one plane-copy gather stages the input patch (shared across
-/// the shard's output channels); per (pixel, co) the inner loop is
-/// contiguous streaming over the staged input and the clip class's packed
-/// filter stream -- zero gathers, zero allocations, zero re-decodes.
-/// `accumulate` runs one <= n_inputs chunk on the datapath; `readout`
-/// extracts the finished pixel.  All mutable state lives in the caller's
-/// scratch (`pool` + one private `Datapath` per worker slot + per-slot
-/// staging planes), so concurrent calls against the same plan never
-/// interfere.  Every output element's accumulate sequence depends only on
-/// its own (co, y, x) -- the datapath accumulator is reset per (pixel, co)
-/// -- so a shard computes exactly the bytes the full-range call would, and
+/// the shard's output channels); per (pixel, co) one `accumulate` call gets
+/// the output element's whole operand streams -- the staged input and the
+/// clip class's packed filter stream, contiguous, zero gathers, zero
+/// allocations, zero re-decodes -- and feeds them to the datapath in
+/// n_inputs chunks (FP16: one Datapath::fp16_accumulate_stream call; INT:
+/// a chunk loop over int_accumulate_prepared).  `readout` extracts the
+/// finished pixel.  All mutable state lives in the caller's scratch
+/// (`pool` + one private `Datapath` per worker slot + per-slot staging
+/// planes), so concurrent calls against the same plan never interfere.
+/// Every output element's accumulate sequence depends only on its own
+/// (co, y, x) -- the datapath accumulator is reset per (pixel, co) -- so a
+/// shard computes exactly the bytes the full-range call would, and
 /// concatenating shards reproduces the unsharded output bit for bit.
 ///
 /// The returned tensor holds only the shard: (co_end-co_begin) channels x
@@ -167,8 +169,8 @@ template <typename Planes, typename AccumulateFn, typename ReadoutFn>
 Tensor run_conv_plan_shard(const ConvPlan<Planes>& plan,
                            const Planes& in_planes, ThreadPool& pool,
                            std::span<const std::unique_ptr<Datapath>> units,
-                           int n_inputs, int co_begin, int co_end, int y_begin,
-                           int y_end, AccumulateFn&& accumulate,
+                           int co_begin, int co_end, int y_begin, int y_end,
+                           AccumulateFn&& accumulate,
                            ReadoutFn&& readout) {
   assert(static_cast<int>(units.size()) >= pool.size());
   assert(0 <= co_begin && co_begin <= co_end && co_end <= plan.cout);
@@ -198,13 +200,8 @@ Tensor run_conv_plan_shard(const ConvPlan<Planes>& plan,
             const auto stream_base =
                 static_cast<size_t>(co) * static_cast<size_t>(len);
             dp.reset_accumulator();
-            for (int c0 = 0; c0 < len; c0 += n_inputs) {
-              const auto chunk =
-                  static_cast<size_t>(std::min(n_inputs, len - c0));
-              accumulate(dp, staged.view(static_cast<size_t>(c0), chunk),
-                         cls.filters.view(stream_base + static_cast<size_t>(c0),
-                                          chunk));
-            }
+            accumulate(dp, staged.view(),
+                       cls.filters.view(stream_base, static_cast<size_t>(len)));
             out.at(co - co_begin, y - y_begin, x) = readout(dp);
           }
         }
@@ -218,10 +215,9 @@ template <typename Planes, typename AccumulateFn, typename ReadoutFn>
 Tensor run_conv_plan(const ConvPlan<Planes>& plan, const Planes& in_planes,
                      ThreadPool& pool,
                      std::span<const std::unique_ptr<Datapath>> units,
-                     int n_inputs, AccumulateFn&& accumulate,
-                     ReadoutFn&& readout) {
-  return run_conv_plan_shard(plan, in_planes, pool, units, n_inputs, 0,
-                             plan.cout, 0, plan.ho,
+                     AccumulateFn&& accumulate, ReadoutFn&& readout) {
+  return run_conv_plan_shard(plan, in_planes, pool, units, 0, plan.cout, 0,
+                             plan.ho,
                              std::forward<AccumulateFn>(accumulate),
                              std::forward<ReadoutFn>(readout));
 }

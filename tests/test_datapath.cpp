@@ -255,8 +255,10 @@ TEST(DatapathCostModel, ServiceCyclesMatchBitAccurateUnits) {
   }
 }
 
-/// fp16_op_service_cycles for the temporal and serial schemes without its
-/// one-band shortcut: the full §3.2 band loop.
+/// fp16_op_service_cycles without its shortcuts (one band; the highest
+/// band alone for the serve-loop count): the full §3.2 band loop over every
+/// live lane, and for the spatial scheme over each lane's nine nibble
+/// significance offsets 14 - wi - wj, wi, wj in {-1, 3, 7}.
 int service_cycles_by_band_loop(const std::vector<int>& exps,
                                 const DatapathConfig& cfg) {
   const int iters = fp16_iterations_per_op(cfg.scheme);
@@ -264,12 +266,21 @@ int service_cycles_by_band_loop(const std::vector<int>& exps,
   for (int e : exps) max_exp = std::max(max_exp, e);
   if (!cfg.multi_cycle || max_exp == kMaskedProductExp) return iters;
   const int sp = std::max(cfg.safe_precision(), 1);
+  std::vector<int> offsets = {0};
+  if (cfg.scheme == DecompositionScheme::kSpatial) {
+    offsets.clear();
+    for (int wi : {-1, 3, 7}) {
+      for (int wj : {-1, 3, 7}) offsets.push_back(14 - wi - wj);
+    }
+  }
   uint64_t occupied = 0;
   for (int e : exps) {
     if (e == kMaskedProductExp) continue;
     const int d = max_exp - e;
     if (d > cfg.software_precision) continue;
-    occupied |= uint64_t{1} << std::min(d / sp, 63);
+    for (int off : offsets) {
+      occupied |= uint64_t{1} << std::min((d + off) / sp, 63);
+    }
   }
   const int bands = cfg.skip_empty_bands
                         ? std::max(1, __builtin_popcountll(occupied))
@@ -279,10 +290,10 @@ int service_cycles_by_band_loop(const std::vector<int>& exps,
 
 TEST(DatapathCostModel, OneBandShortcutMatchesTheBandLoop) {
   // Narrow exponent spreads around the safe precision, masked lanes, and
-  // software precisions below it: where the shortcut fires and where it
-  // must not.
+  // software precisions below it: where the shortcuts fire and where they
+  // must not, with both band counts.
   Rng rng(9);
-  for (auto scheme : {DecompositionScheme::kTemporal, DecompositionScheme::kSerial}) {
+  for (auto scheme : kAllSchemes) {
     for (int w : {12, 16, 20, 28, 38}) {
       for (int soft : {0, 2, 6, 28}) {
         for (int mode = 0; mode < 4; ++mode) {

@@ -13,6 +13,7 @@
 //     and scratch reuse across calls) against the allocating one.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "api/compiled_model.h"
@@ -20,6 +21,7 @@
 #include "core/datapath.h"
 #include "core/ipu.h"
 #include "core/serial_ipu.h"
+#include "core/simd/simd.h"
 #include "core/spatial_ipu.h"
 #include "per_op_conv.h"
 
@@ -128,6 +130,7 @@ IpuConfig TemporalOnly(const DatapathConfig& cfg) {
   c.multi_cycle = cfg.multi_cycle;
   c.skip_empty_bands = cfg.skip_empty_bands;
   c.skip_zero_iterations = cfg.skip_zero_iterations;
+  c.accumulator = cfg.accumulator;
   return c;
 }
 
@@ -138,6 +141,7 @@ SerialIpuConfig SerialOnly(const DatapathConfig& cfg) {
       cfg.scheme == DecompositionScheme::kSerial ? cfg.effective_adder_tree_width() : 16;
   c.software_precision = cfg.software_precision;
   c.multi_cycle = cfg.multi_cycle;
+  c.accumulator = cfg.accumulator;
   return c;
 }
 
@@ -148,6 +152,7 @@ SpatialIpuConfig SpatialOnly(const DatapathConfig& cfg) {
   c.software_precision = cfg.software_precision;
   c.multi_cycle = cfg.multi_cycle;
   c.skip_empty_bands = cfg.skip_empty_bands;
+  c.accumulator = cfg.accumulator;
   return c;
 }
 
@@ -178,51 +183,156 @@ Fp16PerOpUnit make_ref(DecompositionScheme scheme, Ipu& ipu, SerialIpu& serial,
   return {};
 }
 
+/// The directly constructed unit's counters as the DatapathStats its
+/// make_datapath wrapper reports.
+DatapathStats ref_stats(DecompositionScheme scheme, const Ipu& ipu,
+                        const SerialIpu& serial, const SpatialIpu& spatial) {
+  DatapathStats d;
+  switch (scheme) {
+    case DecompositionScheme::kTemporal:
+      d.fp_ops = ipu.stats().fp_ops;
+      d.cycles = ipu.stats().cycles;
+      d.nibble_iterations = ipu.stats().nibble_iterations;
+      d.masked_products = ipu.stats().masked_products;
+      d.multi_cycle_ops = ipu.stats().multi_cycle_iterations;
+      d.skipped_iterations = ipu.stats().skipped_iterations;
+      break;
+    case DecompositionScheme::kSerial:
+      d.fp_ops = serial.stats().fp_ops;
+      d.cycles = serial.stats().cycles;
+      break;
+    case DecompositionScheme::kSpatial:
+      d.fp_ops = spatial.stats().fp_ops;
+      d.cycles = spatial.stats().cycles;
+      d.multi_cycle_ops = spatial.stats().multi_cycle_ops;
+      break;
+  }
+  return d;
+}
+
+/// Restores the startup backend selection on scope exit.
+struct BackendGuard {
+  ~BackendGuard() { simd::reset_backend(); }
+};
+
+// The prepared datapath against the per-op template entries of the directly
+// constructed units: every scheme x window x accumulation regime x alignment
+// regime x accumulator kind, fed op by op (fp16_accumulate_prepared) or as
+// whole output-element streams (fp16_accumulate_stream), on each backend.
+// w = 10 is the narrowest MC window, 33 the widest the temporal stream
+// kernel admits and 34 the first past it; stream lengths are ragged against
+// n_inputs, so the last op of most streams is short.
 TEST(PreparedDatapath, BitAndCycleIdenticalToPerOpAllSchemesBothRegimes) {
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::backend_compiled(simd::Backend::kAvx2)) {
+    backends.push_back(simd::Backend::kAvx2);
+  }
+  BackendGuard guard;
   Rng rng(23);
-  for (auto scheme : kAllSchemes) {
-    for (int w : {13, 16, 28}) {
-      for (int soft_prec : {16, 28}) {  // FP16- vs FP32-accumulation regime
-        for (bool mc : {true, false}) {  // MC banding vs single-cycle window
-          DatapathConfig cfg = base_config(scheme, w, soft_prec);
-          cfg.multi_cycle = mc;
-          auto dp = make_datapath(cfg);
+  for (simd::Backend backend : backends) {
+    ASSERT_TRUE(simd::force_backend(backend));
+    for (auto scheme : kAllSchemes) {
+      for (int w : {10, 16, 28, 33, 34}) {
+        for (int soft_prec : {16, 28}) {  // FP16- vs FP32-accumulation regime
+          for (bool mc : {true, false}) {  // MC banding vs single-cycle window
+            for (bool lossless : {false, true}) {
+              for (bool stream : {false, true}) {
+                DatapathConfig cfg = base_config(scheme, w, soft_prec);
+                cfg.multi_cycle = mc;
+                cfg.accumulator.lossless = lossless;
+                auto dp = make_datapath(cfg);
 
-          Ipu ipu(TemporalOnly(cfg));
-          SerialIpu serial(SerialOnly(cfg));
-          SpatialIpu spatial(SpatialOnly(cfg));
-          const Fp16PerOpUnit ref = make_ref(scheme, ipu, serial, spatial);
+                Ipu ipu(TemporalOnly(cfg));
+                SerialIpu serial(SerialOnly(cfg));
+                SpatialIpu spatial(SpatialOnly(cfg));
+                const Fp16PerOpUnit ref =
+                    make_ref(scheme, ipu, serial, spatial);
+                const std::string what =
+                    std::string(simd::backend_name(backend)) + " " +
+                    scheme_name(scheme) + " w=" + std::to_string(w) +
+                    " sp=" + std::to_string(soft_prec) +
+                    " mc=" + std::to_string(mc) +
+                    " lossless=" + std::to_string(lossless) +
+                    (stream ? " stream" : " per-op");
 
-          for (int t = 0; t < 150; ++t) {
-            // Multi-op accumulation chains exercise the accumulator hand-off
-            // between prepared ops (2 chunks of 16 without reset).
-            const auto a = random_fp16_bits(rng, 32);
-            const auto b = random_fp16_bits(rng, 32);
-            PreparedFp16 pa(a), pb(b);
-            dp->reset_accumulator();
-            ref.reset();
-            int prep_cycles = 0, ref_cycles = 0;
-            for (size_t c0 = 0; c0 < a.size(); c0 += 16) {
-              prep_cycles +=
-                  dp->fp16_accumulate_prepared(pa.view(c0, 16), pb.view(c0, 16));
-              ref_cycles += ref.accumulate(
-                  std::span<const Fp16>(a).subspan(c0, 16),
-                  std::span<const Fp16>(b).subspan(c0, 16));
+                for (int t = 0; t < 40; ++t) {
+                  const int len = static_cast<int>(rng.uniform_int(1, 48));
+                  const auto a = random_fp16_bits(rng, len);
+                  const auto b = random_fp16_bits(rng, len);
+                  PreparedFp16 pa(a), pb(b);
+                  dp->reset_accumulator();
+                  ref.reset();
+                  int64_t dp_cycles = 0, ref_cycles = 0;
+                  if (stream) {
+                    dp_cycles = dp->fp16_accumulate_stream(pa.view(), pb.view(),
+                                                           16);
+                  }
+                  for (size_t c0 = 0; c0 < a.size(); c0 += 16) {
+                    const size_t n = std::min<size_t>(16, a.size() - c0);
+                    if (!stream) {
+                      dp_cycles += dp->fp16_accumulate_prepared(pa.view(c0, n),
+                                                                pb.view(c0, n));
+                    }
+                    ref_cycles += ref.accumulate(
+                        std::span<const Fp16>(a).subspan(c0, n),
+                        std::span<const Fp16>(b).subspan(c0, n));
+                  }
+                  ASSERT_TRUE(dp->read_raw() == ref.read())
+                      << what << " trial " << t;
+                  ASSERT_EQ(dp_cycles, ref_cycles) << what << " trial " << t;
+                  // Both accumulation destinations round from the same raw
+                  // bits.
+                  EXPECT_EQ(dp->read_fp16().raw_bits(),
+                            Fp16::round_from_fixed(ref.read()).raw_bits());
+                  EXPECT_EQ(dp->read_fp32().raw_bits(),
+                            Fp32::round_from_fixed(ref.read()).raw_bits());
+                }
+                EXPECT_TRUE(dp->stats() == ref_stats(scheme, ipu, serial,
+                                                     spatial))
+                    << what;
+              }
             }
-            EXPECT_TRUE(dp->read_raw() == ref.read())
-                << scheme_name(scheme) << " w=" << w << " sp=" << soft_prec
-                << " mc=" << mc << " trial " << t;
-            EXPECT_EQ(prep_cycles, ref_cycles)
-                << scheme_name(scheme) << " w=" << w << " sp=" << soft_prec
-                << " mc=" << mc << " trial " << t;
-            // Both accumulation destinations round from the same raw bits.
-            EXPECT_EQ(dp->read_fp16().raw_bits(),
-                      Fp16::round_from_fixed(ref.read()).raw_bits());
-            EXPECT_EQ(dp->read_fp32().raw_bits(),
-                      Fp32::round_from_fixed(ref.read()).raw_bits());
           }
         }
       }
+    }
+  }
+}
+
+// A narrow register clamps, and its overflow flag is sticky: it survives
+// reset_accumulator.  The stream path carries the flag across streams
+// exactly as the per-op template path does, on every backend.
+TEST(PreparedDatapath, StreamKeepsTheStickyOverflowFlag) {
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::backend_compiled(simd::Backend::kAvx2)) {
+    backends.push_back(simd::Backend::kAvx2);
+  }
+  BackendGuard guard;
+  IpuConfig cfg;
+  cfg.n_inputs = 16;
+  cfg.accumulator.t = 0;  // 33-bit register: below 4 * 2^exponent
+  cfg.accumulator.l = 0;
+  const std::vector<Fp16> big(40, Fp16::from_double(3.0));
+  const std::vector<Fp16> small(3, Fp16::from_double(0.25));
+  const PreparedFp16 pbig(big), psmall(small);
+  for (simd::Backend backend : backends) {
+    ASSERT_TRUE(simd::force_backend(backend));
+    Ipu ref(cfg), dut(cfg);
+    for (const auto* v : {&big, &small}) {
+      ref.reset_accumulator();
+      dut.reset_accumulator();
+      for (size_t c0 = 0; c0 < v->size(); c0 += 16) {
+        const size_t n = std::min<size_t>(16, v->size() - c0);
+        const auto op = std::span<const Fp16>(*v).subspan(c0, n);
+        ref.fp_accumulate<kFp16Format>(op, op);
+      }
+      const PreparedFp16& p = v == &big ? pbig : psmall;
+      dut.fp16_accumulate_stream(p.view(), p.view(), 16);
+      EXPECT_TRUE(dut.read_raw() == ref.read_raw())
+          << simd::backend_name(backend);
+      EXPECT_TRUE(ref.accumulator_overflowed());
+      EXPECT_EQ(dut.accumulator_overflowed(), ref.accumulator_overflowed())
+          << simd::backend_name(backend);
     }
   }
 }

@@ -205,67 +205,213 @@ TEST(SimdKernels, EhuFusedMatchesScalar) {
   }
 }
 
-/// Runs the temporal fused kernel on both tables and asserts identical
-/// sums (slots c < bands of every iteration) and skip-zero masks.
-void expect_nibble_fused_equal(const KernelTable& S, const KernelTable& V,
-                               const int8_t* a, const int8_t* b, size_t stride,
-                               const std::vector<int32_t>& band,
-                               const std::vector<int32_t>& up,
-                               const std::vector<int32_t>& down, size_t n,
-                               int bands, int64_t* s_s, uint32_t* nz_s) {
-  int64_t s_v[9 * simd::kMaxBands];
-  uint32_t nz_v = 0;
-  S.nibble_fused3x3_i32(a, stride, b, stride, band.data(), up.data(),
-                        down.data(), n, bands, s_s, nz_s);
-  V.nibble_fused3x3_i32(a, stride, b, stride, band.data(), up.data(),
-                        down.data(), n, bands, s_v, &nz_v);
-  EXPECT_EQ(*nz_s, nz_v) << "n=" << n;
-  for (int it = 0; it < 9; ++it) {
-    for (int c = 0; c < bands; ++c) {
-      const int i = c * 9 + it;
-      EXPECT_EQ(s_s[i], s_v[i]) << "iteration " << it << " band " << c
-                                << " n=" << n;
-    }
-  }
+// --- temporal stream kernel --------------------------------------------------
+
+/// One operand stream for temporal_stream_i32: exponent planes and nibble
+/// planes (stride == len, so the last plane ends the allocation and a read
+/// past the stream overruns it under ASan).
+struct StreamOperands {
+  std::vector<int32_t> a_exp, b_exp;
+  std::vector<int8_t> a_nib, b_nib;
+  size_t len = 0;
+};
+
+StreamOperands random_stream(Rng& rng, size_t len) {
+  StreamOperands s;
+  s.len = len;
+  // FP16 operand exponents (-24 .. 15): product spreads up to 78.
+  s.a_exp = random_i32(rng, len, -24, 15);
+  s.b_exp = random_i32(rng, len, -24, 15);
+  s.a_nib = random_nibbles(rng, 3 * len);
+  s.b_nib = random_nibbles(rng, 3 * len);
+  return s;
 }
 
-TEST(SimdKernels, NibbleFused3x3MatchesScalar) {
+/// The temporal config of one kernel call: window w, software precision,
+/// mode and skip flags, accumulator fraction and register bits.  The
+/// rescale table follows Ipu's construction.
+struct StreamConfig {
+  int w = 28;
+  int soft = 28;
+  bool mc = true;
+  bool skip_empty_bands = false;
+  bool skip_zero_iterations = false;
+  int frac_bits = 30;
+  int register_width = 46;
+  std::vector<int32_t> rescale;
+
+  simd::TemporalStreamArgs args(const StreamOperands& s, size_t chunk) {
+    const int guard = w - 10, sp = w - 9;
+    rescale.assign(9 * simd::kMaxBands, 0);
+    for (int it = 0; it < 9; ++it) {
+      // (4i - 1) + (4j - 1) - 2 * 10 - guard + frac_bits.
+      const int base = 4 * (it / 3) + 4 * (it % 3) - 22 - guard + frac_bits;
+      for (int c = 0; c < simd::kMaxBands; ++c) {
+        rescale[static_cast<size_t>(c * 9 + it)] =
+            std::max(base - (mc ? c * sp : 0), -63);
+      }
+    }
+    simd::TemporalStreamArgs a{};
+    a.a_exp = s.a_exp.data();
+    a.a_nib = s.a_nib.data();
+    a.a_stride = s.len;
+    a.b_exp = s.b_exp.data();
+    a.b_nib = s.b_nib.data();
+    a.b_stride = s.len;
+    a.len = s.len;
+    a.chunk = chunk;
+    a.soft = soft;
+    a.sp = sp;
+    a.guard = guard;
+    a.window = w;
+    a.register_width = register_width;
+    a.single_cycle = mc ? 0 : 1;
+    a.skip_empty_bands = skip_empty_bands ? 1 : 0;
+    a.skip_zero_iterations = skip_zero_iterations ? 1 : 0;
+    a.rescale = rescale.data();
+    return a;
+  }
+};
+
+simd::TemporalStreamState fresh_state() {
+  simd::TemporalStreamState st{};
+  st.empty = 1;
+  st.max_align = INT32_MIN;
+  return st;
+}
+
+/// Serves the stream on both tables the way the Ipu driver does -- call,
+/// and on a returned offset short of len skip that op and resume -- and
+/// asserts identical offsets and identical states after every call.
+/// Returns the offsets the calls stopped at.
+std::vector<size_t> expect_stream_equal(const KernelTable& S,
+                                        const KernelTable& V,
+                                        const StreamOperands& ops,
+                                        StreamConfig& cfg, size_t chunk,
+                                        simd::TemporalStreamState st,
+                                        const std::string& what) {
+  simd::TemporalStreamArgs args = cfg.args(ops, chunk);
+  simd::TemporalStreamState st_s = st, st_v = st;
+  std::vector<size_t> stops;
+  size_t c0 = 0;
+  while (c0 < ops.len) {
+    simd::TemporalStreamArgs at = args;
+    at.a_exp += c0;
+    at.b_exp += c0;
+    at.a_nib += c0;
+    at.b_nib += c0;
+    at.len -= c0;
+    const size_t off_s = S.temporal_stream_i32(&at, &st_s);
+    const size_t off_v = V.temporal_stream_i32(&at, &st_v);
+    EXPECT_EQ(off_s, off_v) << what << " from " << c0;
+    EXPECT_EQ(st_s.empty, st_v.empty) << what << " from " << c0;
+    if (st_s.empty == 0) {
+      EXPECT_EQ(st_s.reg, st_v.reg) << what << " from " << c0;
+      EXPECT_EQ(st_s.exp, st_v.exp) << what << " from " << c0;
+    }
+    EXPECT_EQ(st_s.overflowed, st_v.overflowed) << what << " from " << c0;
+    EXPECT_EQ(st_s.max_align, st_v.max_align) << what << " from " << c0;
+    EXPECT_EQ(st_s.ops, st_v.ops) << what << " from " << c0;
+    EXPECT_EQ(st_s.cycles, st_v.cycles) << what << " from " << c0;
+    EXPECT_EQ(st_s.masked_products, st_v.masked_products) << what;
+    EXPECT_EQ(st_s.multi_cycle_iterations, st_v.multi_cycle_iterations)
+        << what;
+    EXPECT_EQ(st_s.skipped_iterations, st_v.skipped_iterations) << what;
+    EXPECT_TRUE(off_s == at.len || off_s % chunk == 0) << what;
+    c0 += off_s;
+    if (c0 >= ops.len) break;
+    stops.push_back(c0);
+    c0 += chunk;  // the driver serves this op on the scalar oracle
+  }
+  return stops;
+}
+
+TEST(SimdKernels, TemporalStreamMatchesScalar) {
   const auto vecs = vector_backends();
   if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   const KernelTable& S = *simd::kernels_for(Backend::kScalar);
   Rng rng(14);
-  constexpr size_t kStride = 32;
   for (Backend b : vecs) {
     const KernelTable& V = *simd::kernels_for(b);
-    for (size_t n : kFusedSizes) {
-      for (int trial = 0; trial < 40; ++trial) {
-        const int bands = static_cast<int>(rng.uniform_int(1, simd::kMaxBands));
-        const bool zero_planes = trial == 0;
-        // 3 nibble planes each, plane-major; pads past n are live-looking
-        // noise the kernel must ignore.
-        std::vector<int8_t> a(3 * kStride), bb(3 * kStride);
-        for (auto& x : a) x = static_cast<int8_t>(rng.uniform_int(-15, 15));
-        for (auto& x : bb) x = static_cast<int8_t>(rng.uniform_int(-15, 15));
-        if (zero_planes) {
-          for (int i = 0; i < 3; ++i) {
-            std::memset(a.data() + i * kStride, 0, n);
-            std::memset(bb.data() + i * kStride, 0, n);
+    for (size_t len : {1, 11, 16, 27, 144}) {
+      for (size_t chunk = 1; chunk <= simd::kFusedLanes; ++chunk) {
+        for (int trial = 0; trial < 8; ++trial) {
+          StreamOperands ops = random_stream(rng, len);
+          StreamConfig cfg;
+          cfg.mc = trial % 2 == 0;
+          // MC windows start at 10 (sp >= 1); single-cycle ones go down to
+          // 4 (negative guard, every product shifted down).
+          cfg.w = static_cast<int>(rng.uniform_int(cfg.mc ? 10 : 4, 33));
+          cfg.soft = static_cast<int>(rng.uniform_int(0, 80));
+          cfg.skip_empty_bands = trial % 4 < 2;
+          cfg.skip_zero_iterations = trial % 3 == 0;
+          simd::TemporalStreamState st = fresh_state();
+          const size_t n_ops = (len + chunk - 1) / chunk;
+          const size_t mid = (n_ops / 2) * chunk;  // a mid-stream op start
+          const size_t mid_n = std::min(chunk, len - mid);
+          std::string what = "len=" + std::to_string(len) +
+                             " chunk=" + std::to_string(chunk) + " trial " +
+                             std::to_string(trial) + " w=" +
+                             std::to_string(cfg.w) + " soft=" +
+                             std::to_string(cfg.soft) +
+                             (cfg.mc ? " mc" : " sc");
+          switch (trial) {
+            case 0:  // leading all-zero ops on an empty accumulator
+              for (size_t k = 0; k < std::min(len, 2 * chunk); ++k) {
+                for (int i = 0; i < 3; ++i) ops.a_nib[i * len + k] = 0;
+              }
+              break;
+            case 1: {  // a mid-stream EHU spread of 2^16 or more
+              ops.b_exp[mid + mid_n - 1] = -70000;
+              const auto stops =
+                  expect_stream_equal(S, V, ops, cfg, chunk, st, what);
+              // One lane alone has no spread.
+              ASSERT_EQ(stops.size(), mid_n > 1 ? 1u : 0u) << what;
+              if (mid_n > 1) {
+                EXPECT_EQ(stops[0], mid) << what;
+              }
+              continue;
+            }
+            case 2: {  // a mid-stream op with more than kMaxBands bands
+              cfg.w = 10;  // sp = 1: a spread of 8 needs 9 bands
+              cfg.soft = 80;
+              for (size_t k = 0; k < len; ++k) {
+                ops.a_exp[k] = 0;
+                ops.b_exp[k] = static_cast<int32_t>(k % 3);  // spread 2
+              }
+              ops.b_exp[mid + mid_n - 1] = -40;
+              if (mid_n == 1) ops.b_exp[mid] = 0;  // needs two lanes
+              const auto stops =
+                  expect_stream_equal(S, V, ops, cfg, chunk, st, what);
+              ASSERT_EQ(stops.size(), mid_n > 1 ? 1u : 0u) << what;
+              if (mid_n > 1) {
+                EXPECT_EQ(stops[0], mid) << what;
+              }
+              continue;
+            }
+            case 3:  // a non-empty register below and above the op exponents
+              st.empty = 0;
+              st.exp = static_cast<int32_t>(rng.uniform_int(-60, 40));
+              st.reg = static_cast<int64_t>(rng.uniform_int(-(1LL << 40),
+                                                            1LL << 40));
+              break;
+            case 4:  // masked lanes: a narrow software precision
+              cfg.soft = static_cast<int>(rng.uniform_int(0, 6));
+              break;
+            case 5:  // a register near saturation: clamp order and the flag
+            case 6: {
+              const int64_t hi = (int64_t{1} << (cfg.register_width - 1)) - 1;
+              st.empty = 0;
+              st.exp = 40;  // above every op: each add shifts down
+              st.reg = trial == 5 ? hi - 3 : -hi + 2;
+              break;
+            }
+            default:  // a narrow register and fraction: clamps and floors
+              cfg.frac_bits = 4;
+              cfg.register_width = 20;
+              break;
           }
-        }
-        const auto band =
-            random_bands(rng, n, bands, simd::kFusedLanes, trial == 1);
-        // Short up-shifts and the whole admitted range; odd trials add the
-        // single-cycle down-shifts (at most w - guard = 10).
-        const int max_up = trial % 3 == 0 ? 7 : simd::kNibbleFusedMaxGuard;
-        const auto up = random_i32(rng, n, 0, max_up, simd::kFusedLanes);
-        const auto down = random_i32(rng, n, 0, trial % 2 == 0 ? 0 : 10,
-                                     simd::kFusedLanes);
-        int64_t s_s[9 * simd::kMaxBands];
-        uint32_t nz_s = 0;
-        expect_nibble_fused_equal(S, V, a.data(), bb.data(), kStride, band, up,
-                                  down, n, bands, s_s, &nz_s);
-        if (zero_planes) {
-          EXPECT_EQ(nz_s, 0u);
+          expect_stream_equal(S, V, ops, cfg, chunk, st, what);
         }
       }
     }
@@ -273,39 +419,43 @@ TEST(SimdKernels, NibbleFused3x3MatchesScalar) {
 }
 
 // Adversarial bound: 16 same-sign lanes at the largest nibble product (225)
-// shifted up by the largest guard the temporal driver admits.  Each lane
-// value sits just inside int32; the 16-lane sum does not, so it must come
-// back exact from the int64 band sums on every backend.
-TEST(SimdKernels, NibbleFused3x3ExactAtLaneBound) {
+// shifted up by the largest guard the stream kernel admits.  Each lane value
+// sits just inside int32; the 16-lane sum does not, so it must come back
+// exact from the int64 band sums, and the register must hold nine of them.
+TEST(SimdKernels, TemporalStreamExactAtLaneBound) {
   const auto vecs = vector_backends();
   if (vecs.empty()) GTEST_SKIP() << "this host has no AVX2";
   const KernelTable& S = *simd::kernels_for(Backend::kScalar);
-  constexpr size_t kStride = 32;
   constexpr size_t n = simd::kFusedLanes;
   constexpr int g = simd::kNibbleFusedMaxGuard;
   for (Backend b : vecs) {
     const KernelTable& V = *simd::kernels_for(b);
     for (int sign : {1, -1}) {
-      for (int bands : {1, simd::kMaxBands}) {
-        std::vector<int8_t> a(3 * kStride, static_cast<int8_t>(15 * sign));
-        std::vector<int8_t> bb(3 * kStride, 15);
-        // Every lane in the last band, so the other slots must stay zero.
-        const std::vector<int32_t> band(n, bands - 1);
-        const std::vector<int32_t> up(n, g), down(n, 0);
-        int64_t s_s[9 * simd::kMaxBands];
-        uint32_t nz_s = 0;
-        expect_nibble_fused_equal(S, V, a.data(), bb.data(), kStride, band,
-                                  up, down, n, bands, s_s, &nz_s);
-        const int64_t lane = int64_t{225} << g;
-        ASSERT_LE(lane, int64_t{INT32_MAX});
-        for (int it = 0; it < 9; ++it) {
-          for (int c = 0; c < bands; ++c) {
-            EXPECT_EQ(s_s[c * 9 + it],
-                      c == bands - 1 ? sign * 16 * lane : 0)
-                << "iteration " << it << " band " << c;
-          }
+      for (bool mc : {true, false}) {
+        StreamOperands ops;
+        ops.len = n;
+        ops.a_exp.assign(n, 3);
+        ops.b_exp.assign(n, -2);
+        ops.a_nib.assign(3 * n, static_cast<int8_t>(15 * sign));
+        ops.b_nib.assign(3 * n, 15);
+        StreamConfig cfg;
+        cfg.w = g + 10;
+        cfg.mc = mc;
+        simd::TemporalStreamArgs args = cfg.args(ops, n);
+        // Every add unscaled, so the register is the sum of the nine trees.
+        std::fill(cfg.rescale.begin(), cfg.rescale.end(), 0);
+        for (const KernelTable* T : {&S, &V}) {
+          simd::TemporalStreamState st = fresh_state();
+          ASSERT_EQ(T->temporal_stream_i32(&args, &st), n);
+          const int64_t lane = int64_t{225} << g;
+          ASSERT_LE(lane, int64_t{INT32_MAX});
+          EXPECT_EQ(st.reg, sign * 9 * 16 * lane)
+              << (T == &S ? "scalar" : simd::backend_name(b));
+          EXPECT_EQ(st.exp, 1);
+          EXPECT_EQ(st.overflowed, 0);
+          EXPECT_EQ(st.max_align, 0);
+          EXPECT_EQ(st.cycles, 9);
         }
-        EXPECT_EQ(nz_s, 0x1FFu);
       }
     }
   }
