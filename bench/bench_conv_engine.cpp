@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,9 +37,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "core/ipu.h"
-#include "core/serial_ipu.h"
 #include "core/simd/simd.h"
-#include "core/spatial_ipu.h"
 #include "nn/conv.h"
 #include "per_op_conv.h"
 
@@ -50,7 +47,7 @@ namespace {
 /// The seed's conv loop: one Ipu, operands re-rounded to FP16 for every
 /// output pixel that touches them.
 Tensor legacy_seed_conv_fp16(const Tensor& input, const FilterBank& filters,
-                            const ConvSpec& spec, const IpuConfig& ipu_cfg,
+                            const ConvSpec& spec, const DatapathConfig& ipu_cfg,
                             AccumKind accum) {
   const int ho = spec.out_dim(input.h, filters.kh);
   const int wo = spec.out_dim(input.w, filters.kw);
@@ -93,66 +90,6 @@ Tensor legacy_seed_conv_fp16(const Tensor& input, const FilterBank& filters,
 }
 
 // --- Per-op loop, the per-scheme baseline ------------------------------------
-
-/// The per-op baseline unit for tests/per_op_conv.h: the scheme's original
-/// fp_accumulate entry point (per-op decode + decompose + allocating EHU) on
-/// a directly constructed instance, plus that instance's op count for the
-/// bit-identity check.
-struct DirectUnit {
-  Fp16PerOpUnit unit;
-  std::function<int64_t()> fp_ops;
-};
-
-template <typename Scheme, typename Accumulate>
-DirectUnit bind_direct(std::shared_ptr<Scheme> u, Accumulate accumulate) {
-  return {{[u] { u->reset_accumulator(); },
-           [u, accumulate](std::span<const Fp16> a, std::span<const Fp16> b) {
-             return accumulate(*u, a, b);
-           },
-           [u] { return u->read_raw(); }},
-          [u] { return u->stats().fp_ops; }};
-}
-
-DirectUnit make_direct_unit(const DatapathConfig& cfg) {
-  switch (cfg.scheme) {
-    case DecompositionScheme::kTemporal: {
-      IpuConfig c;
-      c.n_inputs = cfg.n_inputs;
-      c.adder_tree_width = cfg.effective_adder_tree_width();
-      c.software_precision = cfg.software_precision;
-      c.multi_cycle = cfg.multi_cycle;
-      c.skip_empty_bands = cfg.skip_empty_bands;
-      return bind_direct(std::make_shared<Ipu>(c),
-                         [](Ipu& u, auto a, auto b) {
-                           return u.fp_accumulate<kFp16Format>(a, b);
-                         });
-    }
-    case DecompositionScheme::kSerial: {
-      SerialIpuConfig c;
-      c.n_inputs = cfg.n_inputs;
-      c.adder_tree_width = cfg.effective_adder_tree_width();
-      c.software_precision = cfg.software_precision;
-      c.multi_cycle = cfg.multi_cycle;
-      return bind_direct(std::make_shared<SerialIpu>(c),
-                         [](SerialIpu& u, auto a, auto b) {
-                           return u.fp_accumulate(a, b);
-                         });
-    }
-    case DecompositionScheme::kSpatial: {
-      SpatialIpuConfig c;
-      c.n_inputs = cfg.n_inputs;
-      c.adder_tree_width = cfg.effective_adder_tree_width();
-      c.software_precision = cfg.software_precision;
-      c.multi_cycle = cfg.multi_cycle;
-      c.skip_empty_bands = cfg.skip_empty_bands;
-      return bind_direct(std::make_shared<SpatialIpu>(c),
-                         [](SpatialIpu& u, auto a, auto b) {
-                           return u.fp_accumulate<kFp16Format>(a, b);
-                         });
-    }
-  }
-  return {};
-}
 
 /// The compiled path for one conv: compile (filter preparation + plan
 /// build) and one run on the caller's pool, without the FP32 reference.
@@ -250,7 +187,7 @@ int main(int argc, char** argv) {
   // datapath (w = 28).
   for (int w : {16, 28}) {
     // Legacy seed loop: temporal only (the seed had no other scheme).
-    IpuConfig icfg;
+    DatapathConfig icfg;
     icfg.n_inputs = 16;
     icfg.adder_tree_width = w;
     icfg.software_precision = 28;
@@ -272,14 +209,16 @@ int main(int argc, char** argv) {
       cfg.software_precision = 28;
       cfg.multi_cycle = true;
 
-      // A direct scheme instance behind the per-op baseline.
-      const DirectUnit direct = make_direct_unit(cfg);
+      // The scheme's per-op reference entry (per-op decode + decompose +
+      // allocating EHU) behind the per-op baseline.
+      const std::unique_ptr<Datapath> direct = make_datapath(cfg);
       int64_t per_op_cycles = 0;
       Tensor per_op_out;
       const double t_per_op = time_seconds(
           [&] {
-            return per_op_conv_fp16(direct.unit, cfg.n_inputs, AccumKind::kFp32,
-                                    input, filters, spec, &per_op_cycles);
+            return per_op_conv_fp16(per_op_reference(*direct), cfg.n_inputs,
+                                    AccumKind::kFp32, input, filters, spec,
+                                    &per_op_cycles);
           },
           &per_op_out);
 
@@ -293,7 +232,7 @@ int main(int argc, char** argv) {
 
       bool identical = tensors_identical(per_op_out, prep1.output) &&
                        per_op_cycles == prep1.totals.cycles &&
-                       direct.fp_ops() == prep1.totals.fp_ops;
+                       direct->stats().fp_ops == prep1.totals.fp_ops;
       double t_prephw = 0.0;
       if (run_hw) {
         ThreadPool poolhw(hw);

@@ -46,7 +46,7 @@ BENCHMARK(BM_ExactReferenceInnerProduct)->Arg(8)->Arg(16)->Arg(64);
 
 void BM_IpuFpAccumulate(benchmark::State& state) {
   Rng rng(3);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = static_cast<int>(state.range(0));
   cfg.adder_tree_width = static_cast<int>(state.range(1));
   cfg.software_precision = 28;
@@ -62,12 +62,12 @@ BENCHMARK(BM_IpuFpAccumulate)->Args({8, 12})->Args({16, 12})->Args({16, 28})->Ar
 
 // Prepared FP16 ops: scheme x adder-tree width x alignment regime x kernel
 // backend x entry.  Operands are post-ReLU activations against small
-// weights (forward_stats).  stream=0 runs one 16-lane op per iteration
-// through fp16_accumulate_prepared, cycling over 64 distinct op windows;
-// stream=1 runs one output element of a 3x3x64 conv window per iteration
-// -- 576 elements, 36 ops of 16 lanes -- through fp16_accumulate_stream,
-// cycling over 64 distinct windows.  The per_op counter is the time per
-// 16-lane op in both.
+// weights (forward_stats): 64 output elements of a 3x3x64 conv window,
+// 576 elements or 36 ops of 16 lanes each, the same operands in both
+// entries.  stream=1 runs one output element per iteration through
+// fp16_accumulate_stream; stream=0 runs one 16-lane op per iteration
+// through fp16_accumulate_prepared, cycling over all 64 x 36 ops.  The
+// per_op counter is the time per 16-lane op in both.
 void BM_PreparedFp16Accumulate(benchmark::State& state) {
   const auto scheme = static_cast<DecompositionScheme>(state.range(0));
   const auto backend = static_cast<simd::Backend>(state.range(3));
@@ -82,29 +82,31 @@ void BM_PreparedFp16Accumulate(benchmark::State& state) {
   cfg.software_precision = 28;
   cfg.multi_cycle = state.range(2) != 0;
   auto dp = make_datapath(cfg);
-  constexpr size_t kWindows = 64;
-  const size_t window = stream ? 3 * 3 * 64 : 16;
+  constexpr size_t kElements = 64;
+  constexpr size_t kElementLen = 3 * 3 * 64;
+  const size_t span = stream ? kElementLen : 16;
+  const size_t spans = kElements * kElementLen / span;
   const LayerTensorStats ts = forward_stats();
   Rng rng(6);
-  const auto count = static_cast<int>(kWindows * window);
+  const auto count = static_cast<int>(kElements * kElementLen);
   const PreparedFp16 a(
       sample_fp16(rng, ts.activation_dist, ts.activation_scale, count));
   const PreparedFp16 b(
       sample_fp16(rng, ts.weight_dist, ts.weight_scale, count));
-  size_t w = 0;
+  size_t i = 0;
   for (auto _ : state) {
     dp->reset_accumulator();
-    const size_t off = (w++ % kWindows) * window;
+    const size_t off = (i++ % spans) * span;
     if (stream) {
-      benchmark::DoNotOptimize(dp->fp16_accumulate_stream(
-          a.view(off, window), b.view(off, window), 16));
+      benchmark::DoNotOptimize(
+          dp->fp16_accumulate_stream(a.view(off, span), b.view(off, span)));
     } else {
       benchmark::DoNotOptimize(
           dp->fp16_accumulate_prepared(a.view(off, 16), b.view(off, 16)));
     }
   }
   state.counters["per_op"] = benchmark::Counter(
-      static_cast<double>(window / 16),
+      static_cast<double>(span / 16),
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
   state.SetLabel(std::string(scheme_name(scheme)) + " w=" +
@@ -119,7 +121,7 @@ BENCHMARK(BM_PreparedFp16Accumulate)
 
 void BM_IpuIntAccumulate(benchmark::State& state) {
   Rng rng(4);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   Ipu ipu(cfg);
   std::vector<int32_t> a, b;
@@ -130,7 +132,7 @@ void BM_IpuIntAccumulate(benchmark::State& state) {
   const auto bits = static_cast<int>(state.range(0));
   for (auto _ : state) {
     ipu.reset_accumulator();
-    benchmark::DoNotOptimize(ipu.int_accumulate(a, b, bits, bits));
+    benchmark::DoNotOptimize(ipu.int_accumulate_reference(a, b, bits, bits));
   }
   state.SetItemsProcessed(state.iterations() * 16);
 }

@@ -41,7 +41,7 @@ int main() {
   std::printf("== One datapath, five data types ==\n\n");
   std::printf("%-10s  format   decomposition        cycles   value\n", "type");
 
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 28;
   // BF16/TF32 products span ~500 exponent values; widen the honored

@@ -262,13 +262,13 @@ void CompiledModel::exec_node(
             const ShardRange& r = shards[i];
             parts[i] = fp16 ? execute_fp16_plan_shard(
                                   cl.fp16_plan, fp_planes, inline_pool, unit,
-                                  spec_.datapath.n_inputs, cl.precision.accum,
-                                  r.co_begin, r.co_end, r.row_begin, r.row_end)
+                                  cl.precision.accum, r.co_begin, r.co_end,
+                                  r.row_begin, r.row_end)
                             : execute_int_plan_shard(
                                   cl.int_plan, int_planes, inline_pool, unit,
-                                  spec_.datapath.n_inputs, cl.precision.a_bits,
-                                  cl.precision.w_bits, qa, cl.qw, r.co_begin,
-                                  r.co_end, r.row_begin, r.row_end);
+                                  cl.precision.a_bits, cl.precision.w_bits, qa,
+                                  cl.qw, r.co_begin, r.co_end, r.row_begin,
+                                  r.row_end);
             part_stats[i] = unit[0]->stats();
           });
       std::vector<const Tensor*> part_ptrs;
@@ -286,17 +286,17 @@ void CompiledModel::exec_node(
       if (fp16) {
         const PreparedFp16 in_planes =
             prepare_fp16_planes(x.data, activation_context(nd));
-        y = execute_fp16_plan(cl.fp16_plan, in_planes, pool, units,
-                              spec_.datapath.n_inputs, cl.precision.accum);
+        y = execute_fp16_plan_shard(cl.fp16_plan, in_planes, pool, units,
+                                    cl.precision.accum, 0, cout, 0, ho);
       } else {
         // Activation quantization depends on the input values; only the
         // weight side was frozen at compile time.
         const QuantParams qa = fit_symmetric(x.data, cl.precision.a_bits);
         const PreparedInt in_planes =
             prepare_int_planes(x.data, qa, cl.int_digits);
-        y = execute_int_plan(cl.int_plan, in_planes, pool, units,
-                             spec_.datapath.n_inputs, cl.precision.a_bits,
-                             cl.precision.w_bits, qa, cl.qw);
+        y = execute_int_plan_shard(cl.int_plan, in_planes, pool, units,
+                                   cl.precision.a_bits, cl.precision.w_bits,
+                                   qa, cl.qw, 0, cout, 0, ho);
       }
       DatapathStats after;
       for (const auto& u : units) after += u->stats();

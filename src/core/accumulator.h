@@ -136,8 +136,9 @@ class Accumulator {
     return {reg_, exp_ - cfg_.frac_bits};
   }
 
-  /// True if the last add overflowed the architectural width (the paper
-  /// provisions t and l so this never happens in-spec; tests assert it).
+  /// True once any add has overflowed the architectural width; sticky, so
+  /// reset() does not clear it (the paper provisions t and l so this never
+  /// happens in-spec; tests assert it).
   bool overflowed() const { return overflowed_; }
 
  private:

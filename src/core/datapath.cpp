@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "core/ipu.h"
 #include "core/nibble.h"
@@ -22,184 +22,22 @@ const char* scheme_name(DecompositionScheme s) {
   return "?";
 }
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Temporal: wraps Ipu (nibble iterations).
-// ---------------------------------------------------------------------------
-
-class TemporalDatapath final : public Datapath {
- public:
-  explicit TemporalDatapath(const DatapathConfig& cfg)
-      : Datapath(cfg), ipu_(to_ipu_config(cfg)) {}
-
-  static IpuConfig to_ipu_config(const DatapathConfig& cfg) {
-    IpuConfig c;
-    c.n_inputs = cfg.n_inputs;
-    c.adder_tree_width = cfg.effective_adder_tree_width();
-    c.software_precision = cfg.software_precision;
-    c.multi_cycle = cfg.multi_cycle;
-    c.skip_empty_bands = cfg.skip_empty_bands;
-    c.skip_zero_iterations = cfg.skip_zero_iterations;
-    c.accumulator = cfg.accumulator;
-    return c;
+Datapath::Datapath(const DatapathConfig& cfg, DecompositionScheme scheme)
+    : cfg_(cfg), acc_(cfg.accumulator) {
+  if (cfg.scheme != scheme) {
+    throw std::invalid_argument(std::string("Datapath: a ") +
+                                scheme_name(scheme) +
+                                " unit was given a config naming the " +
+                                scheme_name(cfg.scheme) + " scheme");
   }
-
-  int multipliers() const override { return cfg_.n_inputs; }
-  void reset_accumulator() override { ipu_.reset_accumulator(); }
-  int fp16_accumulate_prepared(const PreparedFp16View& a,
-                               const PreparedFp16View& b) override {
-    return ipu_.fp16_accumulate_prepared(a, b);
-  }
-  int64_t fp16_accumulate_stream(const PreparedFp16View& a,
-                                 const PreparedFp16View& b,
-                                 size_t n_inputs) override {
-    return ipu_.fp16_accumulate_stream(a, b, n_inputs);
-  }
-  FixedPoint read_raw() const override { return ipu_.read_raw(); }
-  bool supports_int(int a_bits, int b_bits) const override {
-    return a_bits >= 2 && b_bits >= 2 && a_bits <= 4 * kMaxNibbles &&
-           b_bits <= 4 * kMaxNibbles;
-  }
-  int int_accumulate_prepared(const PreparedIntView& a, const PreparedIntView& b,
-                              int a_bits, int b_bits) override {
-    return ipu_.int_accumulate_prepared(a, b, a_bits, b_bits);
-  }
-  int64_t read_int() const override { return ipu_.read_int(); }
-  DatapathStats stats() const override {
-    const IpuStats& s = ipu_.stats();
-    DatapathStats d;
-    d.fp_ops = s.fp_ops;
-    d.int_ops = s.int_ops;
-    d.cycles = s.cycles;
-    d.nibble_iterations = s.nibble_iterations;
-    d.masked_products = s.masked_products;
-    d.multi_cycle_ops = s.multi_cycle_iterations;
-    d.skipped_iterations = s.skipped_iterations;
-    return d;
-  }
-
- private:
-  Ipu ipu_;
-};
-
-// ---------------------------------------------------------------------------
-// Serial: wraps SerialIpu (bit-serial weights, 12x1 lanes).
-// ---------------------------------------------------------------------------
-
-class SerialDatapath final : public Datapath {
- public:
-  explicit SerialDatapath(const DatapathConfig& cfg)
-      : Datapath(cfg), ipu_(to_serial_config(cfg)) {}
-
-  static SerialIpuConfig to_serial_config(const DatapathConfig& cfg) {
-    SerialIpuConfig c;
-    c.n_inputs = cfg.n_inputs;
-    c.adder_tree_width = cfg.effective_adder_tree_width();
-    c.software_precision = cfg.software_precision;
-    c.multi_cycle = cfg.multi_cycle;
-    c.accumulator = cfg.accumulator;
-    return c;
-  }
-
-  int multipliers() const override { return cfg_.n_inputs; }
-  void reset_accumulator() override { ipu_.reset_accumulator(); }
-  int fp16_accumulate_prepared(const PreparedFp16View& a,
-                               const PreparedFp16View& b) override {
-    return ipu_.fp16_accumulate_prepared(a, b);
-  }
-  FixedPoint read_raw() const override { return ipu_.read_raw(); }
-  bool supports_int(int a_bits, int b_bits) const override {
-    // Full-parallel multiplicand is a 12-bit lane; b streams bit-serially.
-    return a_bits >= 2 && b_bits >= 2 && a_bits <= 12 && b_bits <= 32;
-  }
-  int int_accumulate_prepared(const PreparedIntView& a, const PreparedIntView& b,
-                              int a_bits, int b_bits) override {
-    // The bit-serial INT path streams raw two's-complement values; the
-    // prepared digit planes are a temporal-scheme notion it never reads.
-    return ipu_.int_accumulate(std::span<const int32_t>(a.value, a.n),
-                               std::span<const int32_t>(b.value, b.n), a_bits,
-                               b_bits);
-  }
-  int64_t read_int() const override { return ipu_.read_int(); }
-  DatapathStats stats() const override {
-    const SerialIpuStats& s = ipu_.stats();
-    DatapathStats d;
-    d.fp_ops = s.fp_ops;
-    d.int_ops = s.int_ops;
-    d.cycles = s.cycles;
-    return d;
-  }
-
- private:
-  SerialIpu ipu_;
-};
-
-// ---------------------------------------------------------------------------
-// Spatial: wraps SpatialIpu (all nibble products in parallel).
-// ---------------------------------------------------------------------------
-
-class SpatialDatapath final : public Datapath {
- public:
-  explicit SpatialDatapath(const DatapathConfig& cfg)
-      : Datapath(cfg), ipu_(to_spatial_config(cfg)) {}
-
-  static SpatialIpuConfig to_spatial_config(const DatapathConfig& cfg) {
-    SpatialIpuConfig c;
-    c.n_inputs = cfg.n_inputs;
-    c.adder_tree_width = cfg.effective_adder_tree_width();
-    c.software_precision = cfg.software_precision;
-    c.multi_cycle = cfg.multi_cycle;
-    c.skip_empty_bands = cfg.skip_empty_bands;
-    c.accumulator = cfg.accumulator;
-    return c;
-  }
-
-  int multipliers() const override {
-    return cfg_.n_inputs * SpatialIpu::multipliers_per_input<kFp16Format>();
-  }
-  void reset_accumulator() override { ipu_.reset_accumulator(); }
-  int fp16_accumulate_prepared(const PreparedFp16View& a,
-                               const PreparedFp16View& b) override {
-    return ipu_.fp16_accumulate_prepared(a, b);
-  }
-  FixedPoint read_raw() const override { return ipu_.read_raw(); }
-  bool supports_int(int, int) const override { return false; }
-  // Hard aborts (not asserts): in a Release build a silent 0 here would
-  // masquerade as a valid INT result.
-  int int_accumulate_prepared(const PreparedIntView&, const PreparedIntView&,
-                              int, int) override {
-    std::fprintf(stderr, "Datapath: spatial scheme is FP-only\n");
-    std::abort();
-  }
-  int64_t read_int() const override {
-    std::fprintf(stderr, "Datapath: spatial scheme is FP-only\n");
-    std::abort();
-  }
-  DatapathStats stats() const override {
-    const SpatialIpuStats& s = ipu_.stats();
-    DatapathStats d;
-    d.fp_ops = s.fp_ops;
-    d.cycles = s.cycles;
-    d.multi_cycle_ops = s.multi_cycle_ops;
-    return d;
-  }
-
- private:
-  SpatialIpu ipu_;
-};
-
-}  // namespace
+  assert(cfg.n_inputs >= 1);
+}
 
 std::unique_ptr<Datapath> make_datapath(const DatapathConfig& cfg) {
-  assert(cfg.n_inputs >= 1);
   switch (cfg.scheme) {
-    case DecompositionScheme::kTemporal:
-      return std::make_unique<TemporalDatapath>(cfg);
-    case DecompositionScheme::kSerial:
-      return std::make_unique<SerialDatapath>(cfg);
-    case DecompositionScheme::kSpatial:
-      return std::make_unique<SpatialDatapath>(cfg);
+    case DecompositionScheme::kTemporal: return std::make_unique<Ipu>(cfg);
+    case DecompositionScheme::kSerial: return std::make_unique<SerialIpu>(cfg);
+    case DecompositionScheme::kSpatial: return std::make_unique<SpatialIpu>(cfg);
   }
   return nullptr;
 }

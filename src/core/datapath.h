@@ -12,9 +12,10 @@
 //                  products in parallel on Ka*Kb*n multipliers.
 //
 // `Datapath` is the scheme-generic view: one `DatapathConfig` (scheme enum
-// plus the shared knobs) and a factory, `make_datapath`, that wraps the
-// scheme implementations behind a common accumulate / dot / readout / stats
-// contract while preserving the bit-exact behaviour of each scheme.  The
+// plus the shared knobs), one `DatapathStats`, and the state every scheme
+// holds identically (the accumulator and the counters).  The three units
+// above are its implementations, and `make_datapath` builds the one
+// `cfg.scheme` names -- the same object a direct construction gives.  The
 // conv plan executors (src/nn/conv_plan.h, driven by CompiledModel), the
 // cycle simulator's tile costing (src/sim) and the decomposition-scheme
 // benches all route through this interface, so every workload can run on
@@ -38,11 +39,10 @@ enum class DecompositionScheme { kTemporal, kSerial, kSpatial };
 
 const char* scheme_name(DecompositionScheme s);
 
-/// Scheme-generic datapath parameters: the shared knobs of IpuConfig,
-/// SerialIpuConfig and SpatialIpuConfig plus the scheme selector.  The
-/// factory maps these onto the scheme's own config, clamping the adder-tree
-/// width up to the scheme's minimum where multi-cycling requires it
-/// (serial products occupy 13 bits, nibble products 10 with guard).
+/// Datapath parameters: the scheme selector plus the knobs every scheme
+/// shares.  Each unit works at effective_adder_tree_width(), the requested
+/// width clamped up to the scheme's minimum where multi-cycling requires
+/// it (serial products occupy 13 bits, nibble products 10 with guard).
 struct DatapathConfig {
   DecompositionScheme scheme = DecompositionScheme::kTemporal;
   /// Number of input pairs n the unit accepts per operation.
@@ -54,31 +54,23 @@ struct DatapathConfig {
   int software_precision = 28;
   /// MC alignment banding when true; single-cycle truncating window if not.
   bool multi_cycle = true;
-  /// Count only occupied alignment bands (§3.2 partition view).  NOTE:
-  /// this unified default (false, the literal Fig. 5 serve loop) matches
-  /// the standalone IpuConfig but NOT SpatialIpuConfig, whose standalone
-  /// default is true -- set it explicitly when porting spatial code, and
-  /// note the serial scheme models the serve loop only (the flag is
-  /// ignored there).
+  /// Count only occupied alignment bands (§3.2 partition view) instead of
+  /// the literal Fig. 5 serve loop.  for_scheme(kSpatial) sets it; the
+  /// serial scheme models the serve loop only (the flag is ignored there).
   bool skip_empty_bands = false;
   /// Sparse ablation (temporal scheme only): skip all-zero nibble iterations.
   bool skip_zero_iterations = false;
   AccumulatorConfig accumulator{};
 
-  /// Preset matching the scheme's *standalone* config defaults, defusing the
-  /// skip_empty_bands footgun above: spatial gets occupied-band counting
-  /// (SpatialIpuConfig's default), temporal/serial get the literal Fig. 5
-  /// serve loop.  Start from this when porting scheme-specific code.
+  /// The default knobs of scheme `s`: spatial gets occupied-band counting,
+  /// temporal and serial the literal Fig. 5 serve loop.  Serial and
+  /// spatial units must be built from a config naming their scheme, so
+  /// start from this.
   static DatapathConfig for_scheme(DecompositionScheme s) {
     DatapathConfig c;
     c.scheme = s;
     c.skip_empty_bands = s == DecompositionScheme::kSpatial;
     return c;
-  }
-  /// Shorthand for for_scheme(kSpatial): a default-knob spatial datapath
-  /// that cycle-counts like a directly constructed SpatialIpu.
-  static DatapathConfig spatial_defaults() {
-    return for_scheme(DecompositionScheme::kSpatial);
   }
 
   friend bool operator==(const DatapathConfig&, const DatapathConfig&) = default;
@@ -154,19 +146,35 @@ struct DotResult {
   Fp32 fp32() const { return rounded<kFp32Format>(); }
 };
 
-/// Scheme-generic datapath: FP16 inner products accumulated bit-exactly as
-/// the wrapped scheme implementation computes them.
+/// Scheme-generic datapath: FP16 (and, where the scheme has it, INT) inner
+/// products accumulated bit-exactly as the scheme computes them.  Ipu,
+/// SerialIpu and SpatialIpu implement it; each also keeps its own per-op
+/// reference entries (decode and decompose per op), which the tests use as
+/// oracles for the prepared paths below.
 class Datapath {
  public:
   virtual ~Datapath() = default;
 
   const DatapathConfig& config() const { return cfg_; }
+  /// Running counters over everything this unit executed; fields the
+  /// scheme does not model stay zero.
+  const DatapathStats& stats() const { return stats_; }
   /// 5x5-multiplier-equivalent lanes this scheme instantiates (the area
   /// denominator of the §5 comparison).
-  virtual int multipliers() const = 0;
+  virtual int multipliers() const { return cfg_.n_inputs; }
+  /// Guard placement: an unshifted lane product occupies the top of the
+  /// w-bit window, i.e. is pre-shifted left by the effective width minus
+  /// the product's window bits.
+  int window_guard() const {
+    return cfg_.effective_adder_tree_width() - cfg_.product_window_bits();
+  }
 
-  /// Clear the accumulator (new output pixel); stats persist.
-  virtual void reset_accumulator() = 0;
+  /// Clear the accumulator (new output pixel); stats persist, and so does
+  /// the accumulator's overflow flag.
+  void reset_accumulator() {
+    acc_.reset();
+    int_acc_ = 0;
+  }
 
   /// Accumulate one FP16 inner product from pre-decomposed SoA operand
   /// planes (core/prepared.h) -- the hot-loop contract.  Per op only the
@@ -176,16 +184,16 @@ class Datapath {
                                        const PreparedFp16View& b) = 0;
 
   /// Accumulate a whole operand stream (one output element) in ops of
-  /// `n_inputs` lanes, the last op taking the remainder; returns the
-  /// cycles consumed.  Identical to fp16_accumulate_prepared on each chunk
-  /// in order, which is what this default does; the temporal scheme serves
-  /// the whole stream in one kernel call.
+  /// config().n_inputs lanes, the last op taking the remainder; returns
+  /// the cycles consumed.  Identical to fp16_accumulate_prepared on each
+  /// chunk in order, which is what this default does; the temporal scheme
+  /// serves the whole stream in one kernel call.
   virtual int64_t fp16_accumulate_stream(const PreparedFp16View& a,
-                                         const PreparedFp16View& b,
-                                         size_t n_inputs) {
+                                         const PreparedFp16View& b) {
+    const auto chunk = static_cast<size_t>(cfg_.n_inputs);
     int64_t cycles = 0;
-    for (size_t c0 = 0; c0 < a.n; c0 += n_inputs) {
-      const size_t n = std::min(n_inputs, a.n - c0);
+    for (size_t c0 = 0; c0 < a.n; c0 += chunk) {
+      const size_t n = std::min(chunk, a.n - c0);
       cycles += fp16_accumulate_prepared(a.sub(c0, n), b.sub(c0, n));
     }
     return cycles;
@@ -213,9 +221,16 @@ class Datapath {
   }
 
   /// Raw non-normalized accumulator value (exact view of kept bits).
-  virtual FixedPoint read_raw() const = 0;
-  Fp16 read_fp16() const { return Fp16::round_from_fixed(read_raw()); }
-  Fp32 read_fp32() const { return Fp32::round_from_fixed(read_raw()); }
+  FixedPoint read_raw() const { return acc_.value(); }
+  /// The FP accumulator rounded (RNE) to the destination format.
+  template <FpFormat Out>
+  Soft<Out> read_fp() const {
+    return Soft<Out>::round_from_fixed(read_raw());
+  }
+  Fp16 read_fp16() const { return read_fp<kFp16Format>(); }
+  Fp32 read_fp32() const { return read_fp<kFp32Format>(); }
+  /// Sticky: some add since construction clamped to the register width.
+  bool accumulator_overflowed() const { return acc_.overflowed(); }
 
   /// INT mode is scheme-dependent: temporal handles any nibble-decomposable
   /// width, serial is limited to 12-bit parallel operands, spatial is
@@ -226,8 +241,8 @@ class Datapath {
   virtual int int_accumulate_prepared(const PreparedIntView& a,
                                       const PreparedIntView& b, int a_bits,
                                       int b_bits) = 0;
-  /// Compatibility entry; same prepare-on-the-fly contract as
-  /// fp16_accumulate.
+  /// Accumulate one signed INT inner product; same prepare-on-the-fly
+  /// contract as fp16_accumulate.
   int int_accumulate(std::span<const int32_t> a, std::span<const int32_t> b,
                      int a_bits, int b_bits) {
     // The bit-serial scheme streams raw values; don't pack digit planes it
@@ -238,13 +253,18 @@ class Datapath {
     return int_accumulate_prepared(int_prep_a_.view(), int_prep_b_.view(),
                                    a_bits, b_bits);
   }
-  virtual int64_t read_int() const = 0;
-
-  virtual DatapathStats stats() const = 0;
+  /// INT-mode accumulator value.
+  virtual int64_t read_int() const { return int_acc_; }
 
  protected:
-  explicit Datapath(const DatapathConfig& cfg) : cfg_(cfg) {}
+  /// Throws std::invalid_argument unless cfg.scheme is `scheme`, the one
+  /// the implementation models.
+  Datapath(const DatapathConfig& cfg, DecompositionScheme scheme);
+
   DatapathConfig cfg_;
+  Accumulator acc_;
+  int64_t int_acc_ = 0;
+  DatapathStats stats_;
 
  private:
   /// Scratch backing the compatibility entries, reused across ops.
@@ -252,11 +272,8 @@ class Datapath {
   PreparedInt int_prep_a_, int_prep_b_;
 };
 
-/// Build the scheme implementation named by `cfg.scheme`.  The returned
-/// unit computes bit-identical values and cycle counts to the directly
-/// constructed Ipu / SerialIpu / SpatialIpu it wraps *with the same knob
-/// values* -- the unified defaults are IpuConfig's, so a default-knob
-/// SpatialIpu differs in skip_empty_bands (see the field note above).
+/// Build the unit `cfg.scheme` names: an Ipu, SerialIpu or SpatialIpu,
+/// identical to constructing it directly from `cfg`.
 std::unique_ptr<Datapath> make_datapath(const DatapathConfig& cfg);
 
 // ---------------------------------------------------------------------------

@@ -7,13 +7,12 @@
 
 namespace mpipu {
 
-Ipu::Ipu(const IpuConfig& cfg) : cfg_(cfg), acc_(cfg.accumulator) {
-  assert(cfg_.n_inputs >= 1);
-  assert(cfg_.adder_tree_width >= 2);
-  // MC mode needs a positive safe precision (w >= 10); narrower windows can
-  // only run single-cycle (they truncate even unshifted products).
-  assert(!cfg_.multi_cycle || cfg_.safe_precision() >= 1);
-
+Ipu::Ipu(const DatapathConfig& cfg)
+    : Datapath(cfg, DecompositionScheme::kTemporal) {
+  // The unit works at the effective width: at least 10 in MC mode (a
+  // positive safe precision), at least 2 single-cycle, where narrower
+  // windows truncate even unshifted products.
+  //
   // The stream kernel holds each shifted lane product in int32 (guard
   // bound), bands alignments with a 16-bit magic divide (software
   // precision bound) and keeps the register and every shifted adder-tree
@@ -22,7 +21,7 @@ Ipu::Ipu(const IpuConfig& cfg) : cfg_(cfg), acc_(cfg.accumulator) {
   constexpr FpFormat F = kFp16Format;
   static_assert(fp_nibble_count(F) == 3);  // the stream kernel is 3x3
   constexpr int z = fp_pad_bits(F);
-  const int guard = cfg_.window_guard();
+  const int guard = window_guard();
   const int sum_bits = 12 + std::max(guard, 0);
   stream_ok_ = guard <= simd::kNibbleFusedMaxGuard &&
                cfg_.software_precision < 65536;
@@ -39,17 +38,12 @@ Ipu::Ipu(const IpuConfig& cfg) : cfg_(cfg), acc_(cfg.accumulator) {
   }
 }
 
-void Ipu::reset_accumulator() {
-  acc_.reset();
-  int_acc_ = 0;
-}
-
 int Ipu::run_fp_iteration(std::span<const NibbleOperand> na,
                           std::span<const NibbleOperand> nb, int i, int j,
                           const EhuResult& ehu, int scale_bias) {
   const size_t n = na.size();
-  const int w = cfg_.adder_tree_width;
-  const int guard = cfg_.window_guard();  // w - 10
+  const int w = cfg_.effective_adder_tree_width();
+  const int guard = window_guard();  // w - 10
   const int sp = cfg_.safe_precision();   // w - 9
 
   // The iteration's contribution has lane-weight 2^(wi + wj) relative to the
@@ -103,7 +97,7 @@ int Ipu::run_fp_iteration(std::span<const NibbleOperand> na,
                               ? 1
                               : (cfg_.skip_empty_bands ? ehu.mc_cycles_skip_empty
                                                        : ehu.mc_cycles);
-  if (cycles_used > 1) ++stats_.multi_cycle_iterations;
+  if (cycles_used > 1) ++stats_.multi_cycle_ops;
   return cycles_used;
 }
 
@@ -124,8 +118,8 @@ int Ipu::run_prepared_fp16(const PreparedFp16View& a, const PreparedFp16View& b)
   const int sp = cfg_.safe_precision();
   const bool single_cycle = !cfg_.multi_cycle;
   const int bands = single_cycle ? 1 : ehu_.mc_cycles;
-  sched_.build(ehu_, bands, single_cycle, cfg_.window_guard(), sp,
-               cfg_.adder_tree_width);
+  sched_.build(ehu_, bands, single_cycle, window_guard(), sp,
+               cfg_.effective_adder_tree_width());
 
   // Same per-iteration cost rule as run_fp_iteration: the serve loop burns
   // a cycle per band (occupied bands only under the skip-empty ablation).
@@ -134,7 +128,7 @@ int Ipu::run_prepared_fp16(const PreparedFp16View& a, const PreparedFp16View& b)
                    : (cfg_.skip_empty_bands ? ehu_.mc_cycles_skip_empty
                                             : ehu_.mc_cycles);
   const int frac_bits = acc_.config().frac_bits;
-  const int guard = cfg_.window_guard();
+  const int guard = window_guard();
 
   int cycles = 0;
   for (int i = 0; i < kn; ++i) {
@@ -178,7 +172,7 @@ int Ipu::run_prepared_fp16(const PreparedFp16View& a, const PreparedFp16View& b)
                  ehu_.max_exp);
       }
       cycles += cycles_per_iter;
-      if (cycles_per_iter > 1) ++stats_.multi_cycle_iterations;
+      if (cycles_per_iter > 1) ++stats_.multi_cycle_ops;
     }
   }
 
@@ -186,12 +180,7 @@ int Ipu::run_prepared_fp16(const PreparedFp16View& a, const PreparedFp16View& b)
   stats_.nibble_iterations += kn * kn;
   stats_.cycles += cycles;
   for (size_t k = 0; k < n; ++k) {
-    if (ehu_.masked[k]) {
-      ++stats_.masked_products;
-    } else {
-      stats_.max_alignment_seen =
-          std::max(stats_.max_alignment_seen, ehu_.align[k]);
-    }
+    if (ehu_.masked[k]) ++stats_.masked_products;
   }
   return cycles;
 }
@@ -201,7 +190,7 @@ int Ipu::run_prepared_fp16_oracle(const PreparedFp16View& a,
   // 9-bit lane products shifted up to window_guard and summed over n lanes:
   // stay in int64 whenever that bound fits, spill to int128 otherwise
   // (identical results either way; the adder tree is exact integer math).
-  const int tree_bits = std::max(cfg_.window_guard(), 0) + 9 +
+  const int tree_bits = std::max(window_guard(), 0) + 9 +
                         ceil_log2(std::max(cfg_.n_inputs, 1)) + 1;
   return tree_bits <= 62 ? run_prepared_fp16<int64_t>(a, b)
                          : run_prepared_fp16<int128>(a, b);
@@ -213,19 +202,23 @@ int Ipu::fp16_accumulate_prepared(const PreparedFp16View& a,
   assert(static_cast<int>(a.n) <= cfg_.n_inputs);
   // An empty op is no chunk of a stream; the oracle counts it.
   if (a.n == 0) return run_prepared_fp16_oracle(a, b);
-  return static_cast<int>(fp16_accumulate_stream(a, b, a.n));
+  return static_cast<int>(serve_stream(a, b, a.n));
 }
 
 int64_t Ipu::fp16_accumulate_stream(const PreparedFp16View& a,
-                                    const PreparedFp16View& b,
-                                    size_t n_inputs) {
+                                    const PreparedFp16View& b) {
   assert(a.n == b.n);
-  assert(n_inputs >= 1 && static_cast<int>(n_inputs) <= cfg_.n_inputs);
+  return serve_stream(a, b, static_cast<size_t>(cfg_.n_inputs));
+}
+
+int64_t Ipu::serve_stream(const PreparedFp16View& a, const PreparedFp16View& b,
+                          size_t chunk) {
+  assert(chunk >= 1 && static_cast<int>(chunk) <= cfg_.n_inputs);
   const int64_t cycles_before = stats_.cycles;
-  if (!stream_ok_ || n_inputs > simd::kFusedLanes ||
+  if (!stream_ok_ || chunk > simd::kFusedLanes ||
       simd::active_backend() == simd::Backend::kScalar) {
-    for (size_t c0 = 0; c0 < a.n; c0 += n_inputs) {
-      const size_t n = std::min(n_inputs, a.n - c0);
+    for (size_t c0 = 0; c0 < a.n; c0 += chunk) {
+      const size_t n = std::min(chunk, a.n - c0);
       run_prepared_fp16_oracle(a.sub(c0, n), b.sub(c0, n));
     }
     return stats_.cycles - cycles_before;
@@ -234,11 +227,11 @@ int64_t Ipu::fp16_accumulate_stream(const PreparedFp16View& a,
   simd::TemporalStreamArgs args{};
   args.a_stride = a.nib_stride;
   args.b_stride = b.nib_stride;
-  args.chunk = n_inputs;
+  args.chunk = chunk;
   args.soft = cfg_.software_precision;
   args.sp = cfg_.safe_precision();
-  args.guard = cfg_.window_guard();
-  args.window = cfg_.adder_tree_width;
+  args.guard = window_guard();
+  args.window = cfg_.effective_adder_tree_width();
   args.register_width = acc_.config().register_width();
   args.single_cycle = cfg_.multi_cycle ? 0 : 1;
   args.skip_empty_bands = cfg_.skip_empty_bands ? 1 : 0;
@@ -257,19 +250,17 @@ int64_t Ipu::fp16_accumulate_stream(const PreparedFp16View& a,
     st.exp = acc_.exponent();
     st.empty = acc_.empty() ? 1 : 0;
     st.overflowed = acc_.overflowed() ? 1 : 0;
-    st.max_align = stats_.max_alignment_seen;
     c0 += K.temporal_stream_i32(&args, &st);
     acc_.restore(st.reg, st.exp, st.empty != 0, st.overflowed != 0);
     stats_.fp_ops += st.ops;
     stats_.nibble_iterations += 9 * st.ops;
     stats_.cycles += st.cycles;
     stats_.masked_products += st.masked_products;
-    stats_.multi_cycle_iterations += st.multi_cycle_iterations;
+    stats_.multi_cycle_ops += st.multi_cycle_iterations;
     stats_.skipped_iterations += st.skipped_iterations;
-    stats_.max_alignment_seen = st.max_align;
     if (c0 < a.n) {
       // An op past the kernel's band cap or magic-divide bound.
-      const size_t n = std::min(n_inputs, a.n - c0);
+      const size_t n = std::min(chunk, a.n - c0);
       run_prepared_fp16_oracle(a.sub(c0, n), b.sub(c0, n));
       c0 += n;
     }
@@ -289,7 +280,7 @@ int Ipu::int_accumulate_prepared(const PreparedIntView& a,
   const bool use_simd = simd::active_backend() != simd::Backend::kScalar;
   const simd::KernelTable& K = simd::kernels();
 
-  // Mirrors int_accumulate: zero local shift, exact adder tree, 4*(i+j)
+  // Mirrors int_accumulate_reference: zero local shift, exact adder tree, 4*(i+j)
   // significance shift at the accumulator -- minus the per-op decomposition.
   int cycles = 0;
   for (int i = 0; i < ka; ++i) {
@@ -326,8 +317,10 @@ int Ipu::int_accumulate_prepared(const PreparedIntView& a,
   return cycles;
 }
 
-int Ipu::int_accumulate(std::span<const int32_t> a, std::span<const int32_t> b,
-                        int a_bits, int b_bits, bool a_unsigned, bool b_unsigned) {
+int Ipu::int_accumulate_reference(std::span<const int32_t> a,
+                                  std::span<const int32_t> b, int a_bits,
+                                  int b_bits, bool a_unsigned,
+                                  bool b_unsigned) {
   assert(a.size() == b.size());
   assert(static_cast<int>(a.size()) <= cfg_.n_inputs);
   const size_t n = a.size();

@@ -44,6 +44,7 @@
 #include "common/fixed_point.h"
 #include "core/accumulator.h"
 #include "core/band_schedule.h"
+#include "core/datapath.h"
 #include "core/ehu.h"
 #include "core/nibble.h"
 #include "core/prepared.h"
@@ -53,52 +54,12 @@
 
 namespace mpipu {
 
-struct IpuConfig {
-  /// Number of multiplier lanes n (paper: 8 for small tiles, 16 for big).
-  int n_inputs = 16;
-  /// Adder tree / local shifter precision w ("IPU precision").
-  int adder_tree_width = 28;
-  /// Software accuracy requirement: maximum alignment that must be honored
-  /// (16 for FP16 accumulation, 28 for FP32 accumulation; Section 3.1).
-  int software_precision = 28;
-  /// MC-IPU when true; single-cycle truncating IPU(w) when false.
-  bool multi_cycle = true;
-  /// Ablation: let the EHU serve loop skip empty alignment bands.
-  bool skip_empty_bands = false;
-  /// Sparse extension (the paper's future-work direction, cf. Pragmatic /
-  /// Bit-Tactical): dynamically skip nibble iterations whose lane operands
-  /// are all zero on one side.  Changes cycles, never values.
-  bool skip_zero_iterations = false;
-  AccumulatorConfig accumulator{};
-
-  /// Proposition 1: alignments below w - 9 lose no bits in the local shift.
-  int safe_precision() const { return adder_tree_width - 9; }
-  /// Guard placement: an unshifted 9-bit lane product occupies the top of
-  /// the w-bit window, i.e. is pre-shifted left by w - 10.
-  int window_guard() const { return adder_tree_width - 10; }
-};
-
-/// Running statistics over everything executed on one Ipu instance.
-struct IpuStats {
-  int64_t fp_ops = 0;                ///< FP inner-product operations.
-  int64_t int_ops = 0;               ///< INT inner-product operations.
-  int64_t nibble_iterations = 0;     ///< Total nibble iterations.
-  int64_t cycles = 0;                ///< Total datapath cycles.
-  int64_t masked_products = 0;       ///< Products dropped by EHU stage 4.
-  int64_t multi_cycle_iterations = 0;///< Iterations needing > 1 cycle.
-  int64_t skipped_iterations = 0;    ///< Zero-nibble iterations skipped.
-  int max_alignment_seen = 0;        ///< Largest unmasked alignment.
-};
-
-class Ipu {
+/// The temporal scheme: one Datapath implementation, built from a
+/// DatapathConfig naming DecompositionScheme::kTemporal.
+class Ipu final : public Datapath {
  public:
-  explicit Ipu(const IpuConfig& cfg);
-
-  const IpuConfig& config() const { return cfg_; }
-  const IpuStats& stats() const { return stats_; }
-
-  /// Clear the accumulator (new output pixel); stats persist.
-  void reset_accumulator();
+  /// Throws std::invalid_argument unless cfg.scheme is kTemporal.
+  explicit Ipu(const DatapathConfig& cfg);
 
   /// Accumulate one FP inner product a.b into the accumulator.
   /// Returns the number of datapath cycles consumed.
@@ -109,34 +70,39 @@ class Ipu {
   /// and nibble-decomposed once, per tensor; per op only the EHU and the
   /// serve loop run.  Bit- and cycle-identical to
   /// fp_accumulate<kFp16Format> over the same values.  The one-op case of
-  /// fp16_accumulate_stream.
+  /// the stream path.
   int fp16_accumulate_prepared(const PreparedFp16View& a,
-                               const PreparedFp16View& b);
+                               const PreparedFp16View& b) override;
 
-  /// Accumulate a whole operand stream (one output element) in ops of
-  /// `n_inputs` lanes, the last op taking the remainder: bit-, cycle- and
-  /// stats-identical to fp16_accumulate_prepared on each chunk in order.
-  /// Two paths: the temporal stream kernel (core/simd/simd.h), which
-  /// hands single ops it cannot serve to the scalar oracle, or the scalar
-  /// oracle op by op.  Returns the cycles consumed.
+  /// Bit-, cycle- and stats-identical to fp16_accumulate_prepared on each
+  /// n_inputs chunk in order.  Two paths: the temporal stream kernel
+  /// (core/simd/simd.h), which hands single ops it cannot serve to the
+  /// scalar oracle, or the scalar oracle op by op.
   int64_t fp16_accumulate_stream(const PreparedFp16View& a,
-                                 const PreparedFp16View& b, size_t n_inputs);
+                                 const PreparedFp16View& b) override;
+
+  bool supports_int(int a_bits, int b_bits) const override {
+    return a_bits >= 2 && b_bits >= 2 && a_bits <= 4 * kMaxNibbles &&
+           b_bits <= 4 * kMaxNibbles;
+  }
 
   /// Prepared INT fast path: radix-16 digit planes were packed once, per
-  /// tensor.  Bit- and cycle-identical to int_accumulate over the same
-  /// values (signed operands; unsigned encodings prepare with
+  /// tensor.  Bit- and cycle-identical to int_accumulate_reference over the
+  /// same values (signed operands; unsigned encodings prepare with
   /// PreparedInt::assign(..., is_unsigned=true)).
   int int_accumulate_prepared(const PreparedIntView& a,
                               const PreparedIntView& b, int a_bits,
-                              int b_bits);
+                              int b_bits) override;
 
-  /// Accumulate one INT inner product; operands are already-quantized signed
-  /// values that fit (a_bits, b_bits) two's complement (pass is_unsigned for
-  /// unsigned encodings, which occupy ceil(bits/4) unsigned lanes).
-  /// Returns cycles consumed (= nibble-iteration count).
-  int int_accumulate(std::span<const int32_t> a, std::span<const int32_t> b,
-                     int a_bits, int b_bits, bool a_unsigned = false,
-                     bool b_unsigned = false);
+  /// Per-op INT reference: decomposes the operands into nibbles per op.
+  /// Operands are already-quantized signed values that fit (a_bits,
+  /// b_bits) two's complement (pass is_unsigned for unsigned encodings,
+  /// which occupy ceil(bits/4) unsigned lanes).  Returns cycles consumed
+  /// (= nibble-iteration count).
+  int int_accumulate_reference(std::span<const int32_t> a,
+                               std::span<const int32_t> b, int a_bits,
+                               int b_bits, bool a_unsigned = false,
+                               bool b_unsigned = false);
 
   /// Hybrid mode (Appendix B): FP operand times quantized-integer operand.
   /// The integer operand behaves like an FP value with exponent 0 and a
@@ -147,17 +113,6 @@ class Ipu {
   template <FpFormat F>
   int fp_int_accumulate(std::span<const Soft<F>> a, std::span<const int32_t> b,
                         int b_bits, bool b_unsigned = false);
-
-  /// Read the FP accumulator rounded (RNE) to the destination format.
-  template <FpFormat Out>
-  Soft<Out> read_fp() const {
-    return Soft<Out>::round_from_fixed(acc_.value());
-  }
-  /// Raw non-normalized accumulator value (exact view of kept bits).
-  FixedPoint read_raw() const { return acc_.value(); }
-  /// INT-mode accumulator value.
-  int64_t read_int() const { return int_acc_; }
-  bool accumulator_overflowed() const { return acc_.overflowed(); }
 
  private:
   /// One nibble iteration (i, j) of an FP(-or-hybrid) op: multiply, locally
@@ -192,10 +147,10 @@ class Ipu {
   int run_prepared_fp16_oracle(const PreparedFp16View& a,
                                const PreparedFp16View& b);
 
-  IpuConfig cfg_;
-  Accumulator acc_;
-  int64_t int_acc_ = 0;
-  IpuStats stats_;
+  /// The stream path in ops of `chunk` lanes (1 <= chunk <= n_inputs).
+  int64_t serve_stream(const PreparedFp16View& a, const PreparedFp16View& b,
+                       size_t chunk);
+
   // Scratch, sized n_inputs, reused across calls to avoid allocation.
   std::vector<Decoded> dec_a_, dec_b_;
   std::vector<NibbleOperand> nib_a_, nib_b_;
@@ -255,11 +210,7 @@ int Ipu::fp_accumulate(std::span<const Soft<F>> a, std::span<const Soft<F>> b) {
   stats_.nibble_iterations += ka * kb;
   stats_.cycles += cycles;
   for (size_t k = 0; k < n; ++k) {
-    if (ehu.masked[k]) {
-      ++stats_.masked_products;
-    } else {
-      stats_.max_alignment_seen = std::max(stats_.max_alignment_seen, ehu.align[k]);
-    }
+    if (ehu.masked[k]) ++stats_.masked_products;
   }
   return cycles;
 }

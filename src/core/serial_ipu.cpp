@@ -7,16 +7,8 @@
 
 namespace mpipu {
 
-SerialIpu::SerialIpu(const SerialIpuConfig& cfg) : cfg_(cfg), acc_(cfg.accumulator) {
-  assert(cfg_.n_inputs >= 1);
-  assert(cfg_.adder_tree_width >= 13 || !cfg_.multi_cycle);
-  assert(!cfg_.multi_cycle || cfg_.safe_precision() >= 1);
-}
-
-void SerialIpu::reset_accumulator() {
-  acc_.reset();
-  int_acc_ = 0;
-}
+SerialIpu::SerialIpu(const DatapathConfig& cfg)
+    : Datapath(cfg, DecompositionScheme::kSerial) {}
 
 int SerialIpu::fp_accumulate(std::span<const Fp16> a, std::span<const Fp16> b) {
   assert(a.size() == b.size());
@@ -36,8 +28,8 @@ int SerialIpu::fp_accumulate(std::span<const Fp16> a, std::span<const Fp16> b) {
   eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
   const EhuResult ehu = run_ehu(da, db, eopts);
 
-  const int w = cfg_.adder_tree_width;
-  const int guard = cfg_.window_guard();
+  const int w = cfg_.effective_adder_tree_width();
+  const int guard = window_guard();
   const int sp = cfg_.safe_precision();
   const bool single_cycle = !cfg_.multi_cycle;
   const int bands = single_cycle ? 1 : ehu.mc_cycles;
@@ -88,11 +80,11 @@ int SerialIpu::run_prepared_fp16(const PreparedFp16View& a,
   run_ehu(std::span<const int32_t>(a.exp, n), std::span<const int32_t>(b.exp, n),
           eopts, ehu_);
 
-  const int guard = cfg_.window_guard();
+  const int guard = window_guard();
   const int sp = cfg_.safe_precision();
   const bool single_cycle = !cfg_.multi_cycle;
   const int bands = single_cycle ? 1 : ehu_.mc_cycles;
-  sched_.build(ehu_, bands, single_cycle, guard, sp, cfg_.adder_tree_width);
+  sched_.build(ehu_, bands, single_cycle, guard, sp, cfg_.effective_adder_tree_width());
 
   // Per-lane constants for the whole op: the padded weight magnitude whose
   // bits stream serially, and the multiplicand with the weight sign folded
@@ -136,7 +128,7 @@ int SerialIpu::run_prepared_fp16(const PreparedFp16View& a,
 int SerialIpu::run_prepared_fp16_oracle(const PreparedFp16View& a,
                                         const PreparedFp16View& b) {
   // 12-bit multiplicands shifted up to window_guard and summed over n lanes.
-  const int tree_bits = std::max(cfg_.window_guard(), 0) + 12 +
+  const int tree_bits = std::max(window_guard(), 0) + 12 +
                         ceil_log2(std::max(cfg_.n_inputs, 1)) + 1;
   return tree_bits <= 62 ? run_prepared_fp16<int64_t>(a, b)
                          : run_prepared_fp16<int128>(a, b);
@@ -149,17 +141,17 @@ int SerialIpu::run_prepared_fp16_fused(const PreparedFp16View& a,
   constexpr int kSteps = simd::kSerialSteps;
   const simd::KernelTable& K = simd::kernels();
 
-  const int guard = cfg_.window_guard();
+  const int guard = window_guard();
   const int sp = cfg_.safe_precision();
   const bool single_cycle = !cfg_.multi_cycle;
 
   falign_.resize(simd::kFusedLanes);
   fband_.resize(simd::kFusedLanes);
-  int32_t max_exp, max_band, n_masked, max_align;
+  int32_t max_exp, max_band, n_masked;
   uint32_t occ;
   if (!K.ehu_fused_i32(a.exp, b.exp, n, cfg_.software_precision,
                        std::max(sp, 1), falign_.data(), fband_.data(), &max_exp,
-                       &occ, &max_band, &n_masked, &max_align)) {
+                       &occ, &max_band, &n_masked)) {
     return run_prepared_fp16_oracle(a, b);
   }
   // Single-cycle mode serves every unmasked lane in one band.
@@ -176,7 +168,7 @@ int SerialIpu::run_prepared_fp16_fused(const PreparedFp16View& a,
   up_.resize(simd::kFusedLanes);
   down_.resize(simd::kFusedLanes);
   K.serve_shifts_i32(falign_.data(), fband_.data(), simd::kFusedLanes, guard,
-                     sp, single_cycle ? 1 : 0, cfg_.adder_tree_width,
+                     sp, single_cycle ? 1 : 0, cfg_.effective_adder_tree_width(),
                      serve_band_.data(), up_.data(), down_.data());
 
   padded_mag_.resize(simd::kFusedLanes);
@@ -233,18 +225,21 @@ int SerialIpu::fp16_accumulate_prepared(const PreparedFp16View& a,
   // else the scalar oracle.
   if (simd::active_backend() != simd::Backend::kScalar && a.n >= 1 &&
       a.n <= simd::kFusedLanes &&
-      cfg_.window_guard() <= simd::kSerialFusedMaxGuard) {
+      window_guard() <= simd::kSerialFusedMaxGuard) {
     return run_prepared_fp16_fused(a, b);
   }
   return run_prepared_fp16_oracle(a, b);
 }
 
-int SerialIpu::int_accumulate(std::span<const int32_t> a, std::span<const int32_t> b,
-                              int a_bits, int b_bits) {
-  assert(a.size() == b.size());
+int SerialIpu::int_accumulate_prepared(const PreparedIntView& pa,
+                                      const PreparedIntView& pb, int a_bits,
+                                      int b_bits) {
+  assert(pa.n == pb.n);
   assert(a_bits <= 12 && b_bits <= 32);
   static_cast<void>(a_bits);  // only the asserts consume it
-  const size_t n = a.size();
+  const size_t n = pa.n;
+  const int32_t* a = pa.value;
+  const int32_t* b = pb.value;
   for (size_t k = 0; k < n; ++k) {
     assert(fits_signed(a[k], a_bits));
     assert(fits_signed(b[k], b_bits));
@@ -256,7 +251,7 @@ int SerialIpu::int_accumulate(std::span<const int32_t> a, std::span<const int32_
   for (int t = 0; t < b_bits; ++t) {
     int64_t tree_sum;
     if (use_simd) {
-      tree_sum = K.bit_masked_sum_i32(a.data(), b.data(), t, n);
+      tree_sum = K.bit_masked_sum_i32(a, b, t, n);
       if (t == b_bits - 1) tree_sum = -tree_sum;
     } else {
       tree_sum = 0;

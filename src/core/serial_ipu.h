@@ -20,6 +20,7 @@
 #include "common/bits.h"
 #include "core/accumulator.h"
 #include "core/band_schedule.h"
+#include "core/datapath.h"
 #include "core/ehu.h"
 #include "core/prepared.h"
 #include "core/reference.h"
@@ -27,33 +28,16 @@
 
 namespace mpipu {
 
-struct SerialIpuConfig {
-  int n_inputs = 16;
-  /// Adder tree width w; the serial product needs 13 bits, so the safe
-  /// precision is w - 12 (cf. w - 9 for the 5-bit nibble IPU).
-  int adder_tree_width = 16;
-  int software_precision = 28;
-  bool multi_cycle = true;
-  AccumulatorConfig accumulator{};
-
-  int safe_precision() const { return adder_tree_width - 12; }
-  int window_guard() const { return adder_tree_width - 13; }
-};
-
-struct SerialIpuStats {
-  int64_t fp_ops = 0;
-  int64_t int_ops = 0;
-  int64_t cycles = 0;
-};
-
-class SerialIpu {
+/// The serial scheme: one Datapath implementation, built from a
+/// DatapathConfig naming DecompositionScheme::kSerial.  The serial product
+/// needs 13 bits of the window, so the safe precision is w - 12 (cf. w - 9
+/// for the 5-bit nibble IPU) and the effective width is at least 13.  It
+/// counts fp_ops, int_ops and cycles; skip_empty_bands and
+/// skip_zero_iterations do not apply.
+class SerialIpu final : public Datapath {
  public:
-  explicit SerialIpu(const SerialIpuConfig& cfg);
-
-  const SerialIpuConfig& config() const { return cfg_; }
-  const SerialIpuStats& stats() const { return stats_; }
-
-  void reset_accumulator();
+  /// Throws std::invalid_argument unless cfg.scheme is kSerial.
+  explicit SerialIpu(const DatapathConfig& cfg);
 
   /// FP16 inner product, weight operand processed one magnitude bit per
   /// step (11 magnitude bits + the implicit-left-shift padding = 12 steps).
@@ -64,19 +48,18 @@ class SerialIpu {
   /// the bit-serial serve loop run, on reused scratch.  Bit- and
   /// cycle-identical to fp_accumulate over the same values.
   int fp16_accumulate_prepared(const PreparedFp16View& a,
-                               const PreparedFp16View& b);
+                               const PreparedFp16View& b) override;
 
-  /// INT inner product: full-parallel a (<= 12 bits), bit-serial b.
-  /// Costs b_bits cycles; exact.
-  int int_accumulate(std::span<const int32_t> a, std::span<const int32_t> b,
-                     int a_bits, int b_bits);
-
-  template <FpFormat Out>
-  Soft<Out> read_fp() const {
-    return Soft<Out>::round_from_fixed(acc_.value());
+  bool supports_int(int a_bits, int b_bits) const override {
+    // Full-parallel multiplicand is a 12-bit lane; b streams bit-serially.
+    return a_bits >= 2 && b_bits >= 2 && a_bits <= 12 && b_bits <= 32;
   }
-  FixedPoint read_raw() const { return acc_.value(); }
-  int64_t read_int() const { return int_acc_; }
+  /// INT inner product: full-parallel a (<= 12 bits), bit-serial b, both
+  /// read from the raw value planes (the digit planes are a temporal-scheme
+  /// notion this unit never reads).  Costs b_bits cycles; exact.
+  int int_accumulate_prepared(const PreparedIntView& a,
+                              const PreparedIntView& b, int a_bits,
+                              int b_bits) override;
 
  private:
   // The prepared FP16 fast path has two serve paths, picked per op by
@@ -100,10 +83,6 @@ class SerialIpu {
   int run_prepared_fp16_fused(const PreparedFp16View& a,
                               const PreparedFp16View& b);
 
-  SerialIpuConfig cfg_;
-  Accumulator acc_;
-  int64_t int_acc_ = 0;
-  SerialIpuStats stats_;
   // Prepared-path scratch (EHU output, serve schedule, per-lane operand
   // views), reused per op.
   EhuResult ehu_;

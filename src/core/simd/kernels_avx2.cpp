@@ -311,8 +311,8 @@ void shifted_lanes_i32(const int32_t* p, const int32_t* up, const int32_t* down,
 
 bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
                    int32_t sp, int32_t* align, int32_t* band, int32_t* max_exp,
-                   uint32_t* occupancy, int32_t* max_band, int32_t* n_masked,
-                   int32_t* max_align) {
+                   uint32_t* occupancy, int32_t* max_band,
+                   int32_t* n_masked) {
   // Pass 1: product exponents (staged in the align buffer) and max/min.
   __m256i vmx = _mm256_set1_epi32(INT32_MIN);
   __m256i vmn = _mm256_set1_epi32(INT32_MAX);
@@ -341,13 +341,12 @@ bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
   const __m256i neg1 = _mm256_set1_epi32(-1);
   const __m256i one = _mm256_set1_epi32(1);
   const __m256i v31 = _mm256_set1_epi32(31);
-  const __m256i vmin32 = _mm256_set1_epi32(INT32_MIN);
   const __m256i vmxv = _mm256_set1_epi32(mx);
   const __m256i vsoft = _mm256_set1_epi32(soft);
   const __m256i vm =
       sp >= 2 ? _mm256_set1_epi32(static_cast<int32_t>(magic_for(sp)))
               : _mm256_setzero_si256();
-  __m256i occ_acc = zero, mb_acc = neg1, cnt_acc = zero, mal_acc = vmin32;
+  __m256i occ_acc = zero, mb_acc = neg1, cnt_acc = zero;
   k = 0;
   for (; k + 8 <= n; k += 8) {
     const __m256i al = _mm256_sub_epi32(
@@ -361,12 +360,10 @@ bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
         occ_acc, _mm256_sllv_epi32(one, _mm256_min_epi32(bd, v31)));
     mb_acc = _mm256_max_epi32(mb_acc, bd);
     cnt_acc = _mm256_sub_epi32(cnt_acc, msk);  // masked lanes are -1
-    mal_acc = _mm256_max_epi32(mal_acc, _mm256_blendv_epi8(al, vmin32, msk));
   }
   uint32_t occ = static_cast<uint32_t>(hor8_i32(occ_acc));
   int32_t mb = hmax8_i32(mb_acc);
   int32_t masked = hsum8_i32(cnt_acc);
-  int32_t mal = hmax8_i32(mal_acc);
   for (; k < n; ++k) {
     const int32_t al = mx - align[k];
     align[k] = al;
@@ -379,13 +376,11 @@ bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
     band[k] = c;
     occ |= 1u << min_of(c, 31);
     mb = max_of(mb, c);
-    mal = max_of(mal, al);
   }
   *max_exp = mx;
   *occupancy = occ;
   *max_band = mb;
   *n_masked = masked;
-  *max_align = mal;
   return true;
 }
 
@@ -416,7 +411,7 @@ size_t temporal_stream_i32(const TemporalStreamArgs* args,
   bool empty = st->empty != 0;
   bool overflowed = st->overflowed != 0;
   int64_t ops = 0, cycles = 0, multi = 0, skipped = 0;
-  __m256i mal_acc = vmin32, masked_acc = zero;
+  __m256i masked_acc = zero;
 
   size_t c0 = 0;
   for (; c0 < g.len; c0 += g.chunk) {
@@ -491,8 +486,6 @@ size_t temporal_stream_i32(const TemporalStreamArgs* args,
     for (int h = 0; h < 2; ++h) {
       masked_acc = _mm256_sub_epi32(masked_acc,
                                     _mm256_and_si256(masked[h], valid[h]));
-      mal_acc = _mm256_max_epi32(mal_acc,
-                                 _mm256_blendv_epi8(al[h], vmin32, masked[h]));
     }
 
     // The nine nibble products, their skip-zero mask (when skipping) and
@@ -609,7 +602,6 @@ size_t temporal_stream_i32(const TemporalStreamArgs* args,
   st->exp = acc_exp;
   st->empty = empty ? 1 : 0;
   st->overflowed = overflowed ? 1 : 0;
-  st->max_align = max_of(st->max_align, hmax8_i32(mal_acc));
   st->ops += ops;
   st->cycles += cycles;
   st->masked_products += hsum8_i32(masked_acc);

@@ -45,8 +45,8 @@ void shifted_lanes_i32(const int32_t* p, const int32_t* up, const int32_t* down,
 
 bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
                    int32_t sp, int32_t* align, int32_t* band, int32_t* max_exp,
-                   uint32_t* occupancy, int32_t* max_band, int32_t* n_masked,
-                   int32_t* max_align) {
+                   uint32_t* occupancy, int32_t* max_band,
+                   int32_t* n_masked) {
   int32_t mx = INT32_MIN, mn = INT32_MAX;
   for (size_t k = 0; k < n; ++k) {
     const int32_t s = ea[k] + eb[k];
@@ -58,7 +58,7 @@ bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
     return false;
   }
   uint32_t occ = 0;
-  int32_t mb = -1, masked = 0, mal = INT32_MIN;
+  int32_t mb = -1, masked = 0;
   for (size_t k = 0; k < n; ++k) {
     const int32_t al = mx - (ea[k] + eb[k]);
     align[k] = al;
@@ -71,13 +71,11 @@ bool ehu_fused_i32(const int32_t* ea, const int32_t* eb, size_t n, int32_t soft,
     band[k] = c;
     occ |= 1u << std::min(c, 31);
     mb = std::max(mb, c);
-    mal = std::max(mal, al);
   }
   *max_exp = mx;
   *occupancy = occ;
   *max_band = mb;
   *n_masked = masked;
-  *max_align = mal;
   return true;
 }
 
@@ -200,11 +198,11 @@ size_t temporal_stream_i32(const TemporalStreamArgs* args,
   int32_t serve_band[kFusedLanes], up[kFusedLanes], down[kFusedLanes];
   for (size_t c0 = 0; c0 < g.len; c0 += g.chunk) {
     const size_t n = std::min(g.chunk, g.len - c0);
-    int32_t max_exp, max_band, n_masked, max_align;
+    int32_t max_exp, max_band, n_masked;
     uint32_t occ;
     if (!ehu_fused_i32(g.a_exp + c0, g.b_exp + c0, n, g.soft,
                        std::max(g.sp, 1), align, band, &max_exp, &occ,
-                       &max_band, &n_masked, &max_align)) {
+                       &max_band, &n_masked)) {
       return c0;
     }
     const int bands = g.single_cycle ? 1 : std::max(max_band, 0) + 1;
@@ -233,7 +231,6 @@ size_t temporal_stream_i32(const TemporalStreamArgs* args,
     }
     ++st->ops;
     st->masked_products += n_masked;
-    st->max_align = std::max(st->max_align, max_align);
   }
   return g.len;
 }

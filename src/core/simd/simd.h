@@ -142,7 +142,6 @@ struct TemporalStreamState {
   int32_t exp;         ///< accumulator exponent; ignored while empty
   int32_t empty;       ///< 1 until the first nonzero add
   int32_t overflowed;  ///< sticky: some add clamped to the register width
-  int32_t max_align;   ///< max unmasked alignment seen (max-updated)
   int64_t ops;         ///< ops served (each is 9 nibble iterations)
   int64_t cycles;
   int64_t masked_products;
@@ -180,16 +179,14 @@ struct KernelTable {
   /// band[k] = -1 where align[k] > soft, else align[k] / sp.  Also returns
   /// every wrap-up reduction the serve drivers need: *max_exp = mx,
   /// *occupancy = OR over unmasked lanes of 1u << min(band, 31),
-  /// *max_band = max unmasked band (-1 when all lanes are masked),
-  /// *n_masked = masked-lane count, *max_align = max unmasked alignment
-  /// (INT32_MIN when all lanes are masked).  Returns false -- outputs
+  /// *max_band = max unmasked band (-1 when all lanes are masked) and
+  /// *n_masked = masked-lane count.  Returns false -- outputs
   /// unspecified -- when soft >= 2^16 or mx - mn >= 2^16 (the magic-divide
   /// bound); callers then fall back to the scalar oracle.  n >= 1.
   bool (*ehu_fused_i32)(const int32_t* ea, const int32_t* eb, size_t n,
                         int32_t soft, int32_t sp, int32_t* align,
                         int32_t* band, int32_t* max_exp, uint32_t* occupancy,
-                        int32_t* max_band, int32_t* n_masked,
-                        int32_t* max_align);
+                        int32_t* max_band, int32_t* n_masked);
   /// The temporal FP16 serve of a whole operand stream -- every chunk of
   /// one output element -- in a single call.  See TemporalStreamArgs for
   /// the operands and config and the header comment for the per-op work;

@@ -21,11 +21,14 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <vector>
 
 #include "common/bits.h"
 #include "core/accumulator.h"
+#include "core/datapath.h"
 #include "core/ehu.h"
 #include "core/nibble.h"
 #include "core/prepared.h"
@@ -35,38 +38,25 @@
 
 namespace mpipu {
 
-struct SpatialIpuConfig {
-  int n_inputs = 16;
-  /// Adder tree width w; safe precision w - 9 as in the temporal IPU.
-  int adder_tree_width = 28;
-  int software_precision = 28;
-  bool multi_cycle = true;
-  bool skip_empty_bands = true;  ///< occupied-band cycle counting (§3.2)
-  AccumulatorConfig accumulator{};
-
-  int safe_precision() const { return adder_tree_width - 9; }
-  int window_guard() const { return adder_tree_width - 10; }
-};
-
-struct SpatialIpuStats {
-  int64_t fp_ops = 0;
-  int64_t cycles = 0;
-  int64_t multi_cycle_ops = 0;
-};
-
-class SpatialIpu {
+/// The spatial scheme: one Datapath implementation, built from a
+/// DatapathConfig naming DecompositionScheme::kSpatial (safe precision
+/// w - 9 as in the temporal IPU).  FP-only; it counts fp_ops, cycles and
+/// multi_cycle_ops (ops needing more than one cycle).
+class SpatialIpu final : public Datapath {
  public:
-  explicit SpatialIpu(const SpatialIpuConfig& cfg);
+  /// Throws std::invalid_argument unless cfg.scheme is kSpatial.
+  explicit SpatialIpu(const DatapathConfig& cfg)
+      : Datapath(cfg, DecompositionScheme::kSpatial) {}
 
-  const SpatialIpuConfig& config() const { return cfg_; }
-  const SpatialIpuStats& stats() const { return stats_; }
-  /// Multipliers this unit instantiates (vs n for the temporal IPU).
+  /// Multipliers this unit instantiates per input pair (vs 1 for the
+  /// temporal IPU).
   template <FpFormat F>
   static constexpr int multipliers_per_input() {
     return fp_nibble_count(F) * fp_nibble_count(F);
   }
-
-  void reset_accumulator();
+  int multipliers() const override {
+    return cfg_.n_inputs * multipliers_per_input<kFp16Format>();
+  }
 
   /// One FP inner product, all nibble products in parallel.
   /// Returns datapath cycles (1 when every combined shift fits one band).
@@ -77,15 +67,23 @@ class SpatialIpu {
   /// the combined-shift serve loop run, on reused scratch.  Bit- and
   /// cycle-identical to fp_accumulate<kFp16Format> over the same values.
   int fp16_accumulate_prepared(const PreparedFp16View& a,
-                               const PreparedFp16View& b);
+                               const PreparedFp16View& b) override;
 
-  template <FpFormat Out>
-  Soft<Out> read_fp() const {
-    return Soft<Out>::round_from_fixed(acc_.value());
+  bool supports_int(int, int) const override { return false; }
+  // Hard aborts (not asserts): in a Release build a silent 0 here would
+  // masquerade as a valid INT result.
+  int int_accumulate_prepared(const PreparedIntView&, const PreparedIntView&,
+                              int, int) override {
+    fp_only();
   }
-  FixedPoint read_raw() const { return acc_.value(); }
+  int64_t read_int() const override { fp_only(); }
 
  private:
+  [[noreturn]] static void fp_only() {
+    std::fprintf(stderr, "Datapath: spatial scheme is FP-only\n");
+    std::abort();
+  }
+
   // The prepared FP16 fast path has two serve paths, picked per op by
   // fp16_accumulate_prepared: the fused whole-op kernels (core/simd) or
   // the verbatim scalar oracle.
@@ -109,9 +107,6 @@ class SpatialIpu {
   int run_prepared_fp16_fused(const PreparedFp16View& a,
                               const PreparedFp16View& b);
 
-  SpatialIpuConfig cfg_;
-  Accumulator acc_;
-  SpatialIpuStats stats_;
   // Prepared-path scratch: lane products grouped by serve band, reused per
   // op (entries with a zero product are dropped -- they cannot change the
   // adder tree -- but still count toward band occupancy, which is an
@@ -127,14 +122,6 @@ class SpatialIpu {
 };
 
 // ---------------------------------------------------------------------------
-
-inline SpatialIpu::SpatialIpu(const SpatialIpuConfig& cfg)
-    : cfg_(cfg), acc_(cfg.accumulator) {
-  assert(cfg_.n_inputs >= 1);
-  assert(!cfg_.multi_cycle || cfg_.safe_precision() >= 1);
-}
-
-inline void SpatialIpu::reset_accumulator() { acc_.reset(); }
 
 template <FpFormat F>
 int SpatialIpu::fp_accumulate(std::span<const Soft<F>> a, std::span<const Soft<F>> b) {
@@ -158,8 +145,8 @@ int SpatialIpu::fp_accumulate(std::span<const Soft<F>> a, std::span<const Soft<F
   eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
   const EhuResult ehu = run_ehu(da, db, eopts);
 
-  const int w = cfg_.adder_tree_width;
-  const int guard = cfg_.window_guard();
+  const int w = cfg_.effective_adder_tree_width();
+  const int guard = window_guard();
   const int sp = cfg_.safe_precision();
   const bool single_cycle = !cfg_.multi_cycle;
 
@@ -242,8 +229,8 @@ int SpatialIpu::run_prepared_fp16(const PreparedFp16View& a,
   run_ehu(std::span<const int32_t>(a.exp, n), std::span<const int32_t>(b.exp, n),
           eopts, ehu_);
 
-  const int w = cfg_.adder_tree_width;
-  const int guard = cfg_.window_guard();
+  const int w = cfg_.effective_adder_tree_width();
+  const int guard = window_guard();
   const int sp = cfg_.safe_precision();
   const bool single_cycle = !cfg_.multi_cycle;
 
@@ -348,7 +335,7 @@ inline int SpatialIpu::run_prepared_fp16_oracle(const PreparedFp16View& a,
   // parallel multipliers: stay in int64 whenever that bound fits, spill to
   // int128 otherwise (identical results either way).
   const int tree_bits =
-      std::max(cfg_.window_guard(), 0) + 9 +
+      std::max(window_guard(), 0) + 9 +
       ceil_log2(std::max(cfg_.n_inputs, 1) *
                 multipliers_per_input<kFp16Format>()) +
       1;
@@ -366,17 +353,16 @@ inline int SpatialIpu::run_prepared_fp16_fused(const PreparedFp16View& a,
   const simd::KernelTable& K = simd::kernels();
 
   const int sp = cfg_.safe_precision();
-  const int guard = cfg_.window_guard();
+  const int guard = window_guard();
   const bool single_cycle = !cfg_.multi_cycle;
 
   falign_.resize(simd::kFusedLanes);
   fband_.resize(simd::kFusedLanes);
-  int32_t max_exp, ehu_max_band, n_masked, max_align;
+  int32_t max_exp, ehu_max_band, n_masked;
   uint32_t ehu_occ;
   if (!K.ehu_fused_i32(a.exp, b.exp, n, cfg_.software_precision,
                        std::max(sp, 1), falign_.data(), fband_.data(),
-                       &max_exp, &ehu_occ, &ehu_max_band, &n_masked,
-                       &max_align)) {
+                       &max_exp, &ehu_occ, &ehu_max_band, &n_masked)) {
     return run_prepared_fp16_oracle(a, b);
   }
   for (size_t k = n; k < simd::kFusedLanes; ++k) {
@@ -394,7 +380,7 @@ inline int SpatialIpu::run_prepared_fp16_fused(const PreparedFp16View& a,
   if (!K.spatial_fused_i32(a.nib, a.nib_stride, b.nib, b.nib_stride,
                            falign_.data(), fband_.data(), n, top_weight + 2 * z,
                            sp, guard, single_cycle ? 1 : 0,
-                           cfg_.adder_tree_width, sums, &max_band, &occ)) {
+                           cfg_.effective_adder_tree_width(), sums, &max_band, &occ)) {
     return run_prepared_fp16_oracle(a, b);
   }
   const int bands = std::max(max_band, 0) + 1;
@@ -436,7 +422,7 @@ inline int SpatialIpu::fp16_accumulate_prepared(const PreparedFp16View& a,
   // the scalar oracle.
   if (simd::active_backend() != simd::Backend::kScalar && a.n >= 1 &&
       a.n <= simd::kFusedLanes &&
-      cfg_.window_guard() <= simd::kSpatialFusedMaxGuard) {
+      window_guard() <= simd::kSpatialFusedMaxGuard) {
     return run_prepared_fp16_fused(a, b);
   }
   return run_prepared_fp16_oracle(a, b);

@@ -46,41 +46,30 @@ PreparedInt prepare_int_planes(std::span<const double> values,
 Tensor execute_fp16_plan_shard(const ConvPlan<PreparedFp16>& plan,
                                const PreparedFp16& in_planes, ThreadPool& pool,
                                std::span<const std::unique_ptr<Datapath>> units,
-                               int n_inputs, AccumKind accum, int co_begin,
-                               int co_end, int y_begin, int y_end) {
+                               AccumKind accum, int co_begin, int co_end,
+                               int y_begin, int y_end) {
   const bool to_fp16 = accum == AccumKind::kFp16;
-  const auto chunk = static_cast<size_t>(n_inputs);
   return run_conv_plan_shard<PreparedFp16>(
       plan, in_planes, pool, units, co_begin, co_end, y_begin, y_end,
-      [chunk](Datapath& dp, const PreparedFp16View& a,
-              const PreparedFp16View& b) {
-        dp.fp16_accumulate_stream(a, b, chunk);
+      [](Datapath& dp, const PreparedFp16View& a, const PreparedFp16View& b) {
+        dp.fp16_accumulate_stream(a, b);
       },
       [to_fp16](Datapath& dp) {
         return to_fp16 ? dp.read_fp16().to_double() : dp.read_fp32().to_double();
       });
 }
 
-Tensor execute_fp16_plan(const ConvPlan<PreparedFp16>& plan,
-                         const PreparedFp16& in_planes, ThreadPool& pool,
-                         std::span<const std::unique_ptr<Datapath>> units,
-                         int n_inputs, AccumKind accum) {
-  return execute_fp16_plan_shard(plan, in_planes, pool, units, n_inputs, accum,
-                                 0, plan.cout, 0, plan.ho);
-}
-
 Tensor execute_int_plan_shard(const ConvPlan<PreparedInt>& plan,
                               const PreparedInt& in_planes, ThreadPool& pool,
                               std::span<const std::unique_ptr<Datapath>> units,
-                              int n_inputs, int a_bits, int w_bits,
-                              const QuantParams& qa, const QuantParams& qw,
-                              int co_begin, int co_end, int y_begin,
-                              int y_end) {
-  const auto chunk = static_cast<size_t>(n_inputs);
+                              int a_bits, int w_bits, const QuantParams& qa,
+                              const QuantParams& qw, int co_begin, int co_end,
+                              int y_begin, int y_end) {
   return run_conv_plan_shard<PreparedInt>(
       plan, in_planes, pool, units, co_begin, co_end, y_begin, y_end,
-      [chunk, a_bits, w_bits](Datapath& dp, const PreparedIntView& a,
-                              const PreparedIntView& b) {
+      [a_bits, w_bits](Datapath& dp, const PreparedIntView& a,
+                       const PreparedIntView& b) {
+        const auto chunk = static_cast<size_t>(dp.config().n_inputs);
         for (size_t c0 = 0; c0 < a.n; c0 += chunk) {
           const size_t n = std::min(chunk, a.n - c0);
           dp.int_accumulate_prepared(a.sub(c0, n), b.sub(c0, n), a_bits,
@@ -90,15 +79,6 @@ Tensor execute_int_plan_shard(const ConvPlan<PreparedInt>& plan,
       [&qa, &qw](Datapath& dp) {
         return dequantize_accumulator(dp.read_int(), qa, qw);
       });
-}
-
-Tensor execute_int_plan(const ConvPlan<PreparedInt>& plan,
-                        const PreparedInt& in_planes, ThreadPool& pool,
-                        std::span<const std::unique_ptr<Datapath>> units,
-                        int n_inputs, int a_bits, int w_bits,
-                        const QuantParams& qa, const QuantParams& qw) {
-  return execute_int_plan_shard(plan, in_planes, pool, units, n_inputs, a_bits,
-                                w_bits, qa, qw, 0, plan.cout, 0, plan.ho);
 }
 
 }  // namespace mpipu

@@ -10,8 +10,8 @@
 // built once and shared `const` across any number of concurrent
 // executions.
 //
-// The execution half is stateless with respect to the plan: `run_conv_plan`
-// streams per-call prepared activation planes against a `const` plan, using
+// The execution half is stateless with respect to the plan:
+// `run_conv_plan_shard` streams per-call prepared activation planes against a `const` plan, using
 // caller-supplied scratch (a thread pool plus one private Datapath per
 // worker slot).  Nothing in the plan is written during execution, so one
 // plan serves N threads and M concurrent calls.  Every output element is
@@ -209,19 +209,6 @@ Tensor run_conv_plan_shard(const ConvPlan<Planes>& plan,
   return out;
 }
 
-/// Full-range executor: the shard executor over the whole output (same
-/// pixel index space, same per-(pixel, co) operand streams).
-template <typename Planes, typename AccumulateFn, typename ReadoutFn>
-Tensor run_conv_plan(const ConvPlan<Planes>& plan, const Planes& in_planes,
-                     ThreadPool& pool,
-                     std::span<const std::unique_ptr<Datapath>> units,
-                     AccumulateFn&& accumulate, ReadoutFn&& readout) {
-  return run_conv_plan_shard(plan, in_planes, pool, units, 0, plan.cout, 0,
-                             plan.ho,
-                             std::forward<AccumulateFn>(accumulate),
-                             std::forward<ReadoutFn>(readout));
-}
-
 // ---------------------------------------------------------------------------
 // Concrete plane preparation and FP16 / INT plan executors (what
 // CompiledModel calls per conv node).
@@ -241,37 +228,25 @@ PreparedFp16 prepare_fp16_planes(std::span<const double> values,
 PreparedInt prepare_int_planes(std::span<const double> values,
                                const QuantParams& params, bool with_digits);
 
-/// FP16 plan executor: every inner product on the scheme datapath, partial
+/// FP16 plan executor over the output shard [co_begin, co_end) x
+/// [y_begin, y_end): every inner product on the scheme datapath, partial
 /// sums in the datapath accumulator, rounded to `accum` once per pixel.
-Tensor execute_fp16_plan(const ConvPlan<PreparedFp16>& plan,
-                         const PreparedFp16& in_planes, ThreadPool& pool,
-                         std::span<const std::unique_ptr<Datapath>> units,
-                         int n_inputs, AccumKind accum);
-
-/// INT plan executor: quantized operands through the datapath's INT mode,
-/// dequantized on readout with the two quant scales.
-Tensor execute_int_plan(const ConvPlan<PreparedInt>& plan,
-                        const PreparedInt& in_planes, ThreadPool& pool,
-                        std::span<const std::unique_ptr<Datapath>> units,
-                        int n_inputs, int a_bits, int w_bits,
-                        const QuantParams& qa, const QuantParams& qw);
-
-/// Shard executors: the same loops restricted to [co_begin, co_end) x
-/// [y_begin, y_end).  Used by CompiledModel's host-sharded mode
-/// (RunSpec.partition.shard_host); concatenating the shard outputs is
-/// byte-identical to the full executor above (see run_conv_plan_shard).
+/// The whole output is the shard [0, cout) x [0, ho); concatenating shard
+/// outputs is byte-identical to it (see run_conv_plan_shard).  Operand
+/// streams are served in ops of the units' config().n_inputs lanes.
 Tensor execute_fp16_plan_shard(const ConvPlan<PreparedFp16>& plan,
                                const PreparedFp16& in_planes, ThreadPool& pool,
                                std::span<const std::unique_ptr<Datapath>> units,
-                               int n_inputs, AccumKind accum, int co_begin,
-                               int co_end, int y_begin, int y_end);
+                               AccumKind accum, int co_begin, int co_end,
+                               int y_begin, int y_end);
 
+/// INT plan executor over the same shard: quantized operands through the
+/// datapath's INT mode, dequantized on readout with the two quant scales.
 Tensor execute_int_plan_shard(const ConvPlan<PreparedInt>& plan,
                               const PreparedInt& in_planes, ThreadPool& pool,
                               std::span<const std::unique_ptr<Datapath>> units,
-                              int n_inputs, int a_bits, int w_bits,
-                              const QuantParams& qa, const QuantParams& qw,
-                              int co_begin, int co_end, int y_begin,
-                              int y_end);
+                              int a_bits, int w_bits, const QuantParams& qa,
+                              const QuantParams& qw, int co_begin, int co_end,
+                              int y_begin, int y_end);
 
 }  // namespace mpipu

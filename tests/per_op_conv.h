@@ -9,7 +9,7 @@
 // in the plan executors (nn/conv_plan.h) shows up as a mismatch here.
 //
 // The loop is generic over the unit it drives (PerOpUnit): bind it to a
-// directly constructed Ipu / SerialIpu / SpatialIpu, or use PerOpOracle,
+// unit's per-op reference entry (per_op_reference), or use PerOpOracle,
 // which drives one make_datapath() unit through Datapath::fp16_accumulate /
 // int_accumulate and exposes that unit's DatapathStats.
 #pragma once
@@ -22,6 +22,9 @@
 #include <vector>
 
 #include "core/datapath.h"
+#include "core/ipu.h"
+#include "core/serial_ipu.h"
+#include "core/spatial_ipu.h"
 #include "nn/conv.h"
 #include "workload/quantizer.h"
 
@@ -97,6 +100,31 @@ Tensor per_op_conv(const PerOpUnit<Operand, Raw>& unit, int n_inputs,
     }
   }
   return out;
+}
+
+/// `unit`'s per-op FP16 reference entry (fp_accumulate: per-op decode and
+/// decompose, allocating EHU) as a PerOpUnit; `unit` must outlive it.
+inline Fp16PerOpUnit per_op_reference(Datapath& unit) {
+  std::function<int(std::span<const Fp16>, std::span<const Fp16>)> acc;
+  switch (unit.config().scheme) {
+    case DecompositionScheme::kTemporal:
+      acc = [&u = static_cast<Ipu&>(unit)](auto a, auto b) {
+        return u.fp_accumulate<kFp16Format>(a, b);
+      };
+      break;
+    case DecompositionScheme::kSerial:
+      acc = [&u = static_cast<SerialIpu&>(unit)](auto a, auto b) {
+        return u.fp_accumulate(a, b);
+      };
+      break;
+    case DecompositionScheme::kSpatial:
+      acc = [&u = static_cast<SpatialIpu&>(unit)](auto a, auto b) {
+        return u.fp_accumulate<kFp16Format>(a, b);
+      };
+      break;
+  }
+  return {[&unit] { unit.reset_accumulator(); }, acc,
+          [&unit] { return unit.read_raw(); }};
 }
 
 /// FP16 mode: both tensors rounded to FP16, every pixel rounded to the

@@ -1,7 +1,7 @@
 // Tests for the unified Datapath interface (core/datapath.h):
 //
-//  * wrapping transparency: Datapath::dot bit-matches the directly
-//    constructed Ipu / SerialIpu / SpatialIpu on values AND cycles;
+//  * one class per scheme: each unit is built only from a config naming
+//    its scheme, and make_datapath builds that unit;
 //  * cross-scheme agreement: with an exact accumulator and MC banding all
 //    three schemes reproduce reference.h's exact inner product bit for bit
 //    (the §5 orthogonality claim at the value level);
@@ -48,8 +48,7 @@ AccumulatorConfig unbounded_acc() {
 }
 
 DatapathConfig base_config(DecompositionScheme scheme, int w) {
-  // for_scheme matches each scheme's standalone defaults (spatial gets
-  // skip_empty_bands, the footgun the preset exists to defuse).
+  // for_scheme sets each scheme's defaults (spatial gets skip_empty_bands).
   DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
   cfg.n_inputs = 16;
   cfg.adder_tree_width = w;
@@ -58,107 +57,61 @@ DatapathConfig base_config(DecompositionScheme scheme, int w) {
   return cfg;
 }
 
-// --- Wrapping transparency: Datapath == direct scheme calls ------------------
+// --- One class per scheme -----------------------------------------------------
 
-TEST(DatapathWrapping, TemporalBitMatchesDirectIpu) {
-  Rng rng(1);
-  for (int w : {12, 16, 28}) {
-    const DatapathConfig cfg = base_config(DecompositionScheme::kTemporal, w);
-    auto dp = make_datapath(cfg);
-    IpuConfig icfg;
-    icfg.n_inputs = cfg.n_inputs;
-    icfg.adder_tree_width = w;
-    icfg.software_precision = cfg.software_precision;
-    icfg.multi_cycle = cfg.multi_cycle;
-    Ipu ipu(icfg);
-    for (int t = 0; t < 500; ++t) {
-      const auto a = random_fp16_bits(rng, 16);
-      const auto b = random_fp16_bits(rng, 16);
-      const DotResult r = dp->dot(a, b);
-      ipu.reset_accumulator();
-      const int cycles = ipu.fp_accumulate<kFp16Format>(a, b);
-      EXPECT_TRUE(r.raw == ipu.read_raw()) << "w=" << w << " trial " << t;
-      EXPECT_EQ(r.cycles, cycles) << "w=" << w << " trial " << t;
+/// Unit must build from a config naming `own` and reject the other two.
+template <typename Unit>
+void expect_rejects_other_schemes(DecompositionScheme own) {
+  for (auto scheme : kAllSchemes) {
+    const DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
+    if (scheme == own) {
+      EXPECT_NO_THROW(Unit{cfg}) << scheme_name(own);
+    } else {
+      EXPECT_THROW(Unit{cfg}, std::invalid_argument)
+          << scheme_name(own) << " unit, " << scheme_name(scheme) << " config";
     }
   }
 }
 
-TEST(DatapathWrapping, SerialBitMatchesDirectSerialIpu) {
-  Rng rng(2);
-  for (int w : {13, 16, 28}) {
-    const DatapathConfig cfg = base_config(DecompositionScheme::kSerial, w);
-    auto dp = make_datapath(cfg);
-    SerialIpuConfig scfg;
-    scfg.n_inputs = cfg.n_inputs;
-    scfg.adder_tree_width = w;
-    scfg.software_precision = cfg.software_precision;
-    scfg.multi_cycle = cfg.multi_cycle;
-    SerialIpu ipu(scfg);
-    for (int t = 0; t < 500; ++t) {
-      const auto a = random_fp16_bits(rng, 16);
-      const auto b = random_fp16_bits(rng, 16);
-      const DotResult r = dp->dot(a, b);
-      ipu.reset_accumulator();
-      const int cycles = ipu.fp_accumulate(a, b);
-      EXPECT_TRUE(r.raw == ipu.read_raw()) << "w=" << w << " trial " << t;
-      EXPECT_EQ(r.cycles, cycles) << "w=" << w << " trial " << t;
-    }
-  }
+TEST(DatapathUnits, ConstructorRejectsConfigNamingAnotherScheme) {
+  expect_rejects_other_schemes<Ipu>(DecompositionScheme::kTemporal);
+  expect_rejects_other_schemes<SerialIpu>(DecompositionScheme::kSerial);
+  expect_rejects_other_schemes<SpatialIpu>(DecompositionScheme::kSpatial);
 }
 
-TEST(DatapathWrapping, SpatialBitMatchesDirectSpatialIpu) {
-  Rng rng(3);
-  for (int w : {16, 28, 40}) {
-    for (bool mc : {true, false}) {  // MC banding vs single-cycle window
-      // base_config routes through DatapathConfig::for_scheme, so a spatial
-      // config cycle-counts like a directly constructed SpatialIpu without
-      // touching skip_empty_bands by hand.
-      DatapathConfig cfg = base_config(DecompositionScheme::kSpatial, w);
-      cfg.multi_cycle = mc;
-      EXPECT_TRUE(cfg.skip_empty_bands);
-      auto dp = make_datapath(cfg);
-      SpatialIpuConfig scfg;
-      scfg.n_inputs = cfg.n_inputs;
-      scfg.adder_tree_width = w;
-      scfg.software_precision = cfg.software_precision;
-      scfg.multi_cycle = cfg.multi_cycle;
-      scfg.skip_empty_bands = true;
-      SpatialIpu ipu(scfg);
-      for (int t = 0; t < 500; ++t) {
-        const auto a = random_fp16_bits(rng, 16);
-        const auto b = random_fp16_bits(rng, 16);
-        const DotResult r = dp->dot(a, b);
-        ipu.reset_accumulator();
-        const int cycles = ipu.fp_accumulate<kFp16Format>(a, b);
-        EXPECT_TRUE(r.raw == ipu.read_raw())
-            << "w=" << w << " mc=" << mc << " trial " << t;
-        EXPECT_EQ(r.cycles, cycles)
-            << "w=" << w << " mc=" << mc << " trial " << t;
-      }
-    }
-  }
+TEST(DatapathUnits, MakeDatapathBuildsTheSchemeUnit) {
+  const auto unit = [](DecompositionScheme s) {
+    return make_datapath(DatapathConfig::for_scheme(s));
+  };
+  EXPECT_NE(dynamic_cast<Ipu*>(unit(DecompositionScheme::kTemporal).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<SerialIpu*>(unit(DecompositionScheme::kSerial).get()),
+            nullptr);
+  EXPECT_NE(
+      dynamic_cast<SpatialIpu*>(unit(DecompositionScheme::kSpatial).get()),
+      nullptr);
 }
 
 TEST(DatapathWrapping, SerialWidthIsClampedToProductWidth) {
   DatapathConfig cfg = base_config(DecompositionScheme::kSerial, 10);
   EXPECT_EQ(cfg.effective_adder_tree_width(), 13);
   EXPECT_EQ(cfg.safe_precision(), 1);
-  auto dp = make_datapath(cfg);  // must not trip SerialIpu's width assert
+  auto dp = make_datapath(cfg);
   Rng rng(4);
   const auto a = random_fp16_bits(rng, 16);
   const auto b = random_fp16_bits(rng, 16);
   EXPECT_GE(dp->dot(a, b).cycles, 12);
 }
 
-TEST(DatapathPresets, ForSchemeMatchesStandaloneDefaults) {
+TEST(DatapathPresets, ForSchemeSetsTheSchemeDefaults) {
   EXPECT_FALSE(DatapathConfig::for_scheme(DecompositionScheme::kTemporal)
                    .skip_empty_bands);
   EXPECT_FALSE(DatapathConfig::for_scheme(DecompositionScheme::kSerial)
                    .skip_empty_bands);
-  const DatapathConfig sp = DatapathConfig::spatial_defaults();
+  const DatapathConfig sp =
+      DatapathConfig::for_scheme(DecompositionScheme::kSpatial);
   EXPECT_EQ(sp.scheme, DecompositionScheme::kSpatial);
   EXPECT_TRUE(sp.skip_empty_bands);
-  EXPECT_EQ(sp, DatapathConfig::for_scheme(DecompositionScheme::kSpatial));
 }
 
 // --- Cross-scheme agreement (§5 orthogonality at the value level) ------------

@@ -64,7 +64,7 @@ TEST(Theorem1, MeasuredIpuErrorNeverExceedsWindowBound) {
   Rng rng(55);
   int64_t paper_bound_violations = 0, samples = 0;
   for (int precision : {8, 12, 16, 20, 26}) {
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = 16;
     cfg.adder_tree_width = precision;
     cfg.software_precision = precision;

@@ -26,7 +26,7 @@ class HybridTest : public ::testing::TestWithParam<int> {};  // param: b_bits
 TEST_P(HybridTest, MatchesExactRealReference) {
   const int b_bits = GetParam();
   Rng rng(static_cast<uint64_t>(b_bits) * 77);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 38;
   cfg.software_precision = 58;
@@ -59,7 +59,7 @@ INSTANTIATE_TEST_SUITE_P(Widths, HybridTest, ::testing::Values(4, 8, 12),
 
 TEST(HybridTest2, UnsignedWeights) {
   Rng rng(99);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 8;
   cfg.adder_tree_width = 38;
   cfg.software_precision = 58;
@@ -80,13 +80,13 @@ TEST(HybridTest2, UnsignedWeights) {
 
 TEST(HybridTest2, McModeAgreesWithSingleCycle) {
   Rng rng(100);
-  IpuConfig mc;
+  DatapathConfig mc;
   mc.n_inputs = 8;
   mc.adder_tree_width = 12;
   mc.software_precision = 28;
   mc.multi_cycle = true;
   mc.accumulator = unbounded_acc();
-  IpuConfig sc = mc;
+  DatapathConfig sc = mc;
   sc.adder_tree_width = 38;
   sc.multi_cycle = false;
   Ipu ipu_mc(mc), ipu_sc(sc);
@@ -108,7 +108,7 @@ TEST(HybridTest2, McModeAgreesWithSingleCycle) {
 TEST(HybridTest2, Int4WeightsCostThreeIterations) {
   // FP16 x INT4: 3 FP nibbles x 1 INT nibble = 3 iterations -- a third of
   // the FP16 x FP16 cost, the hybrid efficiency the paper motivates.
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 4;
   Ipu ipu(cfg);
   const std::vector<Fp16> a(4, Fp16::one());
@@ -130,7 +130,7 @@ TYPED_TEST(CustomFormatTest, WideDatapathMatchesExactReference) {
   // the nibble datapath is unchanged.  Keep exponents moderate so the exact
   // FixedPoint reference stays within int128.
   Rng rng(200);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 8;
   cfg.adder_tree_width = 40;
   cfg.software_precision = 40;
@@ -151,7 +151,7 @@ TYPED_TEST(CustomFormatTest, WideDatapathMatchesExactReference) {
 }
 
 TYPED_TEST(CustomFormatTest, IterationCountMatchesNibbleCount) {
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 2;
   Ipu ipu(cfg);
   const std::vector<TypeParam> a(2, TypeParam::one()), b(2, TypeParam::one());
@@ -161,7 +161,7 @@ TYPED_TEST(CustomFormatTest, IterationCountMatchesNibbleCount) {
 
 TEST(CustomFormats, Bf16CheaperThanFp16AndTf32) {
   // BF16's 8-bit significand fits 2 nibbles -> 4 iterations vs 9.
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 1;
   Ipu ipu(cfg);
   const std::vector<Bf16> b16(1, Bf16::one());

@@ -84,7 +84,7 @@ TEST(Integration, SimulatedSlowdownFeedsEfficiencyModel) {
 TEST(Integration, DatapathErrorWithinAnalyticBoundOnWorkloadTensors) {
   // Workload generator -> datapath -> Theorem-1-style bound, end to end.
   Rng rng(82);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 16;
   cfg.software_precision = 16;

@@ -51,7 +51,7 @@ TEST_P(IpuIntMode, BitExactAgainstInt64Reference) {
   const auto p = GetParam();
   Rng rng(static_cast<uint64_t>(p.a_bits * 131 + p.b_bits * 17 + p.a_unsigned * 3 +
                                 p.b_unsigned));
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 12;  // INT mode must be exact even at tiny w
   Ipu ipu(cfg);
@@ -75,7 +75,7 @@ TEST_P(IpuIntMode, BitExactAgainstInt64Reference) {
         b.push_back(static_cast<int32_t>(rng.uniform_int(blo, bhi)));
       }
       expect += exact_int_inner_product(a, b);
-      cycles += ipu.int_accumulate(a, b, p.a_bits, p.b_bits, p.a_unsigned, p.b_unsigned);
+      cycles += ipu.int_accumulate_reference(a, b, p.a_bits, p.b_bits, p.a_unsigned, p.b_unsigned);
     }
     EXPECT_EQ(ipu.read_int(), expect);
     // Cycle count: Ka * Kb nibble iterations per op.
@@ -100,10 +100,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(IpuIntMode, PaperExampleInt8xInt12TakesSixIterations) {
-  IpuConfig cfg;
+  DatapathConfig cfg;
   Ipu ipu(cfg);
   const std::vector<int32_t> a(16, 100), b(16, -1000);
-  EXPECT_EQ(ipu.int_accumulate(a, b, 8, 12), 6);
+  EXPECT_EQ(ipu.int_accumulate_reference(a, b, 8, 12), 6);
   EXPECT_EQ(ipu.read_int(), 16 * 100 * -1000);
 }
 
@@ -114,7 +114,7 @@ TEST(IpuFpMode, WideSingleCycleIpuMatchesExactReferenceBitForBit) {
   // reproduce the exact FP-IP: the window never truncates (Proposition 1:
   // 58 < 80-9) and neither does the accumulator.
   Rng rng(101);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 80;
   cfg.software_precision = 58;
@@ -142,7 +142,7 @@ TEST(IpuFpMode, McIpuIsLosslessForAnyAdderWidth) {
   // any w, even w = 12 << the 58-bit worst case.
   Rng rng(102);
   for (int w : {10, 12, 14, 16, 20, 28}) {
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = 8;
     cfg.adder_tree_width = w;
     cfg.software_precision = 58;
@@ -166,7 +166,7 @@ TEST(IpuFpMode, Proposition1SafeAlignmentsAreExact) {
   Rng rng(103);
   for (int w : {12, 16, 20, 28}) {
     const int sp = w - 9;
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = 16;
     cfg.adder_tree_width = w;
     cfg.software_precision = 58;
@@ -199,13 +199,13 @@ TEST(IpuFpMode, McAndSingleCycleAgreeWhenWindowCoversSoftwarePrecision) {
   // exactly (same masking, unbounded accumulator).
   Rng rng(104);
   const int P = 16;
-  IpuConfig sc_cfg;
+  DatapathConfig sc_cfg;
   sc_cfg.n_inputs = 8;
   sc_cfg.adder_tree_width = P + 10;
   sc_cfg.software_precision = P;
   sc_cfg.multi_cycle = false;
   sc_cfg.accumulator = unbounded_acc();
-  IpuConfig mc_cfg = sc_cfg;
+  DatapathConfig mc_cfg = sc_cfg;
   mc_cfg.adder_tree_width = 12;
   mc_cfg.multi_cycle = true;
   Ipu sc(sc_cfg), mc(mc_cfg);
@@ -221,7 +221,7 @@ TEST(IpuFpMode, McAndSingleCycleAgreeWhenWindowCoversSoftwarePrecision) {
 }
 
 TEST(IpuFpMode, ZeroVectorsGiveZero) {
-  IpuConfig cfg;
+  DatapathConfig cfg;
   Ipu ipu(cfg);
   const std::vector<Fp16> a(16, Fp16::zero()), b(16, Fp16::from_double(3.5));
   ipu.fp_accumulate<kFp16Format>(a, b);
@@ -233,7 +233,7 @@ TEST(IpuFpMode, SingleProductIsAlwaysExactlyRepresented) {
   // n=1: no alignment at all; any IPU must return the exactly-rounded
   // product for every finite FP16 pair (sampled).
   Rng rng(105);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 1;
   cfg.adder_tree_width = 12;
   cfg.multi_cycle = true;
@@ -252,7 +252,7 @@ TEST(IpuFpMode, SingleProductIsAlwaysExactlyRepresented) {
 }
 
 TEST(IpuFpMode, SubnormalInputsHandledExactly) {
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 4;
   cfg.adder_tree_width = 80;
   cfg.software_precision = 58;
@@ -271,7 +271,7 @@ TEST(IpuFpMode, SubnormalInputsHandledExactly) {
 
 TEST(IpuFpMode, MultiOpAccumulationMatchesReference) {
   Rng rng(106);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 80;
   cfg.software_precision = 58;
@@ -296,7 +296,7 @@ TEST(IpuFpMode, MultiOpAccumulationMatchesReference) {
 
 TEST(IpuCycles, SingleCycleIpuAlwaysNineCyclesPerFp16Op) {
   Rng rng(107);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 16;
   cfg.software_precision = 16;
@@ -313,7 +313,7 @@ TEST(IpuCycles, McCyclesFollowMaxAlignment) {
   // Two products with alignment 0 and D: cycles = 9 * (D / sp + 1) while
   // D <= software precision; beyond that the big product is masked and we
   // are back to 9 cycles.
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 2;
   cfg.adder_tree_width = 14;  // sp = 5, as in Fig. 4
   cfg.software_precision = 28;
@@ -334,7 +334,7 @@ TEST(IpuCycles, McCyclesFollowMaxAlignment) {
 TEST(IpuCycles, SkipEmptyBandsAblation) {
   // Alignments {0, 15} with sp = 5: serve loop costs 4 cycles, the
   // skip-empty EHU only 2.
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 2;
   cfg.adder_tree_width = 14;
   cfg.software_precision = 28;
@@ -351,9 +351,9 @@ TEST(IpuCycles, SkipEmptyBandsAblation) {
   EXPECT_TRUE(plain.read_raw() == skipping.read_raw());
 }
 
-TEST(IpuStatsTest, CountersAccumulate) {
+TEST(IpuCounters, Accumulate) {
   Rng rng(108);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 8;
   cfg.adder_tree_width = 12;
   cfg.software_precision = 28;
@@ -362,7 +362,7 @@ TEST(IpuStatsTest, CountersAccumulate) {
   const auto b = random_fp16_bits(rng, 8);
   ipu.fp_accumulate<kFp16Format>(a, b);
   const std::vector<int32_t> ia(8, 3), ib(8, -2);
-  ipu.int_accumulate(ia, ib, 4, 4);
+  ipu.int_accumulate_reference(ia, ib, 4, 4);
   EXPECT_EQ(ipu.stats().fp_ops, 1);
   EXPECT_EQ(ipu.stats().int_ops, 1);
   EXPECT_EQ(ipu.stats().nibble_iterations, 9 + 1);
@@ -373,7 +373,7 @@ TEST(IpuStatsTest, CountersAccumulate) {
 
 TEST(IpuBf16, FourIterationsAndExactWideResult) {
   Rng rng(109);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 8;
   cfg.adder_tree_width = 80;
   cfg.software_precision = 120;  // BF16 products span a much wider range

@@ -29,7 +29,7 @@ class PrecisionSweep : public ::testing::TestWithParam<SweepParam> {
   template <FpFormat AccF>
   double median_contamination(int w, int n, uint64_t seed) {
     Rng rng(seed);
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = n;
     cfg.adder_tree_width = w;
     cfg.software_precision = w;
@@ -95,14 +95,14 @@ TEST_P(McScEquivalence, McIpuEqualsWideSingleCycleAtSameSoftwarePrecision) {
   const auto [w, n] = GetParam();
   if (w - 9 < 1 || w > 28) GTEST_SKIP();
   const int P = 20;
-  IpuConfig mc;
+  DatapathConfig mc;
   mc.n_inputs = n;
   mc.adder_tree_width = w;
   mc.software_precision = P;
   mc.multi_cycle = true;
   mc.accumulator.frac_bits = 100;
   mc.accumulator.lossless = true;
-  IpuConfig sc = mc;
+  DatapathConfig sc = mc;
   sc.adder_tree_width = P + 10;
   sc.multi_cycle = false;
   Ipu mc_ipu(mc), sc_ipu(sc);
@@ -145,7 +145,7 @@ TEST(PrecisionScaling, MeanErrorHalvesPerExtraWindowBit) {
   Rng rng(0xBEE);
   std::vector<double> means;
   for (int w : {10, 12, 14, 16, 18, 20}) {
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = 16;
     cfg.adder_tree_width = w;
     cfg.software_precision = w;

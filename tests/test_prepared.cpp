@@ -8,11 +8,12 @@
 //   * full convolutions including border-pixel clip classes (pad/stride
 //     combinations) and the skip_zero_iterations sparse ablation: a
 //     one-layer CompiledModel against the per-op oracle (per_op_conv.h)
-//     driven through the directly constructed scheme units,
+//     driven through the scheme units' per-op reference entries,
 //   * the allocation-free EHU overloads (Decoded spans, exponent planes,
 //     and scratch reuse across calls) against the allocating one.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,9 +21,7 @@
 #include "common/rng.h"
 #include "core/datapath.h"
 #include "core/ipu.h"
-#include "core/serial_ipu.h"
 #include "core/simd/simd.h"
-#include "core/spatial_ipu.h"
 #include "per_op_conv.h"
 
 namespace mpipu {
@@ -120,103 +119,13 @@ TEST(PreparedEhu, ProductAlignmentsMatchesRunEhuStages) {
 
 // --- Datapath prepared vs per-op, all schemes x accumulation regimes --------
 
-// Scheme-config mappers mirroring make_datapath's (kept local: the wrapped
-// configs are an implementation detail of datapath.cpp).
-IpuConfig TemporalOnly(const DatapathConfig& cfg) {
-  IpuConfig c;
-  c.n_inputs = cfg.n_inputs;
-  c.adder_tree_width = cfg.effective_adder_tree_width();
-  c.software_precision = cfg.software_precision;
-  c.multi_cycle = cfg.multi_cycle;
-  c.skip_empty_bands = cfg.skip_empty_bands;
-  c.skip_zero_iterations = cfg.skip_zero_iterations;
-  c.accumulator = cfg.accumulator;
-  return c;
-}
-
-SerialIpuConfig SerialOnly(const DatapathConfig& cfg) {
-  SerialIpuConfig c;
-  c.n_inputs = cfg.n_inputs;
-  c.adder_tree_width =
-      cfg.scheme == DecompositionScheme::kSerial ? cfg.effective_adder_tree_width() : 16;
-  c.software_precision = cfg.software_precision;
-  c.multi_cycle = cfg.multi_cycle;
-  c.accumulator = cfg.accumulator;
-  return c;
-}
-
-SpatialIpuConfig SpatialOnly(const DatapathConfig& cfg) {
-  SpatialIpuConfig c;
-  c.n_inputs = cfg.n_inputs;
-  c.adder_tree_width = cfg.effective_adder_tree_width();
-  c.software_precision = cfg.software_precision;
-  c.multi_cycle = cfg.multi_cycle;
-  c.skip_empty_bands = cfg.skip_empty_bands;
-  c.accumulator = cfg.accumulator;
-  return c;
-}
-
-/// Per-op reference driven through the original (template) entry points of
-/// the directly constructed scheme units.
-Fp16PerOpUnit make_ref(DecompositionScheme scheme, Ipu& ipu, SerialIpu& serial,
-                       SpatialIpu& spatial) {
-  switch (scheme) {
-    case DecompositionScheme::kTemporal:
-      return {[&] { ipu.reset_accumulator(); },
-              [&](std::span<const Fp16> a, std::span<const Fp16> b) {
-                return ipu.fp_accumulate<kFp16Format>(a, b);
-              },
-              [&] { return ipu.read_raw(); }};
-    case DecompositionScheme::kSerial:
-      return {[&] { serial.reset_accumulator(); },
-              [&](std::span<const Fp16> a, std::span<const Fp16> b) {
-                return serial.fp_accumulate(a, b);
-              },
-              [&] { return serial.read_raw(); }};
-    case DecompositionScheme::kSpatial:
-      return {[&] { spatial.reset_accumulator(); },
-              [&](std::span<const Fp16> a, std::span<const Fp16> b) {
-                return spatial.fp_accumulate<kFp16Format>(a, b);
-              },
-              [&] { return spatial.read_raw(); }};
-  }
-  return {};
-}
-
-/// The directly constructed unit's counters as the DatapathStats its
-/// make_datapath wrapper reports.
-DatapathStats ref_stats(DecompositionScheme scheme, const Ipu& ipu,
-                        const SerialIpu& serial, const SpatialIpu& spatial) {
-  DatapathStats d;
-  switch (scheme) {
-    case DecompositionScheme::kTemporal:
-      d.fp_ops = ipu.stats().fp_ops;
-      d.cycles = ipu.stats().cycles;
-      d.nibble_iterations = ipu.stats().nibble_iterations;
-      d.masked_products = ipu.stats().masked_products;
-      d.multi_cycle_ops = ipu.stats().multi_cycle_iterations;
-      d.skipped_iterations = ipu.stats().skipped_iterations;
-      break;
-    case DecompositionScheme::kSerial:
-      d.fp_ops = serial.stats().fp_ops;
-      d.cycles = serial.stats().cycles;
-      break;
-    case DecompositionScheme::kSpatial:
-      d.fp_ops = spatial.stats().fp_ops;
-      d.cycles = spatial.stats().cycles;
-      d.multi_cycle_ops = spatial.stats().multi_cycle_ops;
-      break;
-  }
-  return d;
-}
-
 /// Restores the startup backend selection on scope exit.
 struct BackendGuard {
   ~BackendGuard() { simd::reset_backend(); }
 };
 
-// The prepared datapath against the per-op template entries of the directly
-// constructed units: every scheme x window x accumulation regime x alignment
+// The prepared datapath against the per-op template entries of a second
+// unit: every scheme x window x accumulation regime x alignment
 // regime x accumulator kind, fed op by op (fp16_accumulate_prepared) or as
 // whole output-element streams (fp16_accumulate_stream), on each backend.
 // w = 10 is the narrowest MC window, 33 the widest the temporal stream
@@ -241,12 +150,8 @@ TEST(PreparedDatapath, BitAndCycleIdenticalToPerOpAllSchemesBothRegimes) {
                 cfg.multi_cycle = mc;
                 cfg.accumulator.lossless = lossless;
                 auto dp = make_datapath(cfg);
-
-                Ipu ipu(TemporalOnly(cfg));
-                SerialIpu serial(SerialOnly(cfg));
-                SpatialIpu spatial(SpatialOnly(cfg));
-                const Fp16PerOpUnit ref =
-                    make_ref(scheme, ipu, serial, spatial);
+                auto ref_unit = make_datapath(cfg);
+                const Fp16PerOpUnit ref = per_op_reference(*ref_unit);
                 const std::string what =
                     std::string(simd::backend_name(backend)) + " " +
                     scheme_name(scheme) + " w=" + std::to_string(w) +
@@ -264,8 +169,7 @@ TEST(PreparedDatapath, BitAndCycleIdenticalToPerOpAllSchemesBothRegimes) {
                   ref.reset();
                   int64_t dp_cycles = 0, ref_cycles = 0;
                   if (stream) {
-                    dp_cycles = dp->fp16_accumulate_stream(pa.view(), pb.view(),
-                                                           16);
+                    dp_cycles = dp->fp16_accumulate_stream(pa.view(), pb.view());
                   }
                   for (size_t c0 = 0; c0 < a.size(); c0 += 16) {
                     const size_t n = std::min<size_t>(16, a.size() - c0);
@@ -287,9 +191,7 @@ TEST(PreparedDatapath, BitAndCycleIdenticalToPerOpAllSchemesBothRegimes) {
                   EXPECT_EQ(dp->read_fp32().raw_bits(),
                             Fp32::round_from_fixed(ref.read()).raw_bits());
                 }
-                EXPECT_TRUE(dp->stats() == ref_stats(scheme, ipu, serial,
-                                                     spatial))
-                    << what;
+                EXPECT_TRUE(dp->stats() == ref_unit->stats()) << what;
               }
             }
           }
@@ -308,7 +210,7 @@ TEST(PreparedDatapath, StreamKeepsTheStickyOverflowFlag) {
     backends.push_back(simd::Backend::kAvx2);
   }
   BackendGuard guard;
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.accumulator.t = 0;  // 33-bit register: below 4 * 2^exponent
   cfg.accumulator.l = 0;
@@ -327,7 +229,7 @@ TEST(PreparedDatapath, StreamKeepsTheStickyOverflowFlag) {
         ref.fp_accumulate<kFp16Format>(op, op);
       }
       const PreparedFp16& p = v == &big ? pbig : psmall;
-      dut.fp16_accumulate_stream(p.view(), p.view(), 16);
+      dut.fp16_accumulate_stream(p.view(), p.view());
       EXPECT_TRUE(dut.read_raw() == ref.read_raw())
           << simd::backend_name(backend);
       EXPECT_TRUE(ref.accumulator_overflowed());
@@ -341,7 +243,7 @@ TEST(PreparedDatapath, StreamKeepsTheStickyOverflowFlag) {
 
 TEST(PreparedDatapath, SkipZeroIterationsAblationMatchesTemplatePath) {
   Rng rng(24);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 16;
   cfg.skip_zero_iterations = true;
@@ -368,14 +270,15 @@ TEST(PreparedDatapath, SkipZeroIterationsAblationMatchesTemplatePath) {
             template_path.stats().nibble_iterations);
   EXPECT_EQ(prepared_path.stats().masked_products,
             template_path.stats().masked_products);
-  EXPECT_EQ(prepared_path.stats().multi_cycle_iterations,
-            template_path.stats().multi_cycle_iterations);
-  EXPECT_EQ(prepared_path.stats().max_alignment_seen,
-            template_path.stats().max_alignment_seen);
+  EXPECT_EQ(prepared_path.stats().multi_cycle_ops,
+            template_path.stats().multi_cycle_ops);
 }
 
 // --- INT mode ----------------------------------------------------------------
 
+// The temporal prepared INT path against the per-op reference; the serial
+// scheme has one INT path (raw value planes), checked against the exact
+// inner product and its b_bits cycle cost.
 TEST(PreparedDatapath, IntPreparedMatchesPerOpTemporalAndSerial) {
   Rng rng(25);
   for (auto scheme :
@@ -384,8 +287,7 @@ TEST(PreparedDatapath, IntPreparedMatchesPerOpTemporalAndSerial) {
       DatapathConfig cfg = base_config(scheme, 16, 28);
       cfg.skip_zero_iterations = skip_zero;
       auto dp = make_datapath(cfg);
-      Ipu ipu(TemporalOnly(cfg));
-      SerialIpu serial(SerialOnly(cfg));
+      auto ref_unit = make_datapath(cfg);
       for (int t = 0; t < 300; ++t) {
         std::vector<int32_t> a, b;
         for (int k = 0; k < 16; ++k) {
@@ -405,20 +307,15 @@ TEST(PreparedDatapath, IntPreparedMatchesPerOpTemporalAndSerial) {
         int cr;
         int64_t ref_val;
         if (scheme == DecompositionScheme::kTemporal) {
+          auto& ipu = static_cast<Ipu&>(*ref_unit);
           ipu.reset_accumulator();
-          cr = ipu.int_accumulate(a, b, 8, 8);
+          cr = ipu.int_accumulate_reference(a, b, 8, 8);
           ref_val = ipu.read_int();
         } else {
-          serial.reset_accumulator();
-          cr = serial.int_accumulate(a, b, 12, 8);
-          ref_val = serial.read_int();
+          cr = 8;  // b_bits bit-serial steps
+          ref_val = exact_int_inner_product(a, b);
         }
-        if (scheme == DecompositionScheme::kSerial) {
-          // The serial unit charges b_bits cycles regardless of a_bits.
-          EXPECT_EQ(cp, cr) << t;
-        } else {
-          EXPECT_EQ(cp, cr) << "skip_zero=" << skip_zero << " trial " << t;
-        }
+        EXPECT_EQ(cp, cr) << "skip_zero=" << skip_zero << " trial " << t;
         EXPECT_EQ(dp->read_int(), ref_val) << scheme_name(scheme) << " " << t;
       }
     }
@@ -427,23 +324,21 @@ TEST(PreparedDatapath, IntPreparedMatchesPerOpTemporalAndSerial) {
 
 // --- Convolution: clip classes, strides, both accumulation destinations -----
 
-/// The direct INT units behind the per-op oracle (temporal or serial).
-IntPerOpUnit make_int_ref(DecompositionScheme scheme, Ipu& ipu,
-                          SerialIpu& serial, int a_bits, int w_bits) {
-  if (scheme == DecompositionScheme::kTemporal) {
-    return {[&] { ipu.reset_accumulator(); },
-            [&ipu, a_bits, w_bits](std::span<const int32_t> a,
-                                   std::span<const int32_t> b) {
-              return ipu.int_accumulate(a, b, a_bits, w_bits);
-            },
-            [&] { return ipu.read_int(); }};
+/// The INT unit behind the per-op oracle: the temporal per-op reference,
+/// or the serial scheme's one INT path through its compatibility entry.
+IntPerOpUnit make_int_ref(Datapath& unit, int a_bits, int w_bits) {
+  std::function<int(std::span<const int32_t>, std::span<const int32_t>)> acc;
+  if (unit.config().scheme == DecompositionScheme::kTemporal) {
+    acc = [&u = static_cast<Ipu&>(unit), a_bits, w_bits](auto a, auto b) {
+      return u.int_accumulate_reference(a, b, a_bits, w_bits);
+    };
+  } else {
+    acc = [&unit, a_bits, w_bits](auto a, auto b) {
+      return unit.int_accumulate(a, b, a_bits, w_bits);
+    };
   }
-  return {[&] { serial.reset_accumulator(); },
-          [&serial, a_bits, w_bits](std::span<const int32_t> a,
-                                    std::span<const int32_t> b) {
-            return serial.int_accumulate(a, b, a_bits, w_bits);
-          },
-          [&] { return serial.read_int(); }};
+  return {[&unit] { unit.reset_accumulator(); }, acc,
+          [&unit] { return unit.read_int(); }};
 }
 
 /// One conv as a one-layer CompiledModel run on `threads` workers.
@@ -478,14 +373,11 @@ TEST(PreparedConv, BorderClipClassesAndStridesMatchPerOpAllSchemes) {
     for (auto scheme : kAllSchemes) {
       for (AccumKind accum : {AccumKind::kFp16, AccumKind::kFp32}) {
         const DatapathConfig cfg = base_config(scheme, 16, 28);
-        Ipu ipu(TemporalOnly(cfg));
-        SerialIpu serial(SerialOnly(cfg));
-        SpatialIpu spatial(SpatialOnly(cfg));
+        auto ref_unit = make_datapath(cfg);
         int64_t ref_cycles = 0;
         const Tensor expect =
-            per_op_conv_fp16(make_ref(scheme, ipu, serial, spatial),
-                             cfg.n_inputs, accum, input, filters, spec,
-                             &ref_cycles);
+            per_op_conv_fp16(per_op_reference(*ref_unit), cfg.n_inputs,
+                             accum, input, filters, spec, &ref_cycles);
 
         for (int threads : {1, 3}) {
           const RunReport got =
@@ -520,13 +412,11 @@ TEST(PreparedConv, SparseAblationConvMatchesPerOp) {
   DatapathConfig cfg = base_config(DecompositionScheme::kTemporal, 16, 28);
   cfg.skip_zero_iterations = true;
 
-  Ipu ipu(TemporalOnly(cfg));
-  SerialIpu serial(SerialOnly(cfg));
-  SpatialIpu spatial(SpatialOnly(cfg));
+  Ipu ipu(cfg);
   int64_t ref_cycles = 0;
   const Tensor expect =
-      per_op_conv_fp16(make_ref(cfg.scheme, ipu, serial, spatial), cfg.n_inputs,
-                       AccumKind::kFp32, input, filters, spec, &ref_cycles);
+      per_op_conv_fp16(per_op_reference(ipu), cfg.n_inputs, AccumKind::kFp32,
+                       input, filters, spec, &ref_cycles);
 
   const RunReport got =
       run_compiled_conv(cfg, PrecisionPolicy::all_fp16(AccumKind::kFp32), 1,
@@ -549,12 +439,11 @@ TEST(PreparedConv, IntConvMatchesPerOpQuantizedLoop) {
   for (auto scheme :
        {DecompositionScheme::kTemporal, DecompositionScheme::kSerial}) {
     const DatapathConfig cfg = base_config(scheme, 16, 28);
-    Ipu ipu(TemporalOnly(cfg));
-    SerialIpu serial(SerialOnly(cfg));
+    auto ref_unit = make_datapath(cfg);
     int64_t ref_cycles = 0;
     const Tensor expect =
-        per_op_conv_int(make_int_ref(scheme, ipu, serial, 8, 8), cfg.n_inputs,
-                        8, 8, input, filters, spec, &ref_cycles);
+        per_op_conv_int(make_int_ref(*ref_unit, 8, 8), cfg.n_inputs, 8, 8,
+                        input, filters, spec, &ref_cycles);
 
     const RunReport got = run_compiled_conv(
         cfg, PrecisionPolicy::all_int(8), 2, input, filters, spec);
@@ -572,7 +461,7 @@ TEST(PreparedPlanes, GatherMatchesDirectPreparation) {
   Rng rng(29);
   const auto pool = random_fp16_bits(rng, 256);
   PreparedFp16 planes(pool);
-  Ipu a_path{IpuConfig{}}, b_path{IpuConfig{}};
+  Ipu a_path{DatapathConfig{}}, b_path{DatapathConfig{}};
   for (int t = 0; t < 200; ++t) {
     std::vector<int32_t> rel;
     std::vector<Fp16> direct;

@@ -10,8 +10,15 @@
 namespace mpipu {
 namespace {
 
-SerialIpuConfig wide_cfg() {
-  SerialIpuConfig cfg;
+/// The serial scheme at w = 16 (sp = 4).
+DatapathConfig serial_cfg() {
+  DatapathConfig cfg = DatapathConfig::for_scheme(DecompositionScheme::kSerial);
+  cfg.adder_tree_width = 16;
+  return cfg;
+}
+
+DatapathConfig wide_cfg() {
+  DatapathConfig cfg = serial_cfg();
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 80;
   cfg.software_precision = 58;
@@ -32,8 +39,7 @@ std::vector<Fp16> random_fp16(Rng& rng, int n) {
 
 TEST(SerialIpu, IntModeBitExact) {
   Rng rng(61);
-  SerialIpuConfig cfg;
-  SerialIpu ipu(cfg);
+  SerialIpu ipu(serial_cfg());
   for (int trial = 0; trial < 500; ++trial) {
     ipu.reset_accumulator();
     std::vector<int32_t> a, b;
@@ -48,7 +54,7 @@ TEST(SerialIpu, IntModeBitExact) {
 }
 
 TEST(SerialIpu, IntModeCyclesScaleWithWeightBits) {
-  SerialIpu ipu(SerialIpuConfig{});
+  SerialIpu ipu(serial_cfg());
   const std::vector<int32_t> a(4, 100), b4(4, 7), b16(4, 1234);
   EXPECT_EQ(ipu.int_accumulate(a, b4, 12, 4), 4);
   ipu.reset_accumulator();
@@ -57,7 +63,7 @@ TEST(SerialIpu, IntModeCyclesScaleWithWeightBits) {
 }
 
 TEST(SerialIpu, IntModeNegativeWeights) {
-  SerialIpu ipu(SerialIpuConfig{});
+  SerialIpu ipu(serial_cfg());
   const std::vector<int32_t> a = {5, -7, 11, -13};
   const std::vector<int32_t> b = {-8, 7, -1, -128};
   ipu.int_accumulate(a, b, 12, 8);
@@ -81,7 +87,7 @@ TEST(SerialIpu, FpMcModeIsLossless) {
   // MC banding on the serial datapath is exact with an unbounded
   // accumulator, exactly like the nibble IPU.
   Rng rng(63);
-  SerialIpuConfig cfg = wide_cfg();
+  DatapathConfig cfg = wide_cfg();
   cfg.adder_tree_width = 16;  // sp = 4
   cfg.multi_cycle = true;
   SerialIpu ipu(cfg);
@@ -96,7 +102,7 @@ TEST(SerialIpu, FpMcModeIsLossless) {
 
 TEST(SerialIpu, FpCyclesAreTwelvePerBand) {
   // Two products with alignment D: bands = D / sp + 1, cycles = 12 * bands.
-  SerialIpuConfig cfg;
+  DatapathConfig cfg = serial_cfg();
   cfg.n_inputs = 2;
   cfg.adder_tree_width = 16;  // sp = 4
   cfg.software_precision = 28;
@@ -116,7 +122,7 @@ TEST(SerialIpu, FpMatchesNibbleIpuRoundedResults) {
   // agree bit-for-bit when both are lossless.
   Rng rng(64);
   SerialIpu serial(wide_cfg());
-  IpuConfig ncfg;
+  DatapathConfig ncfg;
   ncfg.n_inputs = 16;
   ncfg.adder_tree_width = 80;
   ncfg.software_precision = 58;
@@ -136,7 +142,7 @@ TEST(SerialIpu, FpMatchesNibbleIpuRoundedResults) {
 }
 
 TEST(SerialIpu, StatsAccumulate) {
-  SerialIpu ipu(SerialIpuConfig{});
+  SerialIpu ipu(serial_cfg());
   const std::vector<Fp16> a(4, Fp16::one()), b(4, Fp16::one());
   const std::vector<int32_t> ia(4, 1), ib(4, 1);
   ipu.fp_accumulate(a, b);

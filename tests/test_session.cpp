@@ -123,7 +123,7 @@ TEST(SessionRunBatch, ThreadCountInvariantTensorsAndStats) {
   }
 }
 
-TEST(SessionRun, RejectsIntLayerOnSpatialDatapath) {
+TEST(SessionRun, RejectsIntLayerOnTheSpatialScheme) {
   Rng rng(23);
   const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);

@@ -183,14 +183,14 @@ TEST(SimdKernels, EhuFusedMatchesScalar) {
         const int32_t soft = static_cast<int32_t>(rng.uniform_int(0, 60));
         const int32_t sp = static_cast<int32_t>(rng.uniform_int(1, 30));
         std::vector<int32_t> al_s(n), bd_s(n), al_v(n), bd_v(n);
-        int32_t me_s, mb_s, nm_s, ma_s, me_v, mb_v, nm_v, ma_v;
+        int32_t me_s, mb_s, nm_s, me_v, mb_v, nm_v;
         uint32_t occ_s, occ_v;
         const bool ok_s =
             S.ehu_fused_i32(ea.data(), eb.data(), n, soft, sp, al_s.data(),
-                            bd_s.data(), &me_s, &occ_s, &mb_s, &nm_s, &ma_s);
+                            bd_s.data(), &me_s, &occ_s, &mb_s, &nm_s);
         const bool ok_v =
             V.ehu_fused_i32(ea.data(), eb.data(), n, soft, sp, al_v.data(),
-                            bd_v.data(), &me_v, &occ_v, &mb_v, &nm_v, &ma_v);
+                            bd_v.data(), &me_v, &occ_v, &mb_v, &nm_v);
         ASSERT_EQ(ok_s, ok_v) << "n=" << n << " trial " << trial;
         if (!ok_s) continue;  // outputs unspecified on the bail path
         EXPECT_EQ(al_s, al_v);
@@ -199,7 +199,6 @@ TEST(SimdKernels, EhuFusedMatchesScalar) {
         EXPECT_EQ(occ_s, occ_v);
         EXPECT_EQ(mb_s, mb_v);
         EXPECT_EQ(nm_s, nm_v);
-        EXPECT_EQ(ma_s, ma_v);
       }
     }
   }
@@ -276,7 +275,6 @@ struct StreamConfig {
 simd::TemporalStreamState fresh_state() {
   simd::TemporalStreamState st{};
   st.empty = 1;
-  st.max_align = INT32_MIN;
   return st;
 }
 
@@ -310,7 +308,6 @@ std::vector<size_t> expect_stream_equal(const KernelTable& S,
       EXPECT_EQ(st_s.exp, st_v.exp) << what << " from " << c0;
     }
     EXPECT_EQ(st_s.overflowed, st_v.overflowed) << what << " from " << c0;
-    EXPECT_EQ(st_s.max_align, st_v.max_align) << what << " from " << c0;
     EXPECT_EQ(st_s.ops, st_v.ops) << what << " from " << c0;
     EXPECT_EQ(st_s.cycles, st_v.cycles) << what << " from " << c0;
     EXPECT_EQ(st_s.masked_products, st_v.masked_products) << what;
@@ -453,7 +450,6 @@ TEST(SimdKernels, TemporalStreamExactAtLaneBound) {
               << (T == &S ? "scalar" : simd::backend_name(b));
           EXPECT_EQ(st.exp, 1);
           EXPECT_EQ(st.overflowed, 0);
-          EXPECT_EQ(st.max_align, 0);
           EXPECT_EQ(st.cycles, 9);
         }
       }

@@ -12,8 +12,8 @@
 namespace mpipu {
 namespace {
 
-IpuConfig base_cfg(bool skip) {
-  IpuConfig cfg;
+DatapathConfig base_cfg(bool skip) {
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 16;
   cfg.software_precision = 28;
@@ -85,7 +85,7 @@ TEST(SparseSkip, IntModeSkipsZeroNibbles) {
     b.push_back(static_cast<int32_t>(rng.uniform_int(0, 15)));
     expect += int64_t{a.back()} * b.back();
   }
-  const int cycles = ipu.int_accumulate(a, b, 8, 8);
+  const int cycles = ipu.int_accumulate_reference(a, b, 8, 8);
   EXPECT_EQ(cycles, 1);
   EXPECT_EQ(ipu.stats().skipped_iterations, 3);
   EXPECT_EQ(ipu.read_int(), expect);
@@ -93,7 +93,7 @@ TEST(SparseSkip, IntModeSkipsZeroNibbles) {
 
 TEST(SparseSkip, IntModeValuesUnchangedUnderRandomSparsity) {
   Rng rng(73);
-  IpuConfig cfg = base_cfg(true);
+  DatapathConfig cfg = base_cfg(true);
   Ipu ipu(cfg);
   for (int t = 0; t < 1000; ++t) {
     ipu.reset_accumulator();
@@ -104,7 +104,7 @@ TEST(SparseSkip, IntModeValuesUnchangedUnderRandomSparsity) {
       b.push_back(rng.bernoulli(0.6) ? 0
                                      : static_cast<int32_t>(rng.uniform_int(-128, 127)));
     }
-    ipu.int_accumulate(a, b, 8, 8);
+    ipu.int_accumulate_reference(a, b, 8, 8);
     EXPECT_EQ(ipu.read_int(), exact_int_inner_product(a, b)) << t;
   }
 }
