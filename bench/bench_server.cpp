@@ -1,12 +1,20 @@
-// Serving runtime throughput/latency: dynamic batching + coalescing vs the
-// closed-loop one-request-at-a-time loop every caller hand-rolls today.
+// Serving: what compile-once buys, and what the serving runtime adds on top.
 //
-// Two load shapes, measured on the SAME request sequence:
+// First, per request on one thread, for the fp16 and int8 policies:
+//
+//   * recompile-every-request -- what a naive server does: a fresh
+//     Session::run pays the whole weight pipeline (FP16 rounding / INT
+//     quantization, decode, nibble decomposition, per-clip-class stream
+//     packing) every time;
+//   * compiled -- one compile at load time, then CompiledModel::run per
+//     request: each request pays only activation prep + the datapath.
+//
+// Then two load shapes, measured on the SAME request sequence:
 //
 //   * closed-loop baseline -- a single client issuing compiled.run(),
 //     waiting, issuing again.  Its arrival rate adapts to the service rate,
-//     so this is exactly the hand-rolled serving loop of bench_serving and
-//     the examples;
+//     so this is exactly the hand-rolled serving loop a caller writes
+//     around a CompiledModel;
 //   * batched runtime -- the same requests pushed through ServingRuntime's
 //     bounded queue: the worker gathers up to max_batch queued same-model
 //     requests per dispatch and coalesces byte-identical inputs so
@@ -20,9 +28,10 @@
 // An open-loop Poisson sweep (below/at/above capacity) plus a bursty point
 // reports the SLO picture: p50/p95/p99 latency, shed counts, batch sizes.
 //
-// Outputs are verified byte-identical (tensors AND per-layer stats) between
-// the batched runtime and direct serial execution before anything is
-// timed; the process exits non-zero if that gate fails.
+// Outputs are verified byte-identical before anything is timed: recompiled
+// vs compiled runs (tensors), and the batched runtime vs direct serial
+// execution (tensors AND per-layer stats).  The process exits non-zero if
+// either gate fails; both feed the JSON's bit_identical flag.
 //
 // --soak adds a fixed-duration zipf soak with a mid-run fault window: the
 // middle third of the run injects execution faults (FaultPlan), the circuit
@@ -64,7 +73,10 @@ double now_seconds() {
 
 using bench::tensors_identical;
 
-/// FC-style serving head (the weights-dominant shape of bench_serving).
+/// FC-style serving head: chained 1x1 convs on a 1x1 map.  Per-request
+/// activations are tiny and weights are everything -- the shape a
+/// classifier head serves at, and the one where the weight pipeline is the
+/// largest honest share of a request.
 GraphModel serving_head(Rng& rng, int c0, int c1, int c_out) {
   std::vector<ModelLayer> layers(3);
   layers[0].name = "fc1";
@@ -76,6 +88,58 @@ GraphModel serving_head(Rng& rng, int c0, int c1, int c_out) {
   layers[2].name = "logits";
   layers[2].filters = random_filters(rng, c_out, c1, 1, 1, ValueDist::kNormal, 0.1);
   return GraphModel::from_layers("server-head", std::move(layers));
+}
+
+/// One row of the recompile-every-request vs compiled comparison.
+struct RecompileResult {
+  std::string mode;
+  double recompile_s_per_req = 0.0;
+  double compiled_s_per_req = 0.0;
+  double speedup = 0.0;
+  bool bit_identical = true;
+};
+
+Json to_json(const RecompileResult& r) {
+  Json j = Json::object();
+  j.set("mode", r.mode);
+  j.set("recompile_s_per_req", r.recompile_s_per_req);
+  j.set("compiled_s_per_req", r.compiled_s_per_req);
+  j.set("speedup_compiled_vs_recompile", r.speedup);
+  j.set("bit_identical", r.bit_identical);
+  return j;
+}
+
+/// Single-thread seconds per request over the same request stream: a fresh
+/// Session per request (recompiles the weights) vs one CompiledModel.
+RecompileResult run_recompile_vs_compiled(std::string mode, const RunSpec& spec,
+                                          const GraphModel& model,
+                                          const std::vector<Tensor>& inputs,
+                                          int requests,
+                                          const RunOptions& opts) {
+  RecompileResult r;
+  r.mode = std::move(mode);
+  const CompiledModel compiled =
+      CompiledModel::compile(model, spec, {inputs[0].h, inputs[0].w});
+  for (const Tensor& in : inputs) {
+    if (!tensors_identical(Session(spec).run(model, in, opts).output,
+                           compiled.run(in, opts).output)) {
+      r.bit_identical = false;
+      return r;
+    }
+  }
+  double t0 = now_seconds();
+  for (int q = 0; q < requests; ++q) {
+    Session fresh(spec);
+    (void)fresh.run(model, inputs[static_cast<size_t>(q) % inputs.size()], opts);
+  }
+  r.recompile_s_per_req = (now_seconds() - t0) / requests;
+  t0 = now_seconds();
+  for (int q = 0; q < requests; ++q) {
+    (void)compiled.run(inputs[static_cast<size_t>(q) % inputs.size()], opts);
+  }
+  r.compiled_s_per_req = (now_seconds() - t0) / requests;
+  r.speedup = r.recompile_s_per_req / r.compiled_s_per_req;
+  return r;
 }
 
 struct LoadResult {
@@ -353,7 +417,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::title("Serving runtime: dynamic batching + coalescing vs closed loop");
+  bench::title(
+      "Serving: compile once vs recompile, batching runtime vs closed loop");
 
   Rng rng(5150);
   const int c0 = smoke ? 96 : 256;
@@ -393,9 +458,35 @@ int main(int argc, char** argv) {
 
   const CompiledModel compiled = Session(spec).compile(model, {1, 1});
 
+  // --- Compile once vs recompile every request, fp16 and int8. -----------
+  RunSpec int8_spec = spec;
+  int8_spec.policy = PrecisionPolicy::all_int(8);
+  const std::vector<Tensor> recompile_inputs(catalog.begin(),
+                                             catalog.begin() + 3);
+  const int recompile_requests = smoke ? 4 : 12;
+  const std::vector<RecompileResult> recompile = {
+      run_recompile_vs_compiled("fp16+fp32acc", spec, model, recompile_inputs,
+                                recompile_requests, cfg.run_options),
+      run_recompile_vs_compiled("int8x8", int8_spec, model, recompile_inputs,
+                                recompile_requests, cfg.run_options)};
+  bench::Table recompile_table({"policy", "recompile s/req", "compiled s/req",
+                                "speedup", "bit-identical"});
+  bool recompile_identical = true;
+  for (const RecompileResult& r : recompile) {
+    recompile_table.add_row({r.mode, bench::fmt(r.recompile_s_per_req, 4),
+                             bench::fmt(r.compiled_s_per_req, 4),
+                             bench::fmt(r.speedup, 2) + "x",
+                             r.bit_identical ? "yes" : "NO"});
+    recompile_identical = recompile_identical && r.bit_identical;
+  }
+  std::printf("compile once vs recompile every request (%d requests, one "
+              "thread):\n", recompile_requests);
+  recompile_table.print();
+  std::printf("\n");
+
   // --- Byte-identity gate: runtime-served outputs AND per-layer stats must
   // match direct serial execution exactly, coalesced or not. ---------------
-  bool bit_identical = true;
+  bool runtime_identical = true;
   {
     serve::ServingRuntime rt(spec, cfg);
     const serve::ModelHandle h = rt.load(model, 1, 1);
@@ -412,12 +503,13 @@ int main(int argc, char** argv) {
           !tensors_identical(res.report.output, direct.output) ||
           to_json_value(res.report.totals).dump(0) !=
               to_json_value(direct.totals).dump(0)) {
-        bit_identical = false;
+        runtime_identical = false;
       }
     }
   }
   std::printf("byte-identity gate (batched+coalesced vs direct serial): %s\n\n",
-              bit_identical ? "yes" : "NO");
+              runtime_identical ? "yes" : "NO");
+  const bool bit_identical = recompile_identical && runtime_identical;
 
   // --- Saturating throughput: closed loop vs batched runtime. -------------
   RunOptions opts = cfg.run_options;
@@ -540,6 +632,9 @@ int main(int argc, char** argv) {
   workload.set("workers", cfg.workers);
   root.set("workload", std::move(workload));
   root.set("kernel_backend", simd::backend_name());
+  Json recompile_j = Json::array();
+  for (const RecompileResult& r : recompile) recompile_j.push(to_json(r));
+  root.set("recompile_vs_compiled", std::move(recompile_j));
   Json sat = Json::object();
   sat.set("closed_loop_zipf", to_json(closed));
   sat.set("batched_zipf", to_json(batched));

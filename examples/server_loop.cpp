@@ -1,18 +1,20 @@
-// Server loop: the serving runtime end to end.
+// Server loop: the load-once / serve-many pattern, end to end.
 //
-// examples/serving_loop.cpp shows the load-once / serve-many pattern with a
-// hand-rolled loop around CompiledModel::run.  This example replaces that
-// loop with src/serve's ServingRuntime: a bounded request queue, a dynamic
-// batching window, async workers, typed overload shedding and SLO metrics
-// -- the machinery a real serving process needs around the same plan.
+// A serving process prepares its fixed weights exactly once at load time
+// and then executes requests against the immutable plan.  src/serve's
+// ServingRuntime puts the machinery a real serving process needs around
+// that plan: a bounded request queue, a dynamic batching window, async
+// workers, typed overload shedding and SLO metrics.
 //
-//   load(model)  -> handle            (compile once, LRU plan cache)
+//   load(model)  -> handle            (compile once into the plan cache)
 //   submit(h, x) -> future<result>    (never throws for overload)
+//   model(h)     -> the CompiledModel (direct, reentrant run() calls)
 //   metrics()    -> throughput, p50/p95/p99, shed counts, batch sizes
 #include <cstdio>
 #include <future>
 #include <vector>
 
+#include "api/run_report.h"
 #include "common/rng.h"
 #include "serve/serving_runtime.h"
 #include "serve/traffic.h"
@@ -43,8 +45,9 @@ int main() {
   cfg.max_batch = 8;        // gather up to 8 same-model requests per dispatch
   serve::ServingRuntime rt(spec, cfg);
   const serve::ModelHandle h = rt.load(model, 16, 16);
-  std::printf("loaded '%s' -> handle %d (%zu plan(s) cached)\n",
-              rt.model(h)->model_name().c_str(), h, rt.loaded_count());
+  std::printf("loaded '%s' -> handle %d (%zu plan(s), %zu plan bytes)\n",
+              rt.model(h)->model_name().c_str(), h, rt.loaded_count(),
+              rt.metrics().plan_cache_bytes);
 
   // ---- request time: a zipf-skewed burst of requests --------------------
   // A small catalog with hot-key skew, like production traffic; identical
@@ -63,12 +66,23 @@ int main() {
     futures.push_back(rt.submit(h, catalog[static_cast<size_t>(idx)], opts));
   }
 
+  // The same plan also serves direct calls: CompiledModel::run is
+  // reentrant, and a request's bytes do not depend on the path it took.
+  const int probe = stream[0];
+  const RunReport direct =
+      rt.model(h)->run(catalog[static_cast<size_t>(probe)], cfg.run_options);
+  bool identical = true;
   int ok = 0, rejected = 0, coalesced = 0;
-  for (auto& f : futures) {
-    const serve::ServeResult r = f.get();
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const serve::ServeResult r = futures[i].get();
     if (r.ok()) {
       ++ok;
       if (r.coalesced) ++coalesced;
+      if (stream[i] == probe) {
+        identical = identical && r.report.output.data == direct.output.data &&
+                    to_json_value(r.report.totals).dump(0) ==
+                        to_json_value(direct.totals).dump(0);
+      }
     } else {
       ++rejected;
       std::printf("request rejected: %s\n",
@@ -77,6 +91,8 @@ int main() {
   }
   std::printf("served %d requests (%d coalesced onto an identical twin), "
               "%d rejected\n", ok, coalesced, rejected);
+  std::printf("runtime vs direct rt.model(h)->run(): %s\n",
+              identical ? "byte-identical" : "MISMATCH");
 
   // ---- the SLO picture ---------------------------------------------------
   const serve::ServerMetrics m = rt.metrics();
@@ -90,5 +106,5 @@ int main() {
               static_cast<unsigned long long>(m.shed_shutdown));
 
   rt.shutdown(serve::ServingRuntime::Shutdown::kDrain);  // complete, then stop
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -147,6 +147,8 @@ CompiledModel CompiledModel::compile_nodes(std::vector<GraphNode> nodes,
           prepare_int_planes(nd.filters.data, cl.qw, cl.int_digits);
       cl.int_plan.build(c, h, w, nd.filters, nd.spec, flt_planes);
     }
+    cm.plan_bytes_ += cl.fp16_plan.bytes() + cl.int_plan.bytes() +
+                      nd.filters.data.size() * sizeof(double);
   }
   return cm;
 }
@@ -165,7 +167,6 @@ CompiledModel CompiledModel::compile(const GraphModel& model,
   cm.name_ = model.name();
   cm.tensor_stats_ = model.tensor_stats();
   cm.shape_net_ = model.shape_table(opts.input_h, opts.input_w);
-  cm.fingerprint_ = graph_fingerprint(model);
   return cm;
 }
 

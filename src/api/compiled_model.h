@@ -36,11 +36,11 @@
 // Session::run produces for the same spec/model/input.  Stats are per-call
 // by construction: nothing accumulates across calls.
 //
-// Session::run sits on top of this (compile-on-first-use with an
-// exact-match model cache).
+// Session::run and ServingRuntime::load sit on top of this through one
+// byte-bounded plan cache (api/plan_cache.h).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <utility>
@@ -119,16 +119,16 @@ class CompiledModel {
   const std::vector<LayerPrecision>& layer_precisions() const {
     return precisions_;
   }
-  /// Content fingerprint of the model this plan was compiled from
-  /// (graph_fingerprint: FNV-1a over name, topology, specs and post-ops,
-  /// word-wise lanes over the weights).  In-process only -- never
-  /// persisted; matches() is the equality check.
-  uint64_t fingerprint() const { return fingerprint_; }
+  /// Host bytes this plan holds, fixed at compile time: every clip class's
+  /// packed filter planes and gather offsets, plus the source weights kept
+  /// for the reference chain and matches().  PlanCache's byte budget sums
+  /// these.
+  size_t plan_bytes() const { return plan_bytes_; }
   /// Exact node-list + tensor-statistics equality of `model` with the
   /// compiled source (the statistics feed the shape table estimate()
-  /// consumes) -- the sole lookup predicate of Session's and
-  /// ServingRuntime's plan caches.  Field checks (name, dims, specs) reject
-  /// mismatches before any weight bytes are compared.
+  /// consumes) -- the lookup predicate of PlanCache (api/plan_cache.h).
+  /// Field checks (name, dims, specs) reject mismatches before any weight
+  /// bytes are compared.
   bool matches(const GraphModel& model) const;
 
  private:
@@ -188,7 +188,7 @@ class CompiledModel {
   std::vector<CompiledNode> compiled_;      ///< indexed by node id
   LayerTensorStats tensor_stats_;  ///< source stats, baked into shape_net_
   Network shape_net_;  ///< shape table at the compiled input dims
-  uint64_t fingerprint_ = 0;
+  size_t plan_bytes_ = 0;
   std::shared_ptr<RefCache> ref_cache_;
 };
 

@@ -1,7 +1,6 @@
 #include "api/graph_model.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -546,69 +545,6 @@ std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
     refs[static_cast<size_t>(id)] = apply_post_ops(std::move(y), nd.relu, nd.pool);
   }
   return refs;
-}
-
-uint64_t graph_fingerprint(const GraphModel& model) {
-  // FNV-1a over the structural fields (a few dozen bytes per node).
-  constexpr uint64_t kFnvPrime = 1099511628211ull;
-  uint64_t h = 1469598103934665603ull;
-  const auto bytes = [&h](const void* p, size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= kFnvPrime;
-    }
-  };
-  const auto str = [&](const std::string& s) {
-    const uint64_t n = s.size();
-    bytes(&n, sizeof(n));
-    bytes(s.data(), s.size());
-  };
-  const auto pod = [&](const auto& v) { bytes(&v, sizeof(v)); };
-  const auto fold = [&h](uint64_t word) {
-    h ^= word;
-    h *= kFnvPrime;
-  };
-  // The weight payload goes word by word through 4 independent lanes.  A
-  // lane step (xor the word, multiply by an odd constant, xorshift) is a
-  // bijection of the lane state for a fixed word and injective in the word
-  // for a fixed state, and every later step and fold is a bijection of the
-  // state: changing any one weight word always changes the fingerprint.
-  const auto weights = [&](const std::vector<double>& w) {
-    constexpr uint64_t kLaneMul = 0x9E3779B97F4A7C15ull;
-    uint64_t lane[4] = {h, h + 1, h + 2, h + 3};
-    const auto step = [&lane](size_t j, double v) {
-      uint64_t s = (lane[j] ^ std::bit_cast<uint64_t>(v)) * kLaneMul;
-      lane[j] = s ^ (s >> 29);
-    };
-    const size_t n = w.size();
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      for (size_t j = 0; j < 4; ++j) step(j, w[i + j]);
-    }
-    for (; i < n; ++i) step(i & 3, w[i]);
-    for (const uint64_t l : lane) fold(l);
-    fold(n);
-  };
-
-  str(model.name());
-  pod(static_cast<uint64_t>(model.nodes().size()));
-  for (const GraphNode& nd : model.nodes()) {
-    pod(static_cast<int>(nd.op));
-    str(nd.name);
-    pod(static_cast<uint64_t>(nd.inputs.size()));
-    for (int p : nd.inputs) pod(p);
-    pod(nd.spec.stride);
-    pod(nd.spec.pad);
-    pod(static_cast<int>(nd.relu));
-    pod(static_cast<int>(nd.pool));
-    pod(nd.filters.cout);
-    pod(nd.filters.cin);
-    pod(nd.filters.kh);
-    pod(nd.filters.kw);
-    weights(nd.filters.data);
-  }
-  return h;
 }
 
 }  // namespace mpipu

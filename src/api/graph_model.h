@@ -180,7 +180,7 @@ class GraphModel {
   LayerTensorStats tensor_stats_;
   /// Builder conv_shape() nodes: the only ones materialize_weights fills
   /// (empty = from_nodes graph, where it fills every conv node).  Not part
-  /// of equality/fingerprints -- ephemeral build state.
+  /// of equality -- ephemeral build state.
   std::vector<int> shape_only_ids_;
   bool has_weights_ = true;
 };
@@ -193,17 +193,5 @@ class GraphModel {
 std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
                                             const GraphTopology& topo,
                                             const Tensor& input);
-
-/// Order-sensitive content hash of a graph's name, topology, specs,
-/// post-ops and weights -- an in-process identity for logging / plan
-/// registries (what CompiledModel::fingerprint reports).  Structural fields
-/// go through FNV-1a; each conv's weights go through 4 multiply-xorshift
-/// lanes over their 64-bit words, folded with the count into the FNV
-/// state, so a change to any one weight word always changes the value.
-/// The value is persisted nowhere (no golden file or digest holds it) and
-/// may change between versions.  NOTE: it deliberately skips the tensor
-/// statistics; CompiledModel::matches is the exact-equality authority (and
-/// does compare them).
-uint64_t graph_fingerprint(const GraphModel& model);
 
 }  // namespace mpipu

@@ -12,13 +12,14 @@
 //     datapath config plugged into the tile.
 //
 // Session::run is compile-on-first-use sugar over api/compiled_model.h: the
-// model is compiled into an immutable CompiledModel on the first run
-// (cached by exact model content -- CompiledModel::matches -- and input
-// geometry, so re-runs, sweeps and batches never re-pay the weight
-// pipeline) and executed on the Session's shared ThreadPool.
+// model is compiled into an immutable CompiledModel on the first run, kept
+// in a PlanCache (api/plan_cache.h: keyed by exact model content and input
+// geometry, bounded by kPlanCacheBytes of plans) so re-runs, sweeps and
+// batches never re-pay the weight pipeline, and executed on the Session's
+// shared ThreadPool.
 //
-// run()/run_batch() are thread-safe: the compile cache is guarded by a
-// mutex (a shared_ptr pins each plan across LRU eviction), and concurrent
+// run()/run_batch() are thread-safe: the plan cache compiles outside its
+// lock and pins each plan in a shared_ptr across eviction, and concurrent
 // runs race for the shared pool -- the loser executes on a private
 // per-call pool of the same width, so outputs stay byte-identical either
 // way (thread-count invariance).  Use Session for conversational work --
@@ -34,6 +35,7 @@
 
 #include "api/compiled_model.h"
 #include "api/graph_model.h"
+#include "api/plan_cache.h"
 #include "api/run_report.h"
 #include "api/run_spec.h"
 #include "common/annotated_mutex.h"
@@ -79,7 +81,8 @@ class Session {
   static Tensor reference(const GraphModel& model, const Tensor& input);
 
   /// Forward passes over a batch of inputs with deterministic stats
-  /// reduction (totals are sums of per-run sums).
+  /// reduction (totals are sums of per-run sums).  One plan lookup and at
+  /// most one estimate per distinct input geometry.
   BatchRunReport run_batch(const GraphModel& model,
                            const std::vector<Tensor>& inputs,
                            const RunOptions& opts = {});
@@ -94,13 +97,6 @@ class Session {
                             int input_w) const;
 
  private:
-  /// The compile-on-first-use cache behind run(): exact-match lookup
-  /// (CompiledModel::matches -- cheap field checks, then the weight bytes)
-  /// keyed by model content and input geometry, LRU-evicted.  Guarded by
-  /// cache_mu_; returns a shared_ptr so a concurrent eviction cannot
-  /// destroy a plan mid-run.
-  std::shared_ptr<const CompiledModel> compiled_for(const GraphModel& model,
-                                                    int input_h, int input_w);
   /// Execute on the shared pool when it is free, else on a private
   /// per-call pool of the same width (byte-identical either way).
   RunReport run_compiled(const CompiledModel& compiled, const Tensor& input,
@@ -113,11 +109,7 @@ class Session {
   /// lock-free, and the capability here serializes parallel_for USE, not
   /// data access.
   Mutex pool_mu_;
-  struct CacheEntry {
-    std::shared_ptr<const CompiledModel> compiled;
-  };
-  Mutex cache_mu_;
-  std::vector<CacheEntry> compiled_cache_ MPIPU_GUARDED_BY(cache_mu_);
+  PlanCache plans_;
 };
 
 }  // namespace mpipu

@@ -99,6 +99,11 @@ class PreparedFp16 {
 
   size_t nib_stride() const { return stride_; }
 
+  /// Bytes held by the planes (pads included).
+  size_t bytes() const {
+    return (exp_.size() + signed_mag_.size()) * sizeof(int32_t) + nib_.size();
+  }
+
   /// Grow/shrink without preparing; elements must be set() before use.
   /// Shrinking keeps capacity -- reuse across gathers never reallocates --
   /// but the plane pads are re-zeroed every time to uphold the padding
@@ -195,6 +200,9 @@ class PreparedInt {
   }
 
   size_t nib_stride() const { return stride_; }
+
+  /// Bytes held by the planes (pads included).
+  size_t bytes() const { return value_.size() * sizeof(int32_t) + nib_.size(); }
 
   void resize(size_t n) {
     value_.resize(n);

@@ -90,6 +90,15 @@ struct ConvPlan {
   std::vector<ClipClass<Planes>> classes;
   AxisRanges ys, xs;
 
+  /// Bytes held by the clip classes: gather offsets plus packed planes.
+  size_t bytes() const {
+    size_t n = 0;
+    for (const ClipClass<Planes>& cls : classes) {
+      n += cls.rel_input.size() * sizeof(int32_t) + cls.filters.bytes();
+    }
+    return n;
+  }
+
   int class_of(int y, int x) const {
     return ys.class_of[static_cast<size_t>(y)] *
                static_cast<int>(xs.uniq.size()) +

@@ -46,6 +46,7 @@ Json ServerMetrics::to_json_value() const {
   j.set("isolation_fallbacks", static_cast<double>(isolation_fallbacks));
   j.set("watchdog_stalls", static_cast<double>(watchdog_stalls));
   j.set("queue_high_water", static_cast<double>(queue_high_water));
+  j.set("plan_cache_bytes", static_cast<double>(plan_cache_bytes));
   j.set("mean_batch_size", mean_batch_size);
   Json hist = Json::array();
   for (uint64_t v : batch_size_hist) hist.push(static_cast<double>(v));
@@ -69,11 +70,11 @@ Json ServerMetrics::to_json_value() const {
 }
 
 ServingRuntime::ServingRuntime(RunSpec spec, ServerConfig cfg)
-    : spec_(std::move(spec)), cfg_(std::move(cfg)) {
+    : spec_(std::move(spec)), cfg_(std::move(cfg)),
+      plans_(spec_, kPlanCacheBytes) {
   if (cfg_.workers < 1) cfg_.workers = 1;
   if (cfg_.queue_capacity < 1) cfg_.queue_capacity = 1;
   if (cfg_.max_batch < 1) cfg_.max_batch = 1;
-  if (cfg_.max_models < 1) cfg_.max_models = 1;
   clock_ = cfg_.clock != nullptr ? cfg_.clock : &real_clock();
   // Chaos hooks are compiled in always: an explicitly configured plan wins,
   // else MPIPU_FAULT, else a null plan (every hook a no-op).
@@ -98,63 +99,23 @@ ModelHealth& ServingRuntime::health_entry(ModelHandle h) {
 
 ModelHandle ServingRuntime::load(const GraphModel& model, int input_h,
                                  int input_w) {
-  ModelHandle handle;
-  std::string name;
-  {
-    MutexLock lock(models_mu_);
-    for (size_t i = 0; i < models_.size(); ++i) {
-      const LoadedModel& m = models_[i];
-      if (m.compiled->input_h() == input_h &&
-          m.compiled->input_w() == input_w && m.compiled->matches(model)) {
-        // LRU refresh: a re-loaded model moves to the back (eviction takes
-        // the front).
-        if (i + 1 != models_.size()) {
-          std::rotate(models_.begin() + static_cast<ptrdiff_t>(i),
-                      models_.begin() + static_cast<ptrdiff_t>(i) + 1,
-                      models_.end());
-        }
-        return models_.back().handle;
-      }
-    }
-    CompileOptions opts;
-    opts.input_h = input_h;
-    opts.input_w = input_w;
-    // Compile before evicting: a throwing compile must not cost a cached
-    // plan.
-    auto compiled = std::make_shared<const CompiledModel>(
-        CompiledModel::compile(model, spec_, opts));
-    if (models_.size() >= cfg_.max_models) {
-      models_.erase(models_.begin());
-    }
-    name = compiled->model_name();
-    models_.push_back({next_handle_++, std::move(compiled)});
-    handle = models_.back().handle;
-  }
+  const PlanCache::Entry e = plans_.get_or_compile(model, input_h, input_w);
+  const auto handle = static_cast<ModelHandle>(e.id);
   // Health is born with the model (so metrics list it before any traffic)
   // and deliberately survives eviction: breaker history is diagnosis data.
-  {
-    MutexLock lock(health_mu_);
-    health_entry(handle);
-    model_names_[handle] = std::move(name);
-  }
+  MutexLock lock(health_mu_);
+  health_entry(handle);
+  model_names_[handle] = e.plan->model_name();
   return handle;
 }
 
 std::shared_ptr<const CompiledModel> ServingRuntime::model(
     ModelHandle h) const {
-  MutexLock lock(models_mu_);
-  for (const LoadedModel& m : models_) {
-    if (m.handle == h) return m.compiled;
-  }
-  // lint:allow-throw -- caller bug (bad handle), documented API contract
-  throw std::out_of_range("ServingRuntime::model: unknown or evicted handle " +
-                          std::to_string(h));
+  // A negative handle maps to an id no cache ever issues: out_of_range.
+  return plans_.find(static_cast<uint64_t>(h));
 }
 
-size_t ServingRuntime::loaded_count() const {
-  MutexLock lock(models_mu_);
-  return models_.size();
-}
+size_t ServingRuntime::loaded_count() const { return plans_.size(); }
 
 std::future<ServeResult> ServingRuntime::submit(ModelHandle h, Tensor input,
                                                 const SubmitOptions& opts) {
@@ -591,6 +552,7 @@ ServerMetrics ServingRuntime::metrics() const {
     MutexLock lock(mu_);
     m.queue_high_water = queue_high_water_;
   }
+  m.plan_cache_bytes = plans_.bytes();
   const double now = clock_->now();
   {
     MutexLock lock(health_mu_);

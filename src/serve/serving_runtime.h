@@ -5,10 +5,12 @@
 //        N async workers ──> CompiledModel::run_batch ──> future<ServeResult>
 //
 // The runtime owns:
-//   * a Session-style LRU plan cache: load() compiles a model once (exact
-//     content match dedups repeat loads) and hands back a ModelHandle;
-//     requests carry the handle, so the hot path never touches weight
-//     bytes;
+//   * the PlanCache shared with Session (api/plan_cache.h): load()
+//     compiles a model once, outside the cache lock (exact content match
+//     dedups repeat loads; plans are bounded by kPlanCacheBytes, least
+//     recently loaded first out) and hands back the entry's id as a
+//     ModelHandle; requests carry the handle, so the hot path never
+//     touches weight bytes and never waits for another model's compile;
 //   * a bounded MPMC request queue with typed overload shedding: a full
 //     queue (global or per-model admission cap) resolves the future
 //     IMMEDIATELY with Rejected{kQueueFull} -- the hot path never throws;
@@ -73,6 +75,7 @@
 
 #include "api/compiled_model.h"
 #include "api/json.h"
+#include "api/plan_cache.h"
 #include "common/annotated_mutex.h"
 #include "common/clock.h"
 #include "common/percentile.h"
@@ -114,10 +117,6 @@ struct ServerConfig {
   /// the queue alone does not fill the batch.  0 = never wait (batch only
   /// what is already queued).  Ignored while draining.
   double batch_window_s = 0.0;
-  /// LRU capacity of the plan cache behind load().  Loading past it evicts
-  /// the least-recently-used plan (in-flight requests keep it alive; its
-  /// handle becomes invalid for new submissions).
-  size_t max_models = 8;
   /// Execute byte-identical same-model inputs in a batch once, fanning the
   /// report out (exact: execution is deterministic).
   bool coalesce_identical = true;
@@ -190,6 +189,8 @@ struct ServerMetrics {
   uint64_t isolation_fallbacks = 0;  ///< batches re-executed per request
   uint64_t watchdog_stalls = 0;      ///< dispatches past the stall budget
   size_t queue_high_water = 0;  ///< deepest the queue has been
+  /// Summed CompiledModel::plan_bytes() of the plans load() holds.
+  size_t plan_cache_bytes = 0;
   /// batch_size_hist[b] = batches that executed exactly b requests
   /// (index 0 unused).
   std::vector<uint64_t> batch_size_hist;
@@ -228,9 +229,12 @@ class ServingRuntime {
 
   /// Compile-once model registration.  Loading an exactly-matching model
   /// again (content + input geometry) returns the existing handle and
-  /// refreshes its LRU recency.  Throws std::invalid_argument for anything
-  /// CompiledModel::compile rejects -- load time is where exceptions
-  /// belong, not the request path.
+  /// refreshes its recency.  Loading past the plan budget evicts the least
+  /// recently loaded plans (queued and in-flight requests keep theirs
+  /// alive; an evicted handle is invalid for new submissions).  The compile
+  /// runs outside the cache lock: requests to loaded models keep flowing.
+  /// Throws std::invalid_argument for anything CompiledModel::compile
+  /// rejects -- load time is where exceptions belong, not the request path.
   ModelHandle load(const GraphModel& model, int input_h, int input_w);
 
   /// The compiled plan behind a handle (introspection / direct baseline
@@ -261,8 +265,8 @@ class ServingRuntime {
 
  private:
   struct Pending {
-    /// Pinned at submit so LRU eviction can never pull a plan out from
-    /// under a queued request.
+    /// Pinned at submit so eviction can never pull a plan out from under a
+    /// queued request.
     std::shared_ptr<const CompiledModel> model;
     ModelHandle handle = -1;
     Tensor input;
@@ -270,10 +274,6 @@ class ServingRuntime {
     double deadline = std::numeric_limits<double>::infinity();
     bool probe = false;  ///< admitted as a half-open breaker probe
     std::promise<ServeResult> promise;
-  };
-  struct LoadedModel {
-    ModelHandle handle = -1;
-    std::shared_ptr<const CompiledModel> compiled;
   };
   /// How one unique (post-coalescing) input slot fared at execution.
   struct SlotOutcome {
@@ -308,10 +308,8 @@ class ServingRuntime {
   std::shared_ptr<FaultPlan> faults_;  ///< may be null (no-op)
   double start_t_ = 0.0;
 
-  /// Plan cache (guarded by models_mu_): LRU order, most recent at back.
-  mutable Mutex models_mu_;
-  std::vector<LoadedModel> models_ MPIPU_GUARDED_BY(models_mu_);
-  ModelHandle next_handle_ MPIPU_GUARDED_BY(models_mu_) = 0;
+  /// Compiled plans; entry ids are the ModelHandles.
+  PlanCache plans_;
 
   /// Request queue (guarded by mu_, signaled by queue_cv_).
   mutable Mutex mu_;

@@ -386,8 +386,8 @@ def check_include_hygiene(root):
 BENCH_REQUIRED_KEYS = {
     "BENCH_accuracy.json": ["bench", "points"],
     "BENCH_conv.json": ["bench", "workload", "schemes"],
-    "BENCH_serving.json": ["bench", "sections", "bit_identical"],
-    "BENCH_server.json": ["bench", "saturating", "bit_identical", "soak"],
+    "BENCH_server.json": ["bench", "recompile_vs_compiled", "saturating",
+                          "bit_identical", "soak"],
     "BENCH_tiles.json": ["bench", "network", "configs"],
 }
 

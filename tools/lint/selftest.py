@@ -57,11 +57,9 @@ def make_tree(root):
         {"bench": "accuracy", "points": [{"conserved": True}]}))
     (root / "BENCH_conv.json").write_text(json.dumps(
         {"bench": "conv", "workload": {}, "schemes": []}))
-    (root / "BENCH_serving.json").write_text(json.dumps(
-        {"bench": "serving", "sections": {}, "bit_identical": True}))
     (root / "BENCH_server.json").write_text(json.dumps(
-        {"bench": "server", "saturating": {}, "bit_identical": True,
-         "soak": {}}))
+        {"bench": "server", "recompile_vs_compiled": [], "saturating": {},
+         "bit_identical": True, "soak": {}}))
     (root / "BENCH_tiles.json").write_text(json.dumps(
         {"bench": "design_space_explorer_tiles", "network": "resnet18",
          "configs": []}))
@@ -178,8 +176,8 @@ def main():
     # bench-schema: a committed artifact recording a broken invariant.
     expect("bench-schema", in_fresh_tree(lambda root: (
         (root / "BENCH_server.json").write_text(json.dumps(
-            {"bench": "server", "saturating": {},
-             "bit_identical": False, "soak": {}}))
+            {"bench": "server", "recompile_vs_compiled": [],
+             "saturating": {}, "bit_identical": False, "soak": {}}))
     )), "bench-schema", "BENCH_server.json")
 
     print("lint_selftest: every rule fires on its seeded violation.")
